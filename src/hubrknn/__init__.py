@@ -54,13 +54,7 @@ from .offline import (
     to_many_pairs,
 )
 from .online import RknnAnswer, knn_query, rknn_query
-from .oracle import (
-    DistanceRow,
-    bfs_distances,
-    oracle_knn,
-    oracle_rknn,
-    oracle_rknn_via_knn,
-)
+from .oracle import DistanceRow, bfs_distances, oracle_knn, oracle_rknn
 
 __version__ = "0.1.0"
 
@@ -105,7 +99,6 @@ __all__ = [
     "offline_preprocess",
     "oracle_knn",
     "oracle_rknn",
-    "oracle_rknn_via_knn",
     "parse_edge_list",
     "parse_object_file",
     "rknn_query",

@@ -16,13 +16,13 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import IO
 
 from .errors import ConfigError
 from .graph import Graph
 from .labels import LabelSet
-from .offline import ObjectSet, epsilon, offline_preprocess, to_many_pairs
+from .offline import IndexStats, ObjectSet, index_stats, offline_preprocess
 from .online import rknn_query
 
 log = logging.getLogger(__name__)
@@ -36,7 +36,6 @@ class SweepConfig:
     sets_per_point: int = 100
     queries_per_set: int = 100
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         for d in self.densities:
@@ -72,35 +71,14 @@ class SweepRecord:
     knn_result_pairs: float
     rknn_pairs: float
     to_many_pairs: float
-    model_bytes: float  # 5 bytes/pair over all three stored structures
+    model_bytes: float  # IndexStats.model_bytes
     pairs_scanned_mean: float
 
     def row(self) -> list:
-        return [getattr(self, name) for name in CSV_COLUMNS]
+        return list(astuple(self))
 
 
-CSV_COLUMNS = [
-    "graph",
-    "density",
-    "k",
-    "ball",
-    "object_count",
-    "sets",
-    "queries",
-    "knn_backward_ms",
-    "batch_knn_ms",
-    "rknn_labels_ms",
-    "offline_total_ms",
-    "online_mean_ms",
-    "online_median_ms",
-    "epsilon",
-    "knn_backward_pairs",
-    "knn_result_pairs",
-    "rknn_pairs",
-    "to_many_pairs",
-    "model_bytes",
-    "pairs_scanned_mean",
-]
+CSV_COLUMNS = [f.name for f in fields(SweepRecord)]
 
 # Wall-clock columns are excluded from determinism comparisons.
 TIME_COLUMNS = frozenset(
@@ -236,10 +214,7 @@ def _run_point(
     sub_times = [0.0, 0.0, 0.0]
     online_ms: list[float] = []
     scanned: list[int] = []
-    eps_values: list[float] = []
-    knn_backward_pairs = 0
-    rknn_pairs = 0
-    to_many = 0
+    stats: list[IndexStats] = []
 
     for s in range(config.sets_per_point):
         oseed = _cell_seed(config.seed, density, k, ball, s, "objects")
@@ -248,14 +223,11 @@ def _run_point(
         else:
             objects = generate_ball_objects(graph, density, ball, oseed)
 
-        index = offline_preprocess(labels, objects, k, threads=config.threads)
+        index = offline_preprocess(labels, objects, k)
         sub_times[0] += index.timings.knn_backward_s
         sub_times[1] += index.timings.batch_knn_s
         sub_times[2] += index.timings.rknn_labels_s
-        eps_values.append(epsilon(index))
-        knn_backward_pairs += index.knn_backward.total_pairs()
-        rknn_pairs += index.rknn_backward.total_pairs
-        to_many += to_many_pairs(labels, objects)
+        stats.append(index_stats(index))
 
         qrng = random.Random(_cell_seed(config.seed, density, k, ball, s, "queries"))
         for _ in range(config.queries_per_set):
@@ -280,11 +252,11 @@ def _run_point(
         offline_total_ms=1e3 * sum(sub_times) / sets,
         online_mean_ms=statistics.mean(online_ms),
         online_median_ms=statistics.median(online_ms),
-        epsilon=statistics.mean(eps_values),
-        knn_backward_pairs=knn_backward_pairs / sets,
-        knn_result_pairs=float(k * _ceil_count(density, n)),
-        rknn_pairs=rknn_pairs / sets,
-        to_many_pairs=to_many / sets,
-        model_bytes=5.0 * (knn_backward_pairs + k * _ceil_count(density, n) * sets + rknn_pairs) / sets,
+        epsilon=statistics.mean(st.epsilon for st in stats),
+        knn_backward_pairs=sum(st.knn_backward_pairs for st in stats) / sets,
+        knn_result_pairs=sum(st.knn_result_pairs for st in stats) / sets,
+        rknn_pairs=sum(st.rknn_pairs for st in stats) / sets,
+        to_many_pairs=sum(st.to_many_pairs for st in stats) / sets,
+        model_bytes=sum(st.model_bytes for st in stats) / sets,
         pairs_scanned_mean=statistics.mean(scanned),
     )

@@ -2,7 +2,8 @@
 
 Subcommands: build, preprocess, query, knn, bench, stats. Results go to
 stdout, diagnostics to stderr. Exit codes: 0 success, 1 usage error, 2 data
-error (bad files, format mismatches, infeasible parameters).
+error (bad files, format mismatches, infeasible parameters). A reader that
+closes the output pipe early (``| head``) is not an error and exits 0.
 
 Only raw (pre-densification) vertex IDs appear on this surface; every
 subcommand that touches vertex IDs therefore takes ``--graph`` so the
@@ -13,13 +14,21 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 import time
 
 from .bench import SweepConfig, run_sweep
 from .errors import ConfigError, FormatError, ParseError
 from .graph import Graph, degree_ordering, largest_connected_component, parse_edge_list
-from .labels import INFINITY, LabelSet, build_pll_labels, load_labels, save_labels
+from .labels import (
+    _PAIR,
+    INFINITY,
+    LabelSet,
+    build_pll_labels,
+    load_labels,
+    save_labels,
+)
 from .offline import (
     ObjectSet,
     build_knn_backward_labels,
@@ -60,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objects", required=True, help="file with one raw vertex ID per line")
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--out", required=True, help="output index file")
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("query", help="reverse-kNN query")
     p.add_argument("--graph", required=True)
@@ -86,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sets", type=int, default=100)
     p.add_argument("--queries", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="CSV path, or - for stdout")
 
     p = sub.add_parser("stats", help="graph / label / index statistics")
@@ -113,6 +120,13 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"hubrknn: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # Python flushes stdout at exit; send it to devnull so that flush
+        # cannot hit the closed pipe again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ParseError, FormatError, ConfigError, ValueError, OSError) as exc:
         print(f"hubrknn: {exc}", file=sys.stderr)
         return 2
@@ -175,7 +189,7 @@ def _cmd_preprocess(args) -> int:
     graph = _load_graph(args.graph)
     labels = _load_labels_checked(args.labels, graph)
     objects = _read_objects(args.objects, graph)
-    index = offline_preprocess(labels, objects, args.k, threads=args.threads)
+    index = offline_preprocess(labels, objects, args.k)
     with open(args.out, "wb") as f:
         save_index(index, f)
     t = index.timings
@@ -246,7 +260,6 @@ def _cmd_bench(args) -> int:
         sets_per_point=args.sets,
         queries_per_set=args.queries,
         seed=args.seed,
-        threads=args.threads,
     )
     if args.out == "-":
         run_sweep(graph, labels, config, sink=sys.stdout, graph_name=args.graph)
@@ -267,7 +280,7 @@ def _cmd_stats(args) -> int:
         labels = _load_labels_checked(args.labels, graph)
         print(f"label_pairs\t{labels.total_pairs}")
         print(f"labels_per_vertex\t{labels.avg_label_size():.2f}")
-        print(f"label_model_bytes\t{5 * labels.total_pairs}")
+        print(f"label_model_bytes\t{_PAIR.size * labels.total_pairs}")
 
     if args.index:
         if labels is None:
@@ -285,3 +298,7 @@ def _cmd_stats(args) -> int:
         print(f"epsilon\t{stats.epsilon:.4f}")
         print(f"index_model_bytes\t{stats.model_bytes}")
     return 0
+
+
+if __name__ == "__main__":
+    run()

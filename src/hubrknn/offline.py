@@ -7,8 +7,7 @@ Runs once per object set, in three substages:
    k, because an object is by definition its own nearest neighbor and must
    be skippable later without starving the result.
 2. Compute each object's k nearest other objects with a one-to-many sweep
-   over those per-hub lists (batch kNN). Rows are independent, so this stage
-   can fan out over worker threads.
+   over those per-hub lists (batch kNN).
 3. Re-emit each object's label pairs grouped by hub, dropping every pair
    whose distance exceeds that object's k-th-neighbor distance (RkNN
    backward labels). That filter is what keeps online queries cheap.
@@ -19,18 +18,16 @@ from __future__ import annotations
 import struct
 import time
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
 from .bounded import BoundedBuffer
 from .errors import ConfigError, FormatError, ParseError
-from .labels import LabelSet
+from .labels import _PAIR, LabelSet, _read_exact
 
 _MAGIC = b"RHIX"
 _VERSION = 1
 _U32 = struct.Struct("<I")
-_PAIR = struct.Struct("<IB")
 
 
 @dataclass(frozen=True)
@@ -78,9 +75,6 @@ class KnnResultTable:
         self.k = k
         self.rows = rows
         self.worst = [row[-1][1] for row in rows]  # k-th neighbor distance
-
-    def worst_dist(self, i: int) -> int:
-        return self.worst[i]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KnnResultTable):
@@ -202,13 +196,8 @@ def batch_knn(
     objects: ObjectSet,
     k: int,
     knn_backward: KnnBackwardLabels,
-    threads: int = 1,
 ) -> KnnResultTable:
-    """Substage 2: every object's k nearest other objects.
-
-    Rows are computed independently (optionally across threads) and the
-    output is identical regardless of the worker count.
-    """
+    """Substage 2: every object's k nearest other objects."""
     _check_objects(labels, objects, k)
     if knn_backward.k != k:
         raise ConfigError(
@@ -225,12 +214,7 @@ def batch_knn(
             )
         return result
 
-    if threads <= 1:
-        rows = [row(i) for i in range(len(vertices))]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, range(len(vertices))))
-    return KnnResultTable(k, rows)
+    return KnnResultTable(k, [row(i) for i in range(len(vertices))])
 
 
 def build_rknn_backward_labels(
@@ -257,15 +241,13 @@ def build_rknn_backward_labels(
     return RknnBackwardLabels(lists, total)
 
 
-def offline_preprocess(
-    labels: LabelSet, objects: ObjectSet, k: int, threads: int = 1
-) -> OfflineIndex:
+def offline_preprocess(labels: LabelSet, objects: ObjectSet, k: int) -> OfflineIndex:
     """Run the three substages in order and assemble the index."""
     timings = OfflineTimings()
     t0 = time.perf_counter()
     knn_backward = build_knn_backward_labels(labels, objects, k)
     t1 = time.perf_counter()
-    knn_results = batch_knn(labels, objects, k, knn_backward, threads=threads)
+    knn_results = batch_knn(labels, objects, k, knn_backward)
     t2 = time.perf_counter()
     rknn_backward = build_rknn_backward_labels(labels, objects, k, knn_results)
     t3 = time.perf_counter()
@@ -303,24 +285,27 @@ class IndexStats:
     to_many_pairs: int
     epsilon: float
 
-    # 5 bytes per stored pair: 4 for the object index, 1 for the distance.
+    # Every stored pair costs one serialized (object index, distance) record.
     @property
     def model_bytes(self) -> int:
-        return 5 * (self.knn_backward_pairs + self.knn_result_pairs + self.rknn_pairs)
+        pairs = self.knn_backward_pairs + self.knn_result_pairs + self.rknn_pairs
+        return _PAIR.size * pairs
 
 
 def index_stats(index: OfflineIndex) -> IndexStats:
     knn_backward_pairs = (
         index.knn_backward.total_pairs() if index.knn_backward is not None else 0
     )
+    rknn_pairs = index.rknn_backward.total_pairs
+    to_many = to_many_pairs(index.labels, index.objects)
     return IndexStats(
         k=index.k,
         object_count=len(index.objects),
         knn_backward_pairs=knn_backward_pairs,
         knn_result_pairs=index.k * len(index.objects),
-        rknn_pairs=index.rknn_backward.total_pairs,
-        to_many_pairs=to_many_pairs(index.labels, index.objects),
-        epsilon=epsilon(index),
+        rknn_pairs=rknn_pairs,
+        to_many_pairs=to_many,
+        epsilon=rknn_pairs / to_many,
     )
 
 
@@ -447,10 +432,3 @@ def _validate_against_labels(
                     f"index does not match labels: object {idx} has no pair "
                     f"(hub {h}, dist {d})"
                 )
-
-
-def _read_exact(source: IO[bytes], nbytes: int) -> bytes:
-    buf = source.read(nbytes)
-    if len(buf) != nbytes:
-        raise FormatError("truncated stream")
-    return buf

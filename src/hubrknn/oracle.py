@@ -64,18 +64,3 @@ def oracle_rknn(
         if row[q] <= threshold:
             members.append((i, row[q]))
     return members
-
-
-def oracle_rknn_via_knn(
-    graph: Graph, objects: ObjectSet, q: int, k: int
-) -> list[tuple[int, int]]:
-    """Second route to the same answer: per-object kNN thresholds plus one
-    BFS from the query vertex. Exists to cross-check oracle_rknn."""
-    row_q = bfs_distances(graph, q).dist
-    members = []
-    for i, p in enumerate(objects.vertices):
-        knn = oracle_knn(graph, objects, i, k)
-        threshold = knn[k - 1][1] if len(knn) >= k else INFINITY
-        if row_q[p] <= threshold:
-            members.append((i, row_q[p]))
-    return members

@@ -97,6 +97,13 @@ def test_sweep_fixture_single_point(tree14, tree14_labels):
     assert 0 < rec.epsilon <= 1
     lines = sink.getvalue().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
+    # The file format spelled out, so a reordered record field fails here.
+    assert lines[0] == (
+        "graph,density,k,ball,object_count,sets,queries,"
+        "knn_backward_ms,batch_knn_ms,rknn_labels_ms,offline_total_ms,"
+        "online_mean_ms,online_median_ms,epsilon,knn_backward_pairs,"
+        "knn_result_pairs,rknn_pairs,to_many_pairs,model_bytes,pairs_scanned_mean"
+    )
     assert len(lines) == 2
 
 
@@ -123,7 +130,7 @@ def test_sweep_deterministic_modulo_time_columns():
     labels = build_pll_labels(g)
     config = SweepConfig(
         densities=(0.1, 0.2), ks=(1, 2), balls=(1.0, 0.5),
-        sets_per_point=2, queries_per_set=3, seed=99, threads=1,
+        sets_per_point=2, queries_per_set=3, seed=99,
     )
     out_a, out_b = io.StringIO(), io.StringIO()
     run_sweep(g, labels, config, sink=out_a)

@@ -1,7 +1,12 @@
 """End-to-end CLI runs over temp files: the full build/preprocess/query flow."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import hubrknn
 from hubrknn.cli import main
 
 from fixtures import TREE14_TEXT
@@ -183,6 +188,51 @@ def test_usage_errors_exit_1(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["build", "--graph", "x"]) == 1  # --out missing
     capsys.readouterr()
+
+
+def test_module_entry_point_runs_cli():
+    src = os.path.dirname(os.path.dirname(hubrknn.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hubrknn.cli"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "a subcommand is required" in proc.stderr
+
+
+def test_closed_output_pipe_exits_0(workspace, monkeypatch, capsys):
+    """`hubrknn query --all ... | head -1`: the reader leaving is no error."""
+    _pipeline(workspace)
+    capsys.readouterr()
+
+    with open(workspace["tmp"] / "stdout", "w") as backing:
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return backing.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(
+            [
+                "query",
+                "--graph", workspace["graph"],
+                "--labels", workspace["labels"],
+                "--index", workspace["index"],
+                "--vertex", "0",
+                "--all",
+            ]
+        )
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_missing_file_is_data_error(tmp_path, capsys):

@@ -9,7 +9,6 @@ from hubrknn import (
     hl_distance,
     oracle_knn,
     oracle_rknn,
-    oracle_rknn_via_knn,
     parse_edge_list,
 )
 
@@ -55,6 +54,21 @@ def test_oracle_rknn_empty_far_query():
     g = parse_edge_list("0 1\n0 2\n0 3\n3 4\n4 5\n5 6")
     objects = ObjectSet((1, 2))
     assert oracle_rknn(g, objects, 6, 1) == []
+
+
+def oracle_rknn_via_knn(
+    graph: Graph, objects: ObjectSet, q: int, k: int
+) -> list[tuple[int, int]]:
+    """Second route to the same answer: per-object kNN thresholds plus one
+    BFS from the query vertex. Exists to cross-check oracle_rknn."""
+    row_q = bfs_distances(graph, q).dist
+    members = []
+    for i, p in enumerate(objects.vertices):
+        knn = oracle_knn(graph, objects, i, k)
+        threshold = knn[k - 1][1] if len(knn) >= k else INFINITY
+        if row_q[p] <= threshold:
+            members.append((i, row_q[p]))
+    return members
 
 
 def test_oracle_two_routes_agree():
