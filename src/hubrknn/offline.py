@@ -10,7 +10,9 @@ Runs once per object set, in three substages:
    over those per-hub lists (batch kNN).
 3. Re-emit each object's label pairs grouped by hub, dropping every pair
    whose distance exceeds that object's k-th-neighbor distance (RkNN
-   backward labels). That filter is what keeps online queries cheap.
+   backward labels). That filter is what keeps online queries cheap. Each
+   hub's pairs are ordered by slack, distance minus that k-th-neighbor
+   distance, so the pairs a query can use form a prefix of the list.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from typing import IO, Iterable, Sequence
 
 from .bounded import BoundedBuffer
 from .errors import ConfigError, FormatError, ParseError
-from .labels import _PAIR, LabelSet, _read_exact
+from .labels import _PAIR, INFINITY, LabelSet, _read_exact
 
 _MAGIC = b"RHIX"
-_VERSION = 1
+_VERSION = 2
 _U32 = struct.Struct("<I")
 
 
@@ -90,7 +92,9 @@ class RknnBackwardLabels:
     __slots__ = ("lists", "total_pairs")
 
     def __init__(self, lists: list[list[tuple[int, int]]], total_pairs: int):
-        self.lists = lists  # hub -> [(idx, dist)] in object-index order
+        # hub -> [(idx, dist)] ascending by (dist - worst[idx], idx), where
+        # worst[idx] is object idx's k-th-neighbor distance
+        self.lists = lists
         self.total_pairs = total_pairs
 
     def __eq__(self, other: object) -> bool:
@@ -178,16 +182,18 @@ def _knn_row(
     """One bounded one-to-many sweep; shared by batch kNN and kNN queries."""
     source = vertices[i]
     buf = BoundedBuffer(k)
+    worst = INFINITY  # buf.worst_dist(), refreshed only when the buffer changes
     for h, d in zip(labels.hubs[source], labels.dists[source]):
-        if d > buf.worst_dist():
+        if d > worst:
             continue
         for idx, dp in knn_lists[h]:
             if skip_self and idx == i:
                 continue
             d2 = d + dp
-            if d2 > buf.worst_dist():
+            if d2 > worst:
                 break  # hub list ascends by distance; nothing better follows
-            buf.push_unique(idx, d2)
+            if buf.push_unique(idx, d2):
+                worst = buf.worst_dist()
     return buf.pairs()
 
 
@@ -223,21 +229,34 @@ def build_rknn_backward_labels(
     k: int,
     knn_results: KnnResultTable,
 ) -> RknnBackwardLabels:
-    """Substage 3: regroup object labels by hub, filtered by worst_dist."""
+    """Substage 3: regroup object labels by hub, filtered by worst_dist.
+
+    Each hub's list is then sorted by slack ``dist - worst[idx]``. A query
+    reaching the hub at distance d can use a pair iff its slack is <= -d, so
+    the online sweep stops at the first pair that fails. Objects are
+    appended in index order and the sort is stable, so ties keep index order.
+    """
     _check_objects(labels, objects, k)
     if knn_results.k != k:
         raise ConfigError(
             f"kNN results were computed for k={knn_results.k}, not k={k}"
         )
     n = labels.vertex_count
+    worst = knn_results.worst
     lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     total = 0
     for i, p in enumerate(objects.vertices):
-        bound = knn_results.worst[i]
+        bound = worst[i]
         for h, d in zip(labels.hubs[p], labels.dists[p]):
             if d <= bound:
                 lists[h].append((i, d))
                 total += 1
+
+    def slack(pair: tuple[int, int]) -> int:
+        return pair[1] - worst[pair[0]]
+
+    for lst in lists:
+        lst.sort(key=slack)
     return RknnBackwardLabels(lists, total)
 
 
@@ -348,7 +367,9 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
     The format carries no explicit fingerprint, so compatibility is checked
     the hard way: every stored pair must appear verbatim in the forward
     label of its object, and every hub section must line up with the label
-    set's vertex count. Mismatched inputs fail with FormatError.
+    set's vertex count. Each hub section must also be in the slack order
+    ``rknn_query`` relies on; it is checked, not re-sorted. Mismatched or
+    out-of-order inputs fail with FormatError.
     """
     magic = _read_exact(source, 4)
     if magic != _MAGIC:
@@ -418,16 +439,29 @@ def _validate_against_labels(
     knn_results: KnnResultTable,
     rknn_backward: RknnBackwardLabels,
 ) -> None:
+    worst = knn_results.worst
+    hubs = labels.hubs
+    dists = labels.dists
+    vertices = objects.vertices
     for h, lst in enumerate(rknn_backward.lists):
+        prev_slack = -INFINITY
+        prev_idx = -1
         for idx, d in lst:
-            if d > knn_results.worst[idx]:
+            slack = d - worst[idx]
+            if slack > 0:
                 raise FormatError(
                     f"RkNN pair (hub {h}, object {idx}) exceeds its kNN bound"
                 )
-            p = objects.vertices[idx]
-            hv = labels.hubs[p]
+            if slack < prev_slack or (slack == prev_slack and idx <= prev_idx):
+                raise FormatError(
+                    f"RkNN section {h} is not in (slack, object index) order"
+                )
+            prev_slack = slack
+            prev_idx = idx
+            p = vertices[idx]
+            hv = hubs[p]
             pos = bisect_left(hv, h)
-            if pos == len(hv) or hv[pos] != h or labels.dists[p][pos] != d:
+            if pos == len(hv) or hv[pos] != h or dists[p][pos] != d:
                 raise FormatError(
                     f"index does not match labels: object {idx} has no pair "
                     f"(hub {h}, dist {d})"

@@ -3,7 +3,9 @@
 A reverse-kNN query is a one-to-many sweep of the query vertex's forward
 label over the RkNN backward labels. An object enters the answer only when
 the candidate distance is within that object's k-th-neighbor distance, with
-ties counting as members.
+ties counting as members. Each hub's list is ordered by slack (pair distance
+minus the object's k-th-neighbor distance), so the sweep of a list stops at
+the first pair that does not qualify: every later pair fails too.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from .offline import KnnBackwardLabels, OfflineIndex, _knn_row
 class RknnAnswer:
     """Distances from the query vertex to every object; INFINITY = non-member.
 
-    ``pairs_scanned`` counts the backward-label pairs the sweep touched,
-    which is what the online cost model is stated in.
+    ``pairs_scanned`` counts the pairs in the backward-label lists the sweep
+    touched, which is what the online cost model is stated in. It is not the
+    number of pairs examined: the sweep of a list stops early.
     """
 
     distances: list[int]
@@ -51,7 +54,9 @@ def rknn_query(index: OfflineIndex, labels: LabelSet, q: int) -> RknnAnswer:
         scanned += len(lst)
         for idx, dp in lst:
             d2 = d + dp
-            if d2 < out[idx] and d2 <= worst[idx]:
+            if d2 > worst[idx]:
+                break  # slack order: no later pair of this list qualifies
+            if d2 < out[idx]:
                 out[idx] = d2
     return RknnAnswer(out, scanned)
 

@@ -50,8 +50,11 @@ TREE14_KNN_BACKWARD_K1 = {
 TREE14_KNN_RESULTS_K1 = [[(1, 1)], [(0, 1)], [(0, 4)]]
 
 # Object 10's pair (hub 0, dist 2) is dropped: 2 > its 1-NN distance 1.
+# Each hub's pairs ascend by (dist - 1-NN distance, index); 1-NN distances
+# are [1, 1, 4], so at hub 0 object 2 (slack 3 - 4 = -1) precedes object 0
+# (slack 1 - 1 = 0).
 TREE14_RKNN_BACKWARD_K1 = {
-    0: [(0, 1), (2, 3)],
+    0: [(2, 3), (0, 1)],
     1: [(2, 2)],
     4: [(0, 0), (1, 1)],
     6: [(2, 1)],

@@ -168,6 +168,27 @@ def test_corrupted_labels_file_is_data_error(workspace, capsys):
     assert code == 2
 
 
+def test_version_1_index_file_is_data_error(workspace, capsys):
+    _pipeline(workspace)
+    data = bytearray(open(workspace["index"], "rb").read())
+    data[4] = 1  # the version byte; v1 RkNN sections are not slack-ordered
+    open(workspace["index"], "wb").write(bytes(data))
+    capsys.readouterr()
+    code = main(
+        [
+            "query",
+            "--graph", workspace["graph"],
+            "--labels", workspace["labels"],
+            "--index", workspace["index"],
+            "--vertex", "0",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "hubrknn: unsupported index-file version 1" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_vertex_is_data_error(workspace, capsys):
     _pipeline(workspace)
     code = main(

@@ -1,5 +1,6 @@
 import io
 import random
+import struct
 
 import pytest
 
@@ -148,9 +149,10 @@ def test_rknn_backward_matches_naive_filter():
         (h, i, d) for h, lst in enumerate(rknn.lists) for i, d in lst
     }
     assert got == expected
-    # per-hub order is by object index
+    # per-hub order is by (slack, object index), slack = dist - kth distance
     for lst in rknn.lists:
-        assert [i for i, _ in lst] == sorted(i for i, _ in lst)
+        keys = [(d - table.worst[i], i) for i, d in lst]
+        assert keys == sorted(keys)
 
 
 # --- composition ---
@@ -224,6 +226,31 @@ def test_index_load_rejects_foreign_labels(tree14_labels, tree14_objects):
     other_labels = build_pll_labels(other_graph)
     with pytest.raises(FormatError):
         load_index(io.BytesIO(sink.getvalue()), other_labels)
+
+
+def test_index_load_rejects_out_of_order_section(tree14_labels, tree14_objects):
+    index = offline_preprocess(tree14_labels, tree14_objects, 1)
+    sink = io.BytesIO()
+    save_index(index, sink)
+    data = sink.getvalue()
+    # hub 0's section follows the header, the objects and the kNN rows
+    start = 4 + 1 + 4 + 4 + 4 * 3 + 5 * 3 + 4
+    first, second = data[start:start + 5], data[start + 5:start + 10]
+    assert [first, second] == [struct.pack("<IB", 2, 3), struct.pack("<IB", 0, 1)]
+    swapped = data[:start] + second + first + data[start + 10:]
+    with pytest.raises(FormatError, match="section 0 "):
+        load_index(io.BytesIO(swapped), tree14_labels)
+
+
+def test_index_load_rejects_version_1(tree14_labels, tree14_objects):
+    index = offline_preprocess(tree14_labels, tree14_objects, 1)
+    sink = io.BytesIO()
+    save_index(index, sink)
+    data = bytearray(sink.getvalue())
+    assert data[4] == 2
+    data[4] = 1  # version 1 files hold the RkNN sections in object-index order
+    with pytest.raises(FormatError, match="version 1"):
+        load_index(io.BytesIO(bytes(data)), tree14_labels)
 
 
 def test_index_load_rejects_truncation(tree14_labels, tree14_objects):

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -10,9 +11,11 @@ from hubrknn import (
     build_knn_backward_labels,
     build_pll_labels,
     knn_query,
+    load_index,
     offline_preprocess,
     oracle_rknn,
     rknn_query,
+    save_index,
 )
 
 from fixtures import TREE14_RKNN_Q0
@@ -68,6 +71,33 @@ def test_rknn_matches_oracle_characterization(k):
             got = dict(rknn_query(index, labels, q).members())
             expected = dict(oracle_rknn(g, objects, q, k))
             assert got == expected, f"seed={seed} k={k} q={q}"
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_rknn_from_loaded_index_matches_oracle(k):
+    """The early exit needs slack-ordered lists, also after save -> load."""
+    rng = random.Random(9000 + k)
+    for _ in range(8):
+        n = rng.randrange(2 * k + 20, 120)
+        seed = rng.randrange(1 << 30)
+        if rng.random() < 0.5:
+            g = random_connected_graph(n, rng.randrange(n, 3 * n), seed=seed)
+        else:
+            g = preferential_attachment_graph(n, rng.randrange(1, 4), seed=seed)
+        labels = build_pll_labels(g)
+        # unsorted: object index order differs from vertex order
+        objects = ObjectSet(tuple(rng.sample(range(n), rng.randrange(k + 1, n // 2))))
+        sink = io.BytesIO()
+        save_index(offline_preprocess(labels, objects, k), sink)
+        index = load_index(io.BytesIO(sink.getvalue()), labels)
+        worst = index.knn_results.worst
+        for lst in index.rknn_backward.lists:
+            keys = [(d - worst[i], i) for i, d in lst]
+            assert keys == sorted(keys)
+        for q in rng.sample(range(n), 12):
+            got = dict(rknn_query(index, labels, q).members())
+            expected = dict(oracle_rknn(g, objects, q, k))
+            assert got == expected, f"n={n} seed={seed} k={k} q={q}"
 
 
 def test_rknn_monotone_in_k():
