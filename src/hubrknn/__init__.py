@@ -20,7 +20,6 @@ from .graph import (
     Graph,
     VertexOrdering,
     degree_ordering,
-    is_connected,
     largest_connected_component,
     parse_edge_list,
     serialize_edge_list,
@@ -91,7 +90,6 @@ __all__ = [
     "generate_random_objects",
     "hl_distance",
     "index_stats",
-    "is_connected",
     "knn_query",
     "largest_connected_component",
     "load_index",

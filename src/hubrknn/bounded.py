@@ -27,10 +27,6 @@ class BoundedBuffer:
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def full(self) -> bool:
-        return len(self.items) >= self.capacity
-
     def worst_dist(self) -> int:
         """Distance of the current worst kept pair; INFINITY while not full."""
         if len(self.items) < self.capacity:

@@ -106,13 +106,6 @@ class VertexOrdering:
         if sorted(self.order) != list(range(len(self.order))):
             raise ConfigError("ordering is not a permutation of the vertex IDs")
 
-    def rank(self) -> list[int]:
-        """Inverse permutation: rank[v] = position of v in the order."""
-        out = [0] * len(self.order)
-        for pos, v in enumerate(self.order):
-            out[v] = pos
-        return out
-
 
 def parse_edge_list(source: str | IO[str] | Iterable[str]) -> Graph:
     """Parse an edge-list text stream into a normalized Graph.
@@ -190,12 +183,6 @@ def largest_connected_component(graph: Graph) -> Graph:
     adjacency = [[remap[w] for w in graph.adjacency[old]] for old in best]
     raw_ids = [graph.raw_ids[old] for old in best]
     return Graph(adjacency, raw_ids)
-
-
-def is_connected(graph: Graph) -> bool:
-    visited = [False] * graph.vertex_count
-    reached = _bfs_collect(graph, 0, visited)
-    return len(reached) == graph.vertex_count
 
 
 def _bfs_collect(graph: Graph, start: int, visited: list[bool]) -> list[int]:

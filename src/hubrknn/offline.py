@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import struct
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from itertools import chain
+from typing import IO, Iterable
 
 from .bounded import BoundedBuffer
 from .errors import ConfigError, FormatError, ParseError
-from .labels import _PAIR, INFINITY, LabelSet, _read_exact
+from .labels import _PAIR, INFINITY, LabelSet, _read_exact, hl_distance
 
 _MAGIC = b"RHIX"
 _VERSION = 2
@@ -172,22 +172,23 @@ def build_knn_backward_labels(
 
 
 def _knn_row(
-    i: int,
     labels: LabelSet,
-    vertices: Sequence[int],
+    source: int,
+    skip: int,
     k: int,
     knn_lists: list[list[tuple[int, int]]],
-    skip_self: bool,
 ) -> list[tuple[int, int]]:
-    """One bounded one-to-many sweep; shared by batch kNN and kNN queries."""
-    source = vertices[i]
+    """One bounded one-to-many sweep; shared by batch kNN and kNN queries.
+
+    Object index ``skip`` is never reported (-1 skips nothing).
+    """
     buf = BoundedBuffer(k)
     worst = INFINITY  # buf.worst_dist(), refreshed only when the buffer changes
     for h, d in zip(labels.hubs[source], labels.dists[source]):
         if d > worst:
             continue
         for idx, dp in knn_lists[h]:
-            if skip_self and idx == i:
+            if idx == skip:
                 continue
             d2 = d + dp
             if d2 > worst:
@@ -213,7 +214,7 @@ def batch_knn(
     lists = knn_backward.lists
 
     def row(i: int) -> list[tuple[int, int]]:
-        result = _knn_row(i, labels, vertices, k, lists, skip_self=True)
+        result = _knn_row(labels, vertices[i], i, k, lists)
         if len(result) < k:
             raise ConfigError(
                 f"object {i} reaches only {len(result)} of {k} required neighbors"
@@ -231,10 +232,9 @@ def build_rknn_backward_labels(
 ) -> RknnBackwardLabels:
     """Substage 3: regroup object labels by hub, filtered by worst_dist.
 
-    Each hub's list is then sorted by slack ``dist - worst[idx]``. A query
-    reaching the hub at distance d can use a pair iff its slack is <= -d, so
-    the online sweep stops at the first pair that fails. Objects are
-    appended in index order and the sort is stable, so ties keep index order.
+    Each hub's list is ordered by slack ``dist - worst[idx]``, ties by
+    index. A query reaching the hub at distance d can use a pair iff its
+    slack is <= -d, so the online sweep stops at the first pair that fails.
     """
     _check_objects(labels, objects, k)
     if knn_results.k != k:
@@ -242,22 +242,31 @@ def build_rknn_backward_labels(
             f"kNN results were computed for k={knn_results.k}, not k={k}"
         )
     n = labels.vertex_count
+    m = len(objects)
     worst = knn_results.worst
-    lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    total = 0
+    top = max(worst)
+    # Each kept pair is first an int key (slack + top) * m + idx, so a hub's
+    # keys sort by plain int comparison into (slack, idx) order. Every hub
+    # then shares one (idx, dist) tuple per distinct key: an object has few
+    # distinct distances, so the lists point into a small set of tuples that
+    # stays in cache during the online sweep. One tuple per pair, made object
+    # by object and scattered over memory, measured slower to query.
+    lists: list[list] = [[] for _ in range(n)]
     for i, p in enumerate(objects.vertices):
         bound = worst[i]
+        base = (top - bound) * m + i
         for h, d in zip(labels.hubs[p], labels.dists[p]):
             if d <= bound:
-                lists[h].append((i, d))
-                total += 1
-
-    def slack(pair: tuple[int, int]) -> int:
-        return pair[1] - worst[pair[0]]
-
-    for lst in lists:
-        lst.sort(key=slack)
-    return RknnBackwardLabels(lists, total)
+                lists[h].append(d * m + base)
+    pair = {
+        c: (c % m, c // m + worst[c % m] - top)
+        for c in set(chain.from_iterable(lists))
+    }
+    for h, keys in enumerate(lists):
+        if keys:
+            keys.sort()
+            lists[h] = list(map(pair.__getitem__, keys))
+    return RknnBackwardLabels(lists, sum(map(len, lists)))
 
 
 def offline_preprocess(labels: LabelSet, objects: ObjectSet, k: int) -> OfflineIndex:
@@ -365,11 +374,12 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
     """Read an index file and verify it belongs to the given labels.
 
     The format carries no explicit fingerprint, so compatibility is checked
-    the hard way: every stored pair must appear verbatim in the forward
-    label of its object, and every hub section must line up with the label
-    set's vertex count. Each hub section must also be in the slack order
-    ``rknn_query`` relies on; it is checked, not re-sorted. Mismatched or
-    out-of-order inputs fail with FormatError.
+    the hard way. Each kNN row's last entry, the k-th-neighbor distance the
+    queries read, must equal the label distance between its two objects.
+    The RkNN sections are then rebuilt from the labels, the objects and
+    those distances (substage 3), and every stored section must equal its
+    rebuilt list, in the same slack order. Mismatched, corrupt or truncated
+    inputs fail with FormatError.
     """
     magic = _read_exact(source, 4)
     if magic != _MAGIC:
@@ -405,25 +415,26 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
             if d < prev:
                 raise FormatError(f"kNN result row {i} is not distance-sorted")
             prev = d
+        idx, d = row[-1]
+        if hl_distance(labels, vertices[i], vertices[idx]) != d:
+            raise FormatError(
+                f"kNN result row {i} does not match labels: object {idx} "
+                f"is not at distance {d}"
+            )
         rows.append(row)
     knn_results = KnnResultTable(k, rows)
 
-    lists: list[list[tuple[int, int]]] = []
-    total = 0
-    for h in range(n):
+    rknn_backward = build_rknn_backward_labels(labels, objects, k, knn_results)
+    for h, expected in enumerate(rknn_backward.lists):
         (count,) = _U32.unpack(_read_exact(source, 4))
         buf = _read_exact(source, count * _PAIR.size)
-        lst = list(_PAIR.iter_unpack(buf))
-        for idx, d in lst:
-            if idx >= obj_count:
-                raise FormatError(f"RkNN section {h} references object index {idx}")
-        lists.append(lst)
-        total += count
+        if list(_PAIR.iter_unpack(buf)) != expected:
+            raise FormatError(
+                f"RkNN section {h} does not match the one rebuilt from the "
+                f"labels and kNN rows"
+            )
     if source.read(1):
         raise FormatError("trailing bytes after the last RkNN section")
-    rknn_backward = RknnBackwardLabels(lists, total)
-
-    _validate_against_labels(labels, objects, knn_results, rknn_backward)
     return OfflineIndex(
         k=k,
         objects=objects,
@@ -431,38 +442,3 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
         rknn_backward=rknn_backward,
         labels=labels,
     )
-
-
-def _validate_against_labels(
-    labels: LabelSet,
-    objects: ObjectSet,
-    knn_results: KnnResultTable,
-    rknn_backward: RknnBackwardLabels,
-) -> None:
-    worst = knn_results.worst
-    hubs = labels.hubs
-    dists = labels.dists
-    vertices = objects.vertices
-    for h, lst in enumerate(rknn_backward.lists):
-        prev_slack = -INFINITY
-        prev_idx = -1
-        for idx, d in lst:
-            slack = d - worst[idx]
-            if slack > 0:
-                raise FormatError(
-                    f"RkNN pair (hub {h}, object {idx}) exceeds its kNN bound"
-                )
-            if slack < prev_slack or (slack == prev_slack and idx <= prev_idx):
-                raise FormatError(
-                    f"RkNN section {h} is not in (slack, object index) order"
-                )
-            prev_slack = slack
-            prev_idx = idx
-            p = vertices[idx]
-            hv = hubs[p]
-            pos = bisect_left(hv, h)
-            if pos == len(hv) or hv[pos] != h or dists[p][pos] != d:
-                raise FormatError(
-                    f"index does not match labels: object {idx} has no pair "
-                    f"(hub {h}, dist {d})"
-                )

@@ -80,4 +80,4 @@ def knn_query(
         raise ConfigError(
             f"k={k} outside [1, {knn_backward.k}] supported by these backward labels"
         )
-    return _knn_row(0, labels, (q,), k, knn_backward.lists, skip_self=False)
+    return _knn_row(labels, q, -1, k, knn_backward.lists)

@@ -5,16 +5,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hubrknn import (
+    INFINITY,
     Graph,
     ParseError,
+    bfs_distances,
     degree_ordering,
-    is_connected,
     largest_connected_component,
     parse_edge_list,
     serialize_edge_list,
 )
 
 from graphgen import random_connected_graph
+
+
+def is_connected(graph):
+    return INFINITY not in bfs_distances(graph, 0).dist
+
+
+def rank(ordering):
+    """Inverse permutation: rank[v] = position of v in the order."""
+    out = [0] * len(ordering.order)
+    for pos, v in enumerate(ordering.order):
+        out[v] = pos
+    return out
 
 
 def test_parse_minimal_path():
@@ -145,6 +158,8 @@ def test_degree_ordering_ring_pure_id_tiebreak():
 def test_ordering_rank_is_inverse():
     g = random_connected_graph(30, 40, seed=3)
     ordering = degree_ordering(g)
-    rank = ordering.rank()
+    inverse = rank(ordering)
     for pos, v in enumerate(ordering.order):
-        assert rank[v] == pos
+        assert inverse[v] == pos
+    by_degree = sorted(range(g.vertex_count), key=lambda v: (-len(g.adjacency[v]), v))
+    assert [inverse[v] for v in by_degree] == list(range(g.vertex_count))

@@ -9,6 +9,7 @@ from hubrknn import (
     FormatError,
     KnnResultTable,
     ObjectSet,
+    RknnBackwardLabels,
     batch_knn,
     bfs_distances,
     build_knn_backward_labels,
@@ -259,6 +260,53 @@ def test_index_load_rejects_truncation(tree14_labels, tree14_objects):
     save_index(index, sink)
     with pytest.raises(FormatError):
         load_index(io.BytesIO(sink.getvalue()[:-1]), tree14_labels)
+
+
+def _tree14_index_bytes(index):
+    sink = io.BytesIO()
+    save_index(index, sink)
+    return sink.getvalue()
+
+
+def test_index_load_rejects_wrong_knn_row_distance(tree14_labels, tree14_objects):
+    data = bytearray(_tree14_index_bytes(offline_preprocess(tree14_labels, tree14_objects, 1)))
+    # object 2's row (k=1) is its last 5 bytes before the RkNN sections
+    pos = 4 + 1 + 4 + 4 + 4 * 3 + 5 * 2 + 4
+    assert data[pos] == 4
+    data[pos] = 5
+    with pytest.raises(FormatError, match="row 2 "):
+        load_index(io.BytesIO(bytes(data)), tree14_labels)
+
+
+def test_index_load_rejects_each_dropped_rknn_pair(tree14_labels, tree14_objects):
+    index = offline_preprocess(tree14_labels, tree14_objects, 1)
+    lists = index.rknn_backward.lists
+    dropped = 0
+    for h, lst in enumerate(lists):
+        for j in range(len(lst)):
+            fewer = [list(other) for other in lists]
+            del fewer[h][j]
+            index.rknn_backward = RknnBackwardLabels(fewer, TREE14_RKNN_TOTAL_PAIRS - 1)
+            with pytest.raises(FormatError, match=f"section {h} "):
+                load_index(io.BytesIO(_tree14_index_bytes(index)), tree14_labels)
+            dropped += 1
+    assert dropped == TREE14_RKNN_TOTAL_PAIRS
+
+
+def test_index_load_rejects_every_single_byte_change(tree14_labels, tree14_objects):
+    data = _tree14_index_bytes(offline_preprocess(tree14_labels, tree14_objects, 1))
+    assert len(data) == 136
+    for pos in range(len(data)):
+        with pytest.raises(FormatError):
+            load_index(io.BytesIO(data[:pos]), tree14_labels)
+        for delta in range(1, 256):
+            changed = bytearray(data)
+            changed[pos] = (changed[pos] + delta) % 256
+            try:
+                load_index(io.BytesIO(bytes(changed)), tree14_labels)
+            except FormatError:
+                continue
+            pytest.fail(f"byte {pos} changed by {delta} loaded without error")
 
 
 # --- object file parsing ---
