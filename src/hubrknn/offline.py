@@ -8,22 +8,25 @@ Runs once per object set, in three substages:
    be skippable later without starving the result.
 2. Compute each object's k nearest other objects with a one-to-many sweep
    over those per-hub lists (batch kNN).
-3. Re-emit each object's label pairs grouped by hub, dropping every pair
+3. Regroup the objects' forward labels by hub again, dropping every pair
    whose distance exceeds that object's k-th-neighbor distance (RkNN
    backward labels). That filter is what keeps online queries cheap. Each
    hub's pairs are ordered by slack, distance minus that k-th-neighbor
    distance, so the pairs a query can use form a prefix of the list.
+
+Substages 1 and 3 share one regrouping (``_by_hub``); they differ only in
+the per-object distance bound, the sort offset and the cut.
 """
 
 from __future__ import annotations
 
 import struct
 import time
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import IO, Iterable
 
-from .bounded import BoundedBuffer
 from .errors import ConfigError, FormatError, ParseError
 from .labels import _PAIR, INFINITY, LabelSet, _read_exact, hl_distance
 
@@ -91,11 +94,11 @@ class RknnBackwardLabels:
 
     __slots__ = ("lists", "total_pairs")
 
-    def __init__(self, lists: list[list[tuple[int, int]]], total_pairs: int):
+    def __init__(self, lists: list[list[tuple[int, int]]]):
         # hub -> [(idx, dist)] ascending by (dist - worst[idx], idx), where
         # worst[idx] is object idx's k-th-neighbor distance
         self.lists = lists
-        self.total_pairs = total_pairs
+        self.total_pairs = sum(map(len, lists))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RknnBackwardLabels):
@@ -146,28 +149,57 @@ def _check_objects(labels: LabelSet, objects: ObjectSet, k: int) -> None:
             raise ConfigError(f"object vertex {v} out of range for {n} vertices")
 
 
+def _by_hub(
+    labels: LabelSet,
+    objects: ObjectSet,
+    bound: list[int],
+    offset: list[int],
+    keep: int | None = None,
+) -> list[list[tuple[int, int]]]:
+    """The objects' label pairs regrouped by hub; substages 1 and 3.
+
+    Object i's pair (h, d) goes to hub h iff d <= bound[i]. Each hub's list
+    is ascending by (d + offset[i], i) and cut to its first ``keep`` pairs.
+    """
+    m = len(objects)
+    top = -min(offset)
+    # Each kept pair is first an int key (d + offset[i] + top) * m + i, so a
+    # hub's keys sort by plain int comparison. Every hub then shares one
+    # (idx, dist) tuple per distinct key: an object has few distinct
+    # distances, so the lists point into a small set of tuples that stays in
+    # cache during the online sweep. One tuple per pair, made object by
+    # object and scattered over memory, measured slower to query.
+    lists: list[list] = [[] for _ in range(labels.vertex_count)]
+    for i, p in enumerate(objects.vertices):
+        b = bound[i]
+        base = (offset[i] + top) * m + i
+        for h, d in zip(labels.hubs[p], labels.dists[p]):
+            if d <= b:
+                lists[h].append(d * m + base)
+    for keys in lists:
+        keys.sort()
+        if keep is not None:
+            del keys[keep:]
+    pair = {
+        c: (c % m, c // m - offset[c % m] - top)
+        for c in set(chain.from_iterable(lists))
+    }
+    for h, keys in enumerate(lists):
+        lists[h] = list(map(pair.__getitem__, keys))
+    return lists
+
+
 def build_knn_backward_labels(
     labels: LabelSet, objects: ObjectSet, k: int
 ) -> KnnBackwardLabels:
-    """Substage 1: k+1 nearest object pairs per hub.
+    """Substage 1: k+1 nearest object pairs per hub, ties by object index.
 
-    Streams every object's forward label through a per-hub bounded buffer;
-    pairs worse than a hub's current (k+1)-th best are discarded on arrival,
-    so the unpruned by-hub regrouping is never materialized.
+    The by-hub regrouping of all object pairs is built in full, then each
+    hub's list is sorted and cut to k+1.
     """
     _check_objects(labels, objects, k)
-    n = labels.vertex_count
-    capacity = k + 1
-    buffers: list[BoundedBuffer | None] = [None] * n
-    for i, p in enumerate(objects.vertices):
-        for h, d in zip(labels.hubs[p], labels.dists[p]):
-            buf = buffers[h]
-            if buf is None:
-                buf = buffers[h] = BoundedBuffer(capacity)
-            buf.push(i, d)
-    lists: list[list[tuple[int, int]]] = [
-        buf.pairs() if buf is not None else [] for buf in buffers
-    ]
+    m = len(objects)
+    lists = _by_hub(labels, objects, [INFINITY] * m, [0] * m, k + 1)
     return KnnBackwardLabels(k, lists)
 
 
@@ -180,10 +212,12 @@ def _knn_row(
 ) -> list[tuple[int, int]]:
     """One bounded one-to-many sweep; shared by batch kNN and kNN queries.
 
-    Object index ``skip`` is never reported (-1 skips nothing).
+    Returns at most k (idx, dist) pairs, ascending by (dist, idx), each
+    object index once at its smallest distance found. Object index ``skip``
+    is never reported (-1 skips nothing).
     """
-    buf = BoundedBuffer(k)
-    worst = INFINITY  # buf.worst_dist(), refreshed only when the buffer changes
+    best: list[tuple[int, int]] = []  # (dist, idx), ascending, at most k
+    worst = INFINITY  # best[-1][0] once best holds k pairs
     for h, d in zip(labels.hubs[source], labels.dists[source]):
         if d > worst:
             continue
@@ -193,23 +227,32 @@ def _knn_row(
             d2 = d + dp
             if d2 > worst:
                 break  # hub list ascends by distance; nothing better follows
-            if buf.push_unique(idx, d2):
-                worst = buf.worst_dist()
-    return buf.pairs()
+            item = (d2, idx)
+            for pos, old in enumerate(best):
+                if old[1] == idx:
+                    if item < old:
+                        del best[pos]
+                        insort(best, item)
+                    break
+            else:
+                if len(best) == k:
+                    if item > best[-1]:
+                        continue
+                    best.pop()
+                insort(best, item)
+            if len(best) == k:
+                worst = best[-1][0]
+    return [(i, d) for d, i in best]
 
 
 def batch_knn(
     labels: LabelSet,
     objects: ObjectSet,
-    k: int,
     knn_backward: KnnBackwardLabels,
 ) -> KnnResultTable:
-    """Substage 2: every object's k nearest other objects."""
+    """Substage 2: every object's k nearest other objects, k from the lists."""
+    k = knn_backward.k
     _check_objects(labels, objects, k)
-    if knn_backward.k != k:
-        raise ConfigError(
-            f"kNN backward labels were built for k={knn_backward.k}, not k={k}"
-        )
     vertices = objects.vertices
     lists = knn_backward.lists
 
@@ -227,7 +270,6 @@ def batch_knn(
 def build_rknn_backward_labels(
     labels: LabelSet,
     objects: ObjectSet,
-    k: int,
     knn_results: KnnResultTable,
 ) -> RknnBackwardLabels:
     """Substage 3: regroup object labels by hub, filtered by worst_dist.
@@ -236,37 +278,9 @@ def build_rknn_backward_labels(
     index. A query reaching the hub at distance d can use a pair iff its
     slack is <= -d, so the online sweep stops at the first pair that fails.
     """
-    _check_objects(labels, objects, k)
-    if knn_results.k != k:
-        raise ConfigError(
-            f"kNN results were computed for k={knn_results.k}, not k={k}"
-        )
-    n = labels.vertex_count
-    m = len(objects)
+    _check_objects(labels, objects, knn_results.k)
     worst = knn_results.worst
-    top = max(worst)
-    # Each kept pair is first an int key (slack + top) * m + idx, so a hub's
-    # keys sort by plain int comparison into (slack, idx) order. Every hub
-    # then shares one (idx, dist) tuple per distinct key: an object has few
-    # distinct distances, so the lists point into a small set of tuples that
-    # stays in cache during the online sweep. One tuple per pair, made object
-    # by object and scattered over memory, measured slower to query.
-    lists: list[list] = [[] for _ in range(n)]
-    for i, p in enumerate(objects.vertices):
-        bound = worst[i]
-        base = (top - bound) * m + i
-        for h, d in zip(labels.hubs[p], labels.dists[p]):
-            if d <= bound:
-                lists[h].append(d * m + base)
-    pair = {
-        c: (c % m, c // m + worst[c % m] - top)
-        for c in set(chain.from_iterable(lists))
-    }
-    for h, keys in enumerate(lists):
-        if keys:
-            keys.sort()
-            lists[h] = list(map(pair.__getitem__, keys))
-    return RknnBackwardLabels(lists, sum(map(len, lists)))
+    return RknnBackwardLabels(_by_hub(labels, objects, worst, [-w for w in worst]))
 
 
 def offline_preprocess(labels: LabelSet, objects: ObjectSet, k: int) -> OfflineIndex:
@@ -275,9 +289,9 @@ def offline_preprocess(labels: LabelSet, objects: ObjectSet, k: int) -> OfflineI
     t0 = time.perf_counter()
     knn_backward = build_knn_backward_labels(labels, objects, k)
     t1 = time.perf_counter()
-    knn_results = batch_knn(labels, objects, k, knn_backward)
+    knn_results = batch_knn(labels, objects, knn_backward)
     t2 = time.perf_counter()
-    rknn_backward = build_rknn_backward_labels(labels, objects, k, knn_results)
+    rknn_backward = build_rknn_backward_labels(labels, objects, knn_results)
     t3 = time.perf_counter()
     timings.knn_backward_s = t1 - t0
     timings.batch_knn_s = t2 - t1
@@ -424,7 +438,7 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
         rows.append(row)
     knn_results = KnnResultTable(k, rows)
 
-    rknn_backward = build_rknn_backward_labels(labels, objects, k, knn_results)
+    rknn_backward = build_rknn_backward_labels(labels, objects, knn_results)
     for h, expected in enumerate(rknn_backward.lists):
         (count,) = _U32.unpack(_read_exact(source, 4))
         buf = _read_exact(source, count * _PAIR.size)

@@ -61,9 +61,9 @@ def test_duplicate_objects_rejected():
         ObjectSet((4, 4, 10))
 
 
-def test_knn_backward_matches_naive_scan():
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_knn_backward_matches_naive_scan(k):
     _, labels, obj = make_instance(seed=3)
-    k = 3
     knnlab = build_knn_backward_labels(labels, obj, k)
     by_hub = {}
     for i, p in enumerate(obj.vertices):
@@ -79,7 +79,7 @@ def test_knn_backward_matches_naive_scan():
 
 def test_batch_knn_fixture_golden(tree14_labels, tree14_objects):
     knnlab = build_knn_backward_labels(tree14_labels, tree14_objects, 1)
-    table = batch_knn(tree14_labels, tree14_objects, 1, knnlab)
+    table = batch_knn(tree14_labels, tree14_objects, knnlab)
     assert table.rows == TREE14_KNN_RESULTS_K1
 
 
@@ -98,22 +98,13 @@ def test_adjacent_pair_mutual_nn():
 def test_batch_knn_matches_bfs_oracle(k):
     g, labels, obj = make_instance(seed=k)
     knnlab = build_knn_backward_labels(labels, obj, k)
-    table = batch_knn(labels, obj, k, knnlab)
+    table = batch_knn(labels, obj, knnlab)
     for i, p in enumerate(obj.vertices):
         row = bfs_distances(g, p).dist
-        truth = sorted(row[q] for j, q in enumerate(obj.vertices) if j != i)[:k]
-        got = table.rows[i]
-        assert [d for _, d in got] == truth  # distance multiset, ascending
-        for idx, d in got:
-            assert idx != i
-            assert d == row[obj.vertices[idx]]
-        assert len({idx for idx, _ in got}) == k  # no duplicate indexes
-
-
-def test_batch_knn_checks_k_consistency(tree14_labels, tree14_objects):
-    knnlab = build_knn_backward_labels(tree14_labels, tree14_objects, 1)
-    with pytest.raises(ConfigError):
-        batch_knn(tree14_labels, tree14_objects, 2, knnlab)
+        truth = sorted((row[q], j) for j, q in enumerate(obj.vertices) if j != i)
+        # exact row: ascending by (distance, object index), so equal
+        # distances keep the smaller index and no index repeats
+        assert table.rows[i] == [(j, d) for d, j in truth[:k]]
 
 
 # --- substage 3: RkNN backward labels ---
@@ -121,8 +112,8 @@ def test_batch_knn_checks_k_consistency(tree14_labels, tree14_objects):
 
 def test_rknn_backward_fixture_golden(tree14_labels, tree14_objects):
     knnlab = build_knn_backward_labels(tree14_labels, tree14_objects, 1)
-    table = batch_knn(tree14_labels, tree14_objects, 1, knnlab)
-    rknn = build_rknn_backward_labels(tree14_labels, tree14_objects, 1, table)
+    table = batch_knn(tree14_labels, tree14_objects, knnlab)
+    rknn = build_rknn_backward_labels(tree14_labels, tree14_objects, table)
     assert as_hub_dict(rknn.lists) == TREE14_RKNN_BACKWARD_K1
     assert rknn.total_pairs == TREE14_RKNN_TOTAL_PAIRS
     # the filtered pair: object 1 (vertex 10) at hub 0 with distance 2
@@ -131,7 +122,7 @@ def test_rknn_backward_fixture_golden(tree14_labels, tree14_objects):
 
 def test_rknn_backward_vacuous_filter_keeps_everything(tree14_labels, tree14_objects):
     huge = KnnResultTable(1, [[(1, 10_000)], [(0, 10_000)], [(0, 10_000)]])
-    rknn = build_rknn_backward_labels(tree14_labels, tree14_objects, 1, huge)
+    rknn = build_rknn_backward_labels(tree14_labels, tree14_objects, huge)
     assert rknn.total_pairs == to_many_pairs(tree14_labels, tree14_objects)
 
 
@@ -139,8 +130,8 @@ def test_rknn_backward_matches_naive_filter():
     _, labels, obj = make_instance(seed=21)
     k = 2
     knnlab = build_knn_backward_labels(labels, obj, k)
-    table = batch_knn(labels, obj, k, knnlab)
-    rknn = build_rknn_backward_labels(labels, obj, k, table)
+    table = batch_knn(labels, obj, knnlab)
+    rknn = build_rknn_backward_labels(labels, obj, table)
     expected = set()
     for i, p in enumerate(obj.vertices):
         for h, d in zip(labels.hubs[p], labels.dists[p]):
@@ -286,7 +277,8 @@ def test_index_load_rejects_each_dropped_rknn_pair(tree14_labels, tree14_objects
         for j in range(len(lst)):
             fewer = [list(other) for other in lists]
             del fewer[h][j]
-            index.rknn_backward = RknnBackwardLabels(fewer, TREE14_RKNN_TOTAL_PAIRS - 1)
+            index.rknn_backward = RknnBackwardLabels(fewer)
+            assert index.rknn_backward.total_pairs == TREE14_RKNN_TOTAL_PAIRS - 1
             with pytest.raises(FormatError, match=f"section {h} "):
                 load_index(io.BytesIO(_tree14_index_bytes(index)), tree14_labels)
             dropped += 1

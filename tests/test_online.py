@@ -158,7 +158,5 @@ def test_knn_matches_oracle_distances(k):
             q = rng.randrange(n)
             got = knn_query(knnlab, labels, q, k)
             row = bfs_distances(g, q).dist
-            truth = sorted(row[p] for p in objects.vertices)[:k]
-            assert [d for _, d in got] == truth
-            for idx, d in got:
-                assert d == row[objects.vertices[idx]]
+            truth = sorted((row[p], j) for j, p in enumerate(objects.vertices))
+            assert got == [(j, d) for d, j in truth[:k]]
