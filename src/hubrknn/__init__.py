@@ -21,7 +21,6 @@ from .graph import (
     degree_ordering,
     largest_connected_component,
     parse_edge_list,
-    serialize_edge_list,
 )
 from .labels import (
     INFINITY,

@@ -141,23 +141,6 @@ def parse_edge_list(source: str | IO[str] | Iterable[str]) -> Graph:
     return Graph.from_edges(pairs)
 
 
-def serialize_edge_list(graph: Graph, sink: IO[str]) -> None:
-    """Write a graph as an edge list that parses back to an identical Graph.
-
-    The leading self-pair lines exist only to pin the dense numbering: the
-    parser drops them as self-loops but still records each ID's first
-    appearance, so re-parsing reproduces the exact raw-to-dense mapping.
-    """
-    sink.write("# vertex introductions (self-pairs), then one line per edge\n")
-    raw = graph.raw_ids
-    for r in raw:
-        sink.write(f"{r} {r}\n")
-    for u in range(graph.vertex_count):
-        for v in graph.adjacency[u]:
-            if v > u:
-                sink.write(f"{raw[u]} {raw[v]}\n")
-
-
 def largest_connected_component(graph: Graph) -> Graph:
     """Induced subgraph on the largest connected component, IDs re-densified.
 

@@ -44,10 +44,6 @@ class LabelSet:
     def vertex_count(self) -> int:
         return len(self.hubs)
 
-    def label(self, v: int) -> list[tuple[int, int]]:
-        """The (hub, dist) pairs of vertex v, ascending by hub."""
-        return list(zip(self.hubs[v], self.dists[v]))
-
     def avg_label_size(self) -> float:
         return self.total_pairs / self.vertex_count
 

@@ -72,3 +72,8 @@ TREE14_RKNN_Q0 = [1, None, 3]  # None marks the infinity sentinel
 def as_hub_dict(lists):
     """Per-hub list-of-lists -> {hub: pairs} with empty hubs dropped."""
     return {h: lst for h, lst in enumerate(lists) if lst}
+
+
+def label_pairs(labels, v):
+    """Vertex v's label as (hub, dist) pairs, ascending by hub."""
+    return list(zip(labels.hubs[v], labels.dists[v]))

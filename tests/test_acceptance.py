@@ -42,6 +42,7 @@ from fixtures import (
     TREE14_RKNN_BACKWARD_K1,
     TREE14_TOTAL_PAIRS,
     as_hub_dict,
+    label_pairs,
 )
 from graphgen import preferential_attachment_graph, random_connected_graph
 
@@ -110,7 +111,7 @@ def test_criterion_1_golden_labels(tree14):
         elapsed = time.perf_counter() - t0
         assert labels.total_pairs == TREE14_TOTAL_PAIRS
         for v in range(14):
-            assert labels.label(v) == TREE14_LABELS[v]
+            assert label_pairs(labels, v) == TREE14_LABELS[v]
         assert elapsed < 1.0
 
 

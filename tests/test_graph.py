@@ -12,7 +12,6 @@ from hubrknn import (
     degree_ordering,
     largest_connected_component,
     parse_edge_list,
-    serialize_edge_list,
 )
 
 from graphgen import random_connected_graph
@@ -20,6 +19,23 @@ from graphgen import random_connected_graph
 
 def is_connected(graph):
     return INFINITY not in bfs_distances(graph, 0).dist
+
+
+def serialize_edge_list(graph, sink):
+    """Write a graph as an edge list that parses back to an identical Graph.
+
+    The leading self-pair lines exist only to pin the dense numbering: the
+    parser drops them as self-loops but still records each ID's first
+    appearance, so re-parsing reproduces the exact raw-to-dense mapping.
+    """
+    sink.write("# vertex introductions (self-pairs), then one line per edge\n")
+    raw = graph.raw_ids
+    for r in raw:
+        sink.write(f"{r} {r}\n")
+    for u in range(graph.vertex_count):
+        for v in graph.adjacency[u]:
+            if v > u:
+                sink.write(f"{raw[u]} {raw[v]}\n")
 
 
 def rank(ordering):

@@ -23,6 +23,7 @@ from hubrknn import (
     save_index,
     to_many_pairs,
 )
+from hubrknn.offline import _knn_row
 
 from fixtures import (
     TREE14_KNN_BACKWARD_K1,
@@ -32,11 +33,20 @@ from fixtures import (
     TREE14_TO_MANY_PAIRS,
     as_hub_dict,
 )
-from graphgen import random_connected_graph
+from graphgen import preferential_attachment_graph, random_connected_graph
 
 
 def make_instance(n=128, extra=192, objects=16, seed=0):
     g = random_connected_graph(n, extra, seed=seed)
+    labels = build_pll_labels(g)
+    rng = random.Random(seed + 1)
+    obj = ObjectSet(tuple(sorted(rng.sample(range(g.vertex_count), objects))))
+    return g, labels, obj
+
+
+def make_pa_instance(seed, objects=40):
+    """Distances of a few hops, so most kNN rows tie at the k-th distance."""
+    g = preferential_attachment_graph(150, 4, seed=seed)
     labels = build_pll_labels(g)
     rng = random.Random(seed + 1)
     obj = ObjectSet(tuple(sorted(rng.sample(range(g.vertex_count), objects))))
@@ -94,9 +104,13 @@ def test_adjacent_pair_mutual_nn():
     assert index.knn_results.worst == [1, 1]
 
 
-@pytest.mark.parametrize("k", [1, 2, 4])
-def test_batch_knn_matches_bfs_oracle(k):
-    g, labels, obj = make_instance(seed=k)
+@pytest.mark.parametrize(
+    "instance, k",
+    [pytest.param(make_instance, k, id=str(k)) for k in (1, 2, 4, 8)]
+    + [pytest.param(make_pa_instance, k, id=f"pa-{k}") for k in (1, 2, 4, 8, 16)],
+)
+def test_batch_knn_matches_bfs_oracle(instance, k):
+    g, labels, obj = instance(seed=k)
     knnlab = build_knn_backward_labels(labels, obj, k)
     table = batch_knn(labels, obj, knnlab)
     for i, p in enumerate(obj.vertices):
@@ -105,6 +119,38 @@ def test_batch_knn_matches_bfs_oracle(k):
         # exact row: ascending by (distance, object index), so equal
         # distances keep the smaller index and no index repeats
         assert table.rows[i] == [(j, d) for d, j in truth[:k]]
+
+
+class RecordingLists(list):
+    """Per-hub lists that record which hubs a sweep reads, in order."""
+
+    def __init__(self, lists):
+        super().__init__(lists)
+        self.read = []
+
+    def __getitem__(self, h):
+        self.read.append(h)
+        return super().__getitem__(h)
+
+
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_knn_row_sweeps_by_label_distance_and_stops_early(k):
+    _, labels, obj = make_pa_instance(seed=5)
+    knnlab = build_knn_backward_labels(labels, obj, k)
+    sources = [(p, i) for i, p in enumerate(obj.vertices)]
+    sources += [(v, -1) for v in range(0, labels.vertex_count, 7)]
+    stopped = 0
+    for source, skip in sources:
+        lists = RecordingLists(knnlab.lists)
+        row = _knn_row(labels, source, skip, k, lists)
+        assert row == _knn_row(labels, source, skip, k, knnlab.lists)
+        label = dict(zip(labels.hubs[source], labels.dists[source]))
+        read = [label[h] for h in lists.read]
+        # ascending label distance, and no hub beyond the k-th distance
+        assert read == sorted(read)
+        assert all(d <= row[-1][1] for d in read)
+        stopped += len(read) < len(label)
+    assert stopped  # the stop rule was exercised
 
 
 # --- substage 3: RkNN backward labels ---

@@ -146,9 +146,18 @@ def test_knn_query_caps_k(tree14_labels, tree14_objects):
         knn_query(knnlab, tree14_labels, 0, 0)
 
 
-@pytest.mark.parametrize("k", [1, 3])
-def test_knn_matches_oracle_distances(k):
-    for seed, g in _instances():
+def _short_instances():
+    """Distances of a few hops, so ties at the k-th distance are common."""
+    yield 11, preferential_attachment_graph(150, 4, seed=11)
+
+
+@pytest.mark.parametrize(
+    "instances, k",
+    [pytest.param(_instances, k, id=str(k)) for k in (1, 3, 8, 16)]
+    + [pytest.param(_short_instances, k, id=f"pa-{k}") for k in (1, 3, 8, 16)],
+)
+def test_knn_matches_oracle_distances(instances, k):
+    for seed, g in instances():
         labels = build_pll_labels(g)
         n = g.vertex_count
         rng = random.Random(seed * 7 + k)

@@ -12,6 +12,7 @@ from hubrknn import (
     parse_edge_list,
 )
 
+from fixtures import label_pairs
 from graphgen import random_connected_graph
 
 
@@ -24,7 +25,7 @@ def test_bfs_fixture_depths_match_root_hub(tree14, tree14_labels):
     row = bfs_distances(tree14, 0).dist
     for v in range(14):
         # vertex 0 is the first landmark, so every label holds (0, depth)
-        assert tree14_labels.label(v)[0] == (0, row[v])
+        assert label_pairs(tree14_labels, v)[0] == (0, row[v])
 
 
 def test_bfs_unreachable_is_infinity():
