@@ -62,59 +62,68 @@ def build_pll_labels(graph: Graph, ordering: VertexOrdering | None = None) -> La
     """Run pruned landmark labeling over the given vertex ordering.
 
     One BFS per vertex, in priority order. A visit to w at depth d is pruned
-    when the labels built so far (including the current root's own label)
-    already certify dist(root, w) <= d; otherwise (root, d) is appended to
-    w's label and the BFS expands through w.
+    when the labels built so far already certify dist(root, w) <= d;
+    otherwise (root, d) is appended to w's label and the BFS expands through
+    w. Each BFS level is a set (a Python int, one bit per vertex) and is
+    pruned as a whole: ``reach[h][j]`` holds the vertices whose label has hub
+    h at distance <= j, so the visits a root pair (h, r) certifies at depth
+    d are ``reach[h][d - r]``, and one OR per root pair covers the level.
+    Bits are numbered in reverse landmark order (the last landmark is bit
+    0), which keeps the sets of late, small searches short. The labels
+    equal those of the per-vertex prune test. The ``reach`` sets live only
+    during the build, at three to six times the label file's size.
     """
     if ordering is None:
         ordering = degree_ordering(graph)
     n = graph.vertex_count
-    if len(ordering.order) != n:
+    order = ordering.order
+    if len(order) != n:
         raise ConfigError("ordering size does not match the graph")
 
-    adjacency = graph.adjacency
+    bit_of = [0] * n
+    for i, v in enumerate(order):
+        bit_of[v] = n - 1 - i
+    vertex_of = order[::-1]  # bit -> vertex
+    neighbours = [sum(1 << bit_of[x] for x in graph.adjacency[v]) for v in vertex_of]
     hubs: list[list[int]] = [[] for _ in range(n)]
     dists: list[list[int]] = [[] for _ in range(n)]
-    root_dist = [INFINITY] * n  # distances root -> hub, indexed by hub
-    seen = bytearray(n)  # BFS scratch
+    reach: list[list[int]] = [[] for _ in range(n)]
     total = 0
 
-    for root in ordering.order:
-        for h, dh in zip(hubs[root], dists[root]):
-            root_dist[h] = dh
-        seen[root] = 1
-        touched = [root]
-        level = [root]
+    for root in order:
+        # The root's label holds earlier landmarks only; their BFS is done.
+        certs = [(reach[h], dh, len(reach[h]) - 1) for h, dh in zip(hubs[root], dists[root])]
+        root_reach = reach[root]
+        level = seen = 1 << bit_of[root]
+        cumulative = 0
         d = 0
         while level:
-            next_level: list[int] = []
-            push = next_level.append
-            overflow = d > MAX_DIST
-            for w in level:
-                # Prune when a common hub already certifies a path <= d.
-                for h, dh in zip(hubs[w], dists[w]):
-                    if root_dist[h] + dh <= d:
-                        break
-                else:
-                    if overflow:
-                        raise FormatError(
-                            f"hop distance {d} exceeds the serializable "
-                            f"maximum {MAX_DIST}"
-                        )
-                    hubs[w].append(root)
-                    dists[w].append(d)
-                    total += 1
-                    for x in adjacency[w]:
-                        if not seen[x]:
-                            seen[x] = 1
-                            push(x)
-            touched.extend(next_level)
-            level = next_level
+            covered = 0
+            for sets, dh, last in certs:
+                if dh <= d:
+                    covered |= sets[min(d - dh, last)]
+            keep = level & ~covered
+            if keep and d > MAX_DIST:
+                raise FormatError(
+                    f"hop distance {d} exceeds the serializable maximum {MAX_DIST}"
+                )
+            cumulative |= keep
+            root_reach.append(cumulative)
+            nxt = 0
+            bits = bin(keep)
+            top = len(bits) - 1
+            i = bits.find("1", 2)
+            while i > 0:
+                b = top - i
+                w = vertex_of[b]
+                hubs[w].append(root)
+                dists[w].append(d)
+                nxt |= neighbours[b]
+                i = bits.find("1", i + 1)
+            total += keep.bit_count()
+            level = nxt & ~seen
+            seen |= level
             d += 1
-        for h in hubs[root]:
-            root_dist[h] = INFINITY
-        for v in touched:
-            seen[v] = 0
 
     # Labels were appended in landmark order; queries need hub order.
     for v in range(n):
@@ -180,14 +189,22 @@ def load_labels(source: IO[bytes]) -> LabelSet:
         hv: list[int] = []
         dv: list[int] = []
         prev = -1
+        own = False  # the cover property for (v, v) needs (v, 0)
         for h, d in _PAIR.iter_unpack(buf):
             if h <= prev:
                 raise FormatError(f"label of vertex {v} is not strictly hub-sorted")
             if h >= n:
                 raise FormatError(f"label of vertex {v} names hub {h} >= {n}")
+            if not d:
+                if h != v:
+                    raise FormatError(f"label of vertex {v} has hub {h} at distance 0")
+                own = True
             prev = h
             hv.append(h)
             dv.append(d)
+        if not own:
+            # hubs ascend strictly, so (v, d) with d > 0 also ends here
+            raise FormatError(f"label of vertex {v} lacks its own pair ({v}, 0)")
         hubs.append(hv)
         dists.append(dv)
         total += count

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from hubrknn import (
     INFINITY,
+    MAX_DIST,
     FormatError,
     Graph,
     LabelSet,
+    VertexOrdering,
     bfs_distances,
     build_pll_labels,
     degree_ordering,
@@ -20,6 +22,119 @@ from hubrknn import (
 
 from fixtures import TREE14_LABELS, TREE14_TOTAL_PAIRS, label_pairs
 from graphgen import preferential_attachment_graph, random_connected_graph
+
+
+def reference_pll(graph, ordering):
+    """Pruned landmark labeling with the per-vertex prune test, as a reference.
+
+    The visit to w at depth d is pruned when some hub h of w's label has
+    dist(root, h) + dist(h, w) <= d, read from the root's label.
+    """
+    n = graph.vertex_count
+    adjacency = graph.adjacency
+    hubs = [[] for _ in range(n)]
+    dists = [[] for _ in range(n)]
+    root_dist = [INFINITY] * n  # distances root -> hub, indexed by hub
+    seen = bytearray(n)
+    total = 0
+    for root in ordering.order:
+        for h, dh in zip(hubs[root], dists[root]):
+            root_dist[h] = dh
+        seen[root] = 1
+        touched = [root]
+        level = [root]
+        d = 0
+        while level:
+            next_level = []
+            for w in level:
+                if any(root_dist[h] + dh <= d for h, dh in zip(hubs[w], dists[w])):
+                    continue
+                if d > MAX_DIST:
+                    raise FormatError(f"hop distance {d} exceeds {MAX_DIST}")
+                hubs[w].append(root)
+                dists[w].append(d)
+                total += 1
+                for x in adjacency[w]:
+                    if not seen[x]:
+                        seen[x] = 1
+                        next_level.append(x)
+            touched.extend(next_level)
+            level = next_level
+            d += 1
+        for h in hubs[root]:
+            root_dist[h] = INFINITY
+        for v in touched:
+            seen[v] = 0
+    for v in range(n):
+        pairs = sorted(zip(hubs[v], dists[v]))
+        hubs[v] = [h for h, _ in pairs]
+        dists[v] = [d for _, d in pairs]
+    return LabelSet(hubs, dists, total)
+
+
+def random_ordering(graph, seed):
+    order = list(range(graph.vertex_count))
+    random.Random(seed).shuffle(order)
+    return VertexOrdering(tuple(order))
+
+
+def path_graph(n):
+    return Graph.from_edges([(i, i + 1) for i in range(n - 1)])
+
+
+def tree_graph(n, seed):
+    rng = random.Random(seed)
+    return Graph.from_edges([(rng.randrange(v), v) for v in range(1, n)])
+
+
+def two_component_graph():
+    left = [(i, (i * 7 + 3) % 40) for i in range(40)] + [(i, i + 1) for i in range(39)]
+    right = [(100 + i, 100 + (i * i) % 25) for i in range(25)]
+    return Graph.from_edges(left + right + [(100 + i, 101 + i) for i in range(24)])
+
+
+BUILD_GRAPHS = {
+    **{
+        f"pa-{n}-{attach}-s{seed}": preferential_attachment_graph(n, attach, seed)
+        for n, attach in ((300, 1), (300, 3), (200, 12))
+        for seed in (1, 2, 3)
+    },
+    **{
+        f"random-{n}-{extra}-s{seed}": random_connected_graph(n, extra, seed)
+        for n, extra, seed in ((150, 40, 4), (150, 400, 5), (80, 1500, 6))
+    },
+    "tree-200": tree_graph(200, 7),
+    "path-60": path_graph(60),
+    "two-components": two_component_graph(),
+}
+
+
+@pytest.mark.parametrize("order_seed", [None, 11, 12])
+@pytest.mark.parametrize("name", sorted(BUILD_GRAPHS))
+def test_build_matches_reference_pll(name, order_seed):
+    g = BUILD_GRAPHS[name]
+    if order_seed is None:
+        ordering = degree_ordering(g)
+    else:
+        ordering = random_ordering(g, order_seed)
+    labels = build_pll_labels(g, ordering)
+    expected = reference_pll(g, ordering)
+    assert labels == expected
+    assert labels.total_pairs == expected.total_pairs
+
+
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=120),
+       st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=100, deadline=None)
+def test_build_matches_reference_on_random_graphs(n, edge_count, seed):
+    rng = random.Random(seed)
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(edge_count)]
+    g = Graph.from_edges(edges + [(v, v) for v in range(n)])  # loops keep every vertex
+    ordering = random_ordering(g, seed)
+    labels = build_pll_labels(g, ordering)
+    expected = reference_pll(g, ordering)
+    assert labels == expected
+    assert labels.total_pairs == expected.total_pairs
 
 
 def test_single_vertex_label():
@@ -99,6 +214,21 @@ def test_distance_width_guard():
     assert "255" in str(err.value)
 
 
+def test_distance_width_boundary():
+    # first landmark at one end: its BFS reaches hop n - 1
+    longest = path_graph(MAX_DIST + 1)
+    labels = build_pll_labels(longest, VertexOrdering(tuple(range(MAX_DIST + 1))))
+    assert hl_distance(labels, 0, MAX_DIST) == MAX_DIST
+    sink = io.BytesIO()
+    save_labels(labels, sink)
+    assert load_labels(io.BytesIO(sink.getvalue())) == labels
+
+    too_long = path_graph(MAX_DIST + 2)
+    with pytest.raises(FormatError) as err:
+        build_pll_labels(too_long, VertexOrdering(tuple(range(MAX_DIST + 2))))
+    assert "255" in str(err.value)
+
+
 def test_save_load_roundtrip_fixture(tree14_labels):
     sink = io.BytesIO()
     save_labels(tree14_labels, sink)
@@ -136,6 +266,37 @@ def test_load_rejects_unsorted_label(tree14_labels):
     with pytest.raises(FormatError) as err:
         load_labels(io.BytesIO(bytes(data)))
     assert "sorted" in str(err.value)
+
+
+def test_load_rejects_changed_zero_distances(tree14_labels):
+    """Each label holds (v, 0) and no other pair at distance 0."""
+    sink = io.BytesIO()
+    save_labels(tree14_labels, sink)
+    data = sink.getvalue()
+    offset = 13  # magic, version, vertex count
+    changed = 0
+    for v in range(14):
+        offset += 4  # pair count
+        for h, d in label_pairs(tree14_labels, v):
+            dist_byte = offset + 4
+            for new in (1, 255) if h == v else (0,):
+                bad = bytearray(data)
+                bad[dist_byte] = new
+                with pytest.raises(FormatError):
+                    load_labels(io.BytesIO(bytes(bad)))
+                changed += 1
+            offset += 5
+    assert offset == len(data)
+    assert changed == 2 * 14 + TREE14_TOTAL_PAIRS - 14
+
+    hubs = [list(h) for h in tree14_labels.hubs]
+    dists = [list(d) for d in tree14_labels.dists]
+    del hubs[5][-1], dists[5][-1]  # vertex 5's own pair (5, 0)
+    sink = io.BytesIO()
+    save_labels(LabelSet(hubs, dists, TREE14_TOTAL_PAIRS - 1), sink)
+    with pytest.raises(FormatError) as err:
+        load_labels(io.BytesIO(sink.getvalue()))
+    assert "own pair (5, 0)" in str(err.value)
 
 
 @given(st.integers(min_value=0, max_value=2**32))
