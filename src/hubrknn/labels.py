@@ -17,28 +17,35 @@ from .graph import Graph, VertexOrdering, degree_ordering
 # Sentinel strictly greater than any representable hop distance.
 INFINITY = 1 << 30
 
-# Serialized distances are a single byte; construction enforces this bound.
+# Distances are a single byte, in the label file and in memory (``bytes``);
+# construction enforces this bound.
 MAX_DIST = 255
 
 _MAGIC = b"RHUB"
 _VERSION = 1
 _PAIR = struct.Struct("<IB")
 _HEAD_COUNT = struct.Struct("<I")
+# A label holds at least its own pair: a 4-byte count and one 5-byte pair.
+_MIN_LABEL_SIZE = _HEAD_COUNT.size + _PAIR.size
 
 
 class LabelSet:
-    """Per-vertex hub labels, stored as parallel hub/distance lists.
+    """Per-vertex hub labels: a hub list and a distance byte string each.
 
-    ``hubs[v]`` is strictly ascending; ``dists[v]`` is aligned with it.
+    ``hubs[v]`` is a strictly ascending ``list[int]``; ``dists[v]`` is a
+    ``bytes`` aligned with it, one byte per pair as in the label file.
+    Indexing ``bytes`` returns cached small ints, so a sweep reads both alike.
+    Labels from ``build_pll_labels`` and ``load_labels`` also point to one
+    int object per hub, so a pair costs a list slot and a distance byte.
     Immutable by convention once built; queries may run concurrently.
     """
 
     __slots__ = ("hubs", "dists", "total_pairs")
 
-    def __init__(self, hubs: list[list[int]], dists: list[list[int]], total_pairs: int):
+    def __init__(self, hubs: list[list[int]], dists: list[bytes] | list[list[int]]):
         self.hubs = hubs
-        self.dists = dists
-        self.total_pairs = total_pairs
+        self.dists = [bytes(d) for d in dists]  # no copy of a bytes argument
+        self.total_pairs = sum(map(len, hubs))
 
     @property
     def vertex_count(self) -> int:
@@ -88,7 +95,6 @@ def build_pll_labels(graph: Graph, ordering: VertexOrdering | None = None) -> La
     hubs: list[list[int]] = [[] for _ in range(n)]
     dists: list[list[int]] = [[] for _ in range(n)]
     reach: list[list[int]] = [[] for _ in range(n)]
-    total = 0
 
     for root in order:
         # The root's label holds earlier landmarks only; their BFS is done.
@@ -120,18 +126,18 @@ def build_pll_labels(graph: Graph, ordering: VertexOrdering | None = None) -> La
                 dists[w].append(d)
                 nxt |= neighbours[b]
                 i = bits.find("1", i + 1)
-            total += keep.bit_count()
             level = nxt & ~seen
             seen |= level
             d += 1
 
-    # Labels were appended in landmark order; queries need hub order.
+    # Labels were appended in landmark order; queries need hub order. The
+    # hubs stay the shared ``root`` int objects.
     for v in range(n):
         pairs = sorted(zip(hubs[v], dists[v]))
         hubs[v] = [h for h, _ in pairs]
-        dists[v] = [d for _, d in pairs]
+        dists[v] = bytes(d for _, d in pairs)
 
-    return LabelSet(hubs, dists, total)
+    return LabelSet(hubs, dists)
 
 
 def hl_distance(labels: LabelSet, s: int, t: int) -> int:
@@ -172,7 +178,11 @@ def save_labels(labels: LabelSet, sink: IO[bytes]) -> None:
 
 
 def load_labels(source: IO[bytes]) -> LabelSet:
-    """Read and validate a label file; FormatError on any corruption."""
+    """Read and validate a label file; FormatError on any corruption.
+
+    Every hub is mapped to one shared int object per vertex, and each
+    label's distances are the distance bytes of its pairs.
+    """
     magic = _read_exact(source, 4)
     if magic != _MAGIC:
         raise FormatError(f"bad label-file magic {magic!r}")
@@ -180,17 +190,26 @@ def load_labels(source: IO[bytes]) -> LabelSet:
     if version != _VERSION:
         raise FormatError(f"unsupported label-file version {version}")
     (n,) = struct.unpack("<Q", _read_exact(source, 8))
+    data = source.read()
+    size = len(data)
+    # Bound n by the bytes present before allocating anything per vertex.
+    if n * _MIN_LABEL_SIZE > size:
+        raise FormatError(f"truncated stream: {n} labels cannot fit in {size} bytes")
+    shared = list(range(n))
     hubs: list[list[int]] = []
-    dists: list[list[int]] = []
-    total = 0
+    dists: list[bytes] = []
+    pos = 0
     for v in range(n):
-        (count,) = _HEAD_COUNT.unpack(_read_exact(source, 4))
-        buf = _read_exact(source, count * _PAIR.size)
+        (count,) = _HEAD_COUNT.unpack_from(data, pos)
+        start = pos + _HEAD_COUNT.size
+        pos = start + count * _PAIR.size
+        # the labels after this one need their minimum size too
+        if pos + (n - 1 - v) * _MIN_LABEL_SIZE > size:
+            raise FormatError("truncated stream")
         hv: list[int] = []
-        dv: list[int] = []
         prev = -1
         own = False  # the cover property for (v, v) needs (v, 0)
-        for h, d in _PAIR.iter_unpack(buf):
+        for h, d in _PAIR.iter_unpack(data[start:pos]):
             if h <= prev:
                 raise FormatError(f"label of vertex {v} is not strictly hub-sorted")
             if h >= n:
@@ -200,17 +219,16 @@ def load_labels(source: IO[bytes]) -> LabelSet:
                     raise FormatError(f"label of vertex {v} has hub {h} at distance 0")
                 own = True
             prev = h
-            hv.append(h)
-            dv.append(d)
+            hv.append(shared[h])
         if not own:
             # hubs ascend strictly, so (v, d) with d > 0 also ends here
             raise FormatError(f"label of vertex {v} lacks its own pair ({v}, 0)")
         hubs.append(hv)
-        dists.append(dv)
-        total += count
-    if source.read(1):
+        # the distances are each pair's last byte
+        dists.append(data[start + _PAIR.size - 1 : pos : _PAIR.size])
+    if pos != size:
         raise FormatError("trailing bytes after the last label")
-    return LabelSet(hubs, dists, total)
+    return LabelSet(hubs, dists)
 
 
 def _read_exact(source: IO[bytes], nbytes: int) -> bytes:

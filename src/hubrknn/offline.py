@@ -227,9 +227,10 @@ def _knn_row(
     found: dict[int, int] = {}  # idx -> its dist in best
     worst = INFINITY  # best[-1][0] once best holds k pairs
     hubs = labels.hubs[source]
-    dists = labels.dists[source]
-    # A stable key sort of positions; measured 3x cheaper than sorting
-    # (dist, hub) tuples.
+    # A list copy of the distance bytes: list.__getitem__ is a cheaper sort
+    # key and subscript than bytes'. A stable key sort of positions measured
+    # 3x cheaper than sorting (dist, hub) tuples.
+    dists = list(labels.dists[source])
     for j in sorted(range(len(dists)), key=dists.__getitem__):
         d = dists[j]
         if d > worst:

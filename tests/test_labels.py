@@ -1,5 +1,8 @@
+import gc
 import io
 import random
+import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +39,6 @@ def reference_pll(graph, ordering):
     dists = [[] for _ in range(n)]
     root_dist = [INFINITY] * n  # distances root -> hub, indexed by hub
     seen = bytearray(n)
-    total = 0
     for root in ordering.order:
         for h, dh in zip(hubs[root], dists[root]):
             root_dist[h] = dh
@@ -53,7 +55,6 @@ def reference_pll(graph, ordering):
                     raise FormatError(f"hop distance {d} exceeds {MAX_DIST}")
                 hubs[w].append(root)
                 dists[w].append(d)
-                total += 1
                 for x in adjacency[w]:
                     if not seen[x]:
                         seen[x] = 1
@@ -69,7 +70,7 @@ def reference_pll(graph, ordering):
         pairs = sorted(zip(hubs[v], dists[v]))
         hubs[v] = [h for h, _ in pairs]
         dists[v] = [d for _, d in pairs]
-    return LabelSet(hubs, dists, total)
+    return LabelSet(hubs, dists)
 
 
 def random_ordering(graph, seed):
@@ -197,7 +198,7 @@ def test_labels_minimal_on_fixture(tree14, tree14_labels):
             hubs = [list(h) for h in tree14_labels.hubs]
             dists = [list(d) for d in tree14_labels.dists]
             del hubs[v][pos], dists[v][pos]
-            mutated = LabelSet(hubs, dists, tree14_labels.total_pairs - 1)
+            mutated = LabelSet(hubs, dists)
             broken = any(
                 hl_distance(mutated, s, t) != truth[s][t]
                 for s in range(14)
@@ -237,6 +238,69 @@ def test_save_load_roundtrip_fixture(tree14_labels):
     assert loaded.total_pairs == tree14_labels.total_pairs
 
 
+def _assert_compact(labels):
+    """Distances are bytes, and each hub value is one shared int object."""
+    shared = {}
+    for v in range(labels.vertex_count):
+        assert type(labels.dists[v]) is bytes
+        assert len(labels.dists[v]) == len(labels.hubs[v])
+        for h in labels.hubs[v]:
+            assert shared.setdefault(h, h) is h
+
+
+def test_built_and_loaded_labels_share_one_compact_form():
+    g = preferential_attachment_graph(600, 6, seed=9)
+    built = build_pll_labels(g)
+    assert max(map(max, built.hubs)) > 256  # beyond CPython's cached small ints
+    _assert_compact(built)
+    sink = io.BytesIO()
+    save_labels(built, sink)
+    data = sink.getvalue()
+    loaded = load_labels(io.BytesIO(data))
+    _assert_compact(loaded)
+    assert loaded == built
+    assert loaded.total_pairs == built.total_pairs
+    again = io.BytesIO()
+    save_labels(loaded, again)
+    assert again.getvalue() == data
+
+
+def _traced(work):
+    """work()'s result, the bytes it left allocated, and its peak."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = work()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained - base, peak - base
+
+
+def test_loaded_labels_stay_compact():
+    # PA 800/8: 32,490 pairs. Measured 13.1 B/pair; with a fresh int per
+    # hub of every pair 16.5, and with a list of distances as well 25.0.
+    g = preferential_attachment_graph(800, 8, seed=7)
+    sink = io.BytesIO()
+    save_labels(build_pll_labels(g), sink)
+    source = io.BytesIO(sink.getvalue())
+    labels, retained, _ = _traced(lambda: load_labels(source))
+    assert retained / labels.total_pairs < 15
+
+
+def test_load_rejects_hostile_vertex_count():
+    """A header claiming 2**40 vertices allocates nothing per vertex."""
+    data = b"RHUB\x01" + struct.pack("<Q", 2**40) + struct.pack("<IIB", 1, 0, 0)
+
+    def attempt():
+        with pytest.raises(FormatError):
+            load_labels(io.BytesIO(data))
+
+    _, _, peak = _traced(attempt)
+    assert peak < 1 << 20
+
+
 def test_load_rejects_corrupted_magic(tree14_labels):
     sink = io.BytesIO()
     save_labels(tree14_labels, sink)
@@ -249,8 +313,10 @@ def test_load_rejects_corrupted_magic(tree14_labels):
 def test_load_rejects_truncation(tree14_labels):
     sink = io.BytesIO()
     save_labels(tree14_labels, sink)
-    with pytest.raises(FormatError):
-        load_labels(io.BytesIO(sink.getvalue()[:-3]))
+    data = sink.getvalue()
+    for size in range(len(data)):  # cuts inside and between labels alike
+        with pytest.raises(FormatError):
+            load_labels(io.BytesIO(data[:size]))
 
 
 def test_load_rejects_unsorted_label(tree14_labels):
@@ -293,7 +359,7 @@ def test_load_rejects_changed_zero_distances(tree14_labels):
     dists = [list(d) for d in tree14_labels.dists]
     del hubs[5][-1], dists[5][-1]  # vertex 5's own pair (5, 0)
     sink = io.BytesIO()
-    save_labels(LabelSet(hubs, dists, TREE14_TOTAL_PAIRS - 1), sink)
+    save_labels(LabelSet(hubs, dists), sink)
     with pytest.raises(FormatError) as err:
         load_labels(io.BytesIO(sink.getvalue()))
     assert "own pair (5, 0)" in str(err.value)
