@@ -31,7 +31,7 @@ from .labels import (
 )
 from .offline import (
     ObjectSet,
-    build_knn_backward_labels,
+    OfflineIndex,
     index_stats,
     load_index,
     offline_preprocess,
@@ -165,6 +165,14 @@ def _load_labels_checked(path: str, graph: Graph) -> LabelSet:
     return labels
 
 
+def _load_indexed(args) -> tuple[Graph, OfflineIndex]:
+    """The graph, and the index bound to the labels, of --graph/--labels/--index."""
+    graph = _load_graph(args.graph)
+    labels = _load_labels_checked(args.labels, graph)
+    with open(args.index, "rb") as f:
+        return graph, load_index(f, labels)
+
+
 def _cmd_build(args) -> int:
     graph = _load_graph(args.graph)
     t0 = time.perf_counter()
@@ -202,17 +210,14 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    graph = _load_graph(args.graph)
-    labels = _load_labels_checked(args.labels, graph)
-    with open(args.index, "rb") as f:
-        index = load_index(f, labels)
+    graph, index = _load_indexed(args)
     q = graph.dense_id(args.vertex)
 
     if args.oracle:
         members = dict(oracle_rknn(graph, index.objects, q, index.k))
         distances = [members.get(i, INFINITY) for i in range(len(index.objects))]
     else:
-        distances = rknn_query(index, labels, q).distances
+        distances = rknn_query(index, index.labels, q).distances
 
     for i, dist in enumerate(distances):
         raw = graph.raw_ids[index.objects.vertices[i]]
@@ -224,13 +229,9 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_knn(args) -> int:
-    graph = _load_graph(args.graph)
-    labels = _load_labels_checked(args.labels, graph)
-    with open(args.index, "rb") as f:
-        index = load_index(f, labels)
+    graph, index = _load_indexed(args)
     q = graph.dense_id(args.vertex)
-    knn_backward = build_knn_backward_labels(labels, index.objects, index.k)
-    for idx, dist in knn_query(knn_backward, labels, q, args.k):
+    for idx, dist in knn_query(index.knn_backward, index.labels, q, args.k):
         raw = graph.raw_ids[index.objects.vertices[idx]]
         print(f"{raw}\t{dist}")
     return 0
@@ -270,24 +271,24 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    graph = _load_graph(args.graph)
+    if args.index:
+        if not args.labels:
+            raise UsageError("--index requires --labels")
+        graph, index = _load_indexed(args)
+        labels = index.labels
+    else:
+        graph = _load_graph(args.graph)
+        labels = _load_labels_checked(args.labels, graph) if args.labels else None
     print(f"vertices\t{graph.vertex_count}")
     print(f"edges\t{graph.edge_count}")
     print(f"avg_degree\t{graph.avg_degree():.2f}")
 
-    labels = None
-    if args.labels:
-        labels = _load_labels_checked(args.labels, graph)
+    if labels is not None:
         print(f"label_pairs\t{labels.total_pairs}")
         print(f"labels_per_vertex\t{labels.avg_label_size():.2f}")
         print(f"label_model_bytes\t{_PAIR.size * labels.total_pairs}")
 
     if args.index:
-        if labels is None:
-            raise UsageError("--index requires --labels")
-        with open(args.index, "rb") as f:
-            index = load_index(f, labels)
-        index.knn_backward = build_knn_backward_labels(labels, index.objects, index.k)
         stats = index_stats(index)
         print(f"k\t{stats.k}")
         print(f"objects\t{stats.object_count}")

@@ -26,6 +26,7 @@ import struct
 import time
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import IO, Iterable
 
@@ -123,19 +124,25 @@ class OfflineTimings:
 
 @dataclass
 class OfflineIndex:
-    """Everything the online phase needs for one object set and one k."""
+    """Everything the online phase needs for one object set and one k.
 
-    k: int
+    Built (``offline_preprocess``) or loaded (``load_index``) alike; a loaded
+    index rebuilds ``knn_backward`` from its labels on first access.
+    """
+
     objects: ObjectSet
     knn_results: KnnResultTable
     rknn_backward: RknnBackwardLabels
     labels: LabelSet
-    knn_backward: KnnBackwardLabels | None = None
     timings: OfflineTimings = field(default_factory=OfflineTimings)
 
     @property
-    def labels_fingerprint(self) -> tuple[int, int]:
-        return (self.labels.vertex_count, self.labels.total_pairs)
+    def k(self) -> int:
+        return self.knn_results.k
+
+    @cached_property
+    def knn_backward(self) -> KnnBackwardLabels:
+        return build_knn_backward_labels(self.labels, self.objects, self.k)
 
 
 def _check_objects(labels: LabelSet, objects: ObjectSet, k: int) -> None:
@@ -310,15 +317,9 @@ def offline_preprocess(labels: LabelSet, objects: ObjectSet, k: int) -> OfflineI
     timings.knn_backward_s = t1 - t0
     timings.batch_knn_s = t2 - t1
     timings.rknn_labels_s = t3 - t2
-    return OfflineIndex(
-        k=k,
-        objects=objects,
-        knn_results=knn_results,
-        rknn_backward=rknn_backward,
-        labels=labels,
-        knn_backward=knn_backward,
-        timings=timings,
-    )
+    index = OfflineIndex(objects, knn_results, rknn_backward, labels, timings)
+    index.knn_backward = knn_backward  # substage 1's lists, not rebuilt
+    return index
 
 
 def to_many_pairs(labels: LabelSet, objects: ObjectSet) -> int:
@@ -349,19 +350,14 @@ class IndexStats:
 
 
 def index_stats(index: OfflineIndex) -> IndexStats:
-    knn_backward_pairs = (
-        index.knn_backward.total_pairs() if index.knn_backward is not None else 0
-    )
-    rknn_pairs = index.rknn_backward.total_pairs
-    to_many = to_many_pairs(index.labels, index.objects)
     return IndexStats(
         k=index.k,
         object_count=len(index.objects),
-        knn_backward_pairs=knn_backward_pairs,
+        knn_backward_pairs=index.knn_backward.total_pairs(),
         knn_result_pairs=index.k * len(index.objects),
-        rknn_pairs=rknn_pairs,
-        to_many_pairs=to_many,
-        epsilon=rknn_pairs / to_many,
+        rknn_pairs=index.rknn_backward.total_pairs,
+        to_many_pairs=to_many_pairs(index.labels, index.objects),
+        epsilon=epsilon(index),
     )
 
 
@@ -407,7 +403,8 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
     The RkNN sections are then rebuilt from the labels, the objects and
     those distances (substage 3), and every stored section must equal its
     rebuilt list, in the same slack order. Mismatched, corrupt or truncated
-    inputs fail with FormatError.
+    inputs fail with FormatError. The index is bound to this ``labels``
+    object, which ``rknn_query`` must be passed.
     """
     magic = _read_exact(source, 4)
     if magic != _MAGIC:
@@ -463,10 +460,4 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
             )
     if source.read(1):
         raise FormatError("trailing bytes after the last RkNN section")
-    return OfflineIndex(
-        k=k,
-        objects=objects,
-        knn_results=knn_results,
-        rknn_backward=rknn_backward,
-        labels=labels,
-    )
+    return OfflineIndex(objects, knn_results, rknn_backward, labels)

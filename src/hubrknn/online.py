@@ -38,12 +38,15 @@ class RknnAnswer:
 
 
 def rknn_query(index: OfflineIndex, labels: LabelSet, q: int) -> RknnAnswer:
-    """All objects having q among their k nearest objects, with distances."""
+    """All objects having q among their k nearest objects, with distances.
+
+    ``labels`` must be ``index.labels`` itself; any other is a ConfigError.
+    """
+    if labels is not index.labels:
+        raise ConfigError("label set is not the one this index was built or loaded with")
     n = labels.vertex_count
     if not 0 <= q < n:
         raise ValueError(f"query vertex {q} out of range for {n} vertices")
-    if (n, labels.total_pairs) != index.labels_fingerprint:
-        raise ConfigError("label set does not match the one this index was built from")
 
     out = [INFINITY] * len(index.objects)
     worst = index.knn_results.worst

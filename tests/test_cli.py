@@ -129,6 +129,9 @@ def test_stats_reports_label_counts(workspace, capsys):
     assert out["labels_per_vertex"] == "2.79"
     assert out["rknn_pairs"] == "8"
     assert out["epsilon"] == "0.8889"
+    # loaded index: substage 1 rebuilt from the labels; 5 B per stored pair
+    assert out["knn_backward_pairs"] == "8"
+    assert out["index_model_bytes"] == str(5 * (8 + 3 + 8))
 
 
 def test_mismatched_index_is_data_error(workspace, tmp_path, capsys):

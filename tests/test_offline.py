@@ -17,6 +17,7 @@ from hubrknn import (
     build_rknn_backward_labels,
     epsilon,
     index_stats,
+    knn_query,
     load_index,
     offline_preprocess,
     parse_object_file,
@@ -231,18 +232,27 @@ def test_index_stats_reports_counts(tree14_labels, tree14_objects):
 
 
 def test_index_roundtrip(tree14_labels, tree14_objects):
-    index = offline_preprocess(tree14_labels, tree14_objects, 1)
-    sink = io.BytesIO()
-    save_index(index, sink)
-    data = sink.getvalue()
-    loaded = load_index(io.BytesIO(data), tree14_labels)
-    assert loaded.k == 1
-    assert loaded.objects == tree14_objects
-    assert loaded.knn_results == index.knn_results
-    assert loaded.rknn_backward == index.rknn_backward
-    again = io.BytesIO()
-    save_index(loaded, again)
-    assert again.getvalue() == data
+    _, pa_labels, pa_objects = make_pa_instance(seed=2)
+    for labels, objects, k in [(tree14_labels, tree14_objects, 1), (pa_labels, pa_objects, 8)]:
+        index = offline_preprocess(labels, objects, k)
+        sink = io.BytesIO()
+        save_index(index, sink)
+        data = sink.getvalue()
+        loaded = load_index(io.BytesIO(data), labels)
+        assert loaded.k == k
+        assert loaded.objects == objects
+        assert loaded.knn_results == index.knn_results
+        assert loaded.rknn_backward == index.rknn_backward
+        # a loaded index rebuilds substage 1 once, equal to the built lists
+        assert loaded.knn_backward == index.knn_backward
+        assert loaded.knn_backward is loaded.knn_backward
+        assert index_stats(loaded) == index_stats(index)
+        for q in range(labels.vertex_count):
+            expected = knn_query(index.knn_backward, labels, q, k)
+            assert knn_query(loaded.knn_backward, labels, q, k) == expected
+        again = io.BytesIO()
+        save_index(loaded, again)
+        assert again.getvalue() == data
 
 
 def test_index_load_rejects_bad_magic(tree14_labels, tree14_objects):

@@ -6,6 +6,7 @@ import pytest
 from hubrknn import (
     INFINITY,
     ConfigError,
+    LabelSet,
     ObjectSet,
     bfs_distances,
     build_knn_backward_labels,
@@ -45,8 +46,17 @@ def test_rknn_rejects_out_of_range_vertex(tree14_labels, tree14_objects):
 def test_rknn_rejects_mismatched_labels(tree14_labels, tree14_objects):
     index = offline_preprocess(tree14_labels, tree14_objects, 1)
     other = build_pll_labels(random_connected_graph(14, 13, seed=1))
-    with pytest.raises(ConfigError):
-        rknn_query(index, other, 0)
+    # same hubs, vertex count and pair count; every non-zero distance + 1
+    shifted = LabelSet(
+        tree14_labels.hubs, [bytes(d + 1 if d else 0 for d in ds) for ds in tree14_labels.dists]
+    )
+    assert (shifted.vertex_count, shifted.total_pairs) == (14, 39)
+    # an equal copy is still not the LabelSet the index is bound to
+    copy = LabelSet(list(tree14_labels.hubs), list(tree14_labels.dists))
+    assert copy == tree14_labels
+    for labels in (other, shifted, copy):
+        with pytest.raises(ConfigError):
+            rknn_query(index, labels, 0)
 
 
 def _instances():
