@@ -6,14 +6,6 @@ reverse-kNN / kNN queries online in microseconds. See README.md for the
 file formats and the CLI.
 """
 
-from .bench import (
-    CSV_COLUMNS,
-    SweepConfig,
-    SweepRecord,
-    generate_ball_objects,
-    generate_random_objects,
-    run_sweep,
-)
 from .errors import ConfigError, FormatError, ParseError
 from .graph import (
     Graph,

@@ -18,7 +18,6 @@ import os
 import sys
 import time
 
-from .bench import SweepConfig, run_sweep
 from .errors import ConfigError, FormatError, ParseError
 from .graph import Graph, degree_ordering, largest_connected_component, parse_edge_list
 from .labels import (
@@ -252,6 +251,10 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _cmd_bench(args) -> int:
+    # imported here: bench pulls in csv, hashlib and statistics,
+    # which no other subcommand needs
+    from .bench import SweepConfig, run_sweep
+
     graph = _load_graph(args.graph)
     labels = _load_labels_checked(args.labels, graph)
     config = SweepConfig(

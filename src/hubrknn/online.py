@@ -74,8 +74,11 @@ def knn_query(
 
     Same sweep as the batch stage but without the skip-self rule, so a query
     placed on an object vertex finds that object at distance 0. k may be
-    anything up to the k the backward labels were built for.
+    anything up to the k the backward labels were built for. ``labels`` must
+    be ``knn_backward.labels`` itself; any other is a ConfigError.
     """
+    if labels is not knn_backward.labels:
+        raise ConfigError("label set is not the one these kNN backward labels were built from")
     n = labels.vertex_count
     if not 0 <= q < n:
         raise ValueError(f"query vertex {q} out of range for {n} vertices")

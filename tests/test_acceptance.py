@@ -29,11 +29,10 @@ from hubrknn import (
     load_labels,
     offline_preprocess,
     rknn_query,
-    run_sweep,
     save_index,
     save_labels,
-    SweepConfig,
 )
+from hubrknn.bench import SweepConfig, run_sweep
 
 from fixtures import (
     TREE14_KNN_BACKWARD_K1,

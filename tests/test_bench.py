@@ -3,17 +3,15 @@ import math
 
 import pytest
 
-from hubrknn import (
+from hubrknn import ConfigError, bfs_distances, build_pll_labels
+from hubrknn.bench import (
     CSV_COLUMNS,
-    ConfigError,
+    TIME_COLUMNS,
     SweepConfig,
-    bfs_distances,
-    build_pll_labels,
     generate_ball_objects,
     generate_random_objects,
     run_sweep,
 )
-from hubrknn.bench import TIME_COLUMNS
 
 from fixtures import TREE14_RKNN_TOTAL_PAIRS, TREE14_TO_MANY_PAIRS
 from graphgen import random_connected_graph

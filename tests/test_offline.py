@@ -16,14 +16,18 @@ from hubrknn import (
     build_pll_labels,
     build_rknn_backward_labels,
     epsilon,
+    hl_distance,
     index_stats,
     knn_query,
     load_index,
     offline_preprocess,
     parse_object_file,
+    rknn_query,
     save_index,
     to_many_pairs,
 )
+from hubrknn.bench import generate_ball_objects, generate_random_objects
+from hubrknn.labels import INFINITY
 from hubrknn.offline import _knn_row
 
 from fixtures import (
@@ -43,6 +47,47 @@ def make_instance(n=128, extra=192, objects=16, seed=0):
     rng = random.Random(seed + 1)
     obj = ObjectSet(tuple(sorted(rng.sample(range(g.vertex_count), objects))))
     return g, labels, obj
+
+
+def reference_by_hub(labels, objects, bound, offset, keep=None):
+    """The dense by-hub regrouping, as a reference: every hub's list is
+    sorted, cut and mapped, empty or not."""
+    m = len(objects)
+    top = -min(offset)
+    lists = [[] for _ in range(labels.vertex_count)]
+    for i, p in enumerate(objects.vertices):
+        base = (offset[i] + top) * m + i
+        for h, d in zip(labels.hubs[p], labels.dists[p]):
+            if d <= bound[i]:
+                lists[h].append(d * m + base)
+    for keys in lists:
+        keys.sort()
+        if keep is not None:
+            del keys[keep:]
+    return [[(c % m, c // m - offset[c % m] - top) for c in keys] for keys in lists]
+
+
+def _index_bytes(index):
+    sink = io.BytesIO()
+    save_index(index, sink)
+    return sink.getvalue()
+
+
+def reference_save_index(index):
+    """The index file written field by field and one RkNN section per hub."""
+    sink = io.BytesIO()
+    sink.write(b"RHIX")
+    sink.write(struct.pack("<B", 2))
+    sink.write(struct.pack("<I", index.k))
+    sink.write(struct.pack("<I", len(index.objects)))
+    for v in index.objects.vertices:
+        sink.write(struct.pack("<I", v))
+    for row in index.knn_results.rows:
+        sink.write(b"".join(struct.pack("<IB", idx, d) for idx, d in row))
+    for lst in index.rknn_backward.lists:
+        sink.write(struct.pack("<I", len(lst)))
+        sink.write(b"".join(struct.pack("<IB", idx, d) for idx, d in lst))
+    return sink.getvalue()
 
 
 def make_pa_instance(seed, objects=40):
@@ -309,6 +354,14 @@ def test_index_load_rejects_truncation(tree14_labels, tree14_objects):
         load_index(io.BytesIO(sink.getvalue()[:-1]), tree14_labels)
 
 
+def test_index_load_names_truncated_and_trailing_sections(tree14_labels, tree14_objects):
+    data = _index_bytes(offline_preprocess(tree14_labels, tree14_objects, 1))
+    with pytest.raises(FormatError, match="truncated"):
+        load_index(io.BytesIO(data[:-1]), tree14_labels)
+    with pytest.raises(FormatError, match="trailing bytes"):
+        load_index(io.BytesIO(data + b"\0"), tree14_labels)
+
+
 def _tree14_index_bytes(index):
     sink = io.BytesIO()
     save_index(index, sink)
@@ -355,6 +408,99 @@ def test_index_load_rejects_every_single_byte_change(tree14_labels, tree14_objec
             except FormatError:
                 continue
             pytest.fail(f"byte {pos} changed by {delta} loaded without error")
+
+
+@pytest.fixture(scope="module")
+def pa1800():
+    g = preferential_attachment_graph(1800, 3, seed=31)
+    return g, build_pll_labels(g)
+
+
+@pytest.mark.parametrize("density", [0.2, 0.05, 0.01])
+@pytest.mark.parametrize("ball", [1.0, 0.3])
+def test_sparse_regrouping_and_encoding_match_dense_references(pa1800, density, ball):
+    """Substages 1 and 3 and the index bytes equal the dense references."""
+    g, labels = pa1800
+    seed = int(density * 1000 + ball * 10)
+    if ball == 1.0:
+        objects = generate_random_objects(g, density, seed)
+    else:
+        objects = generate_ball_objects(g, density, ball, seed)
+    m = len(objects)
+    for k in (1, 8, 16):
+        index = offline_preprocess(labels, objects, k)
+        assert index.knn_backward.lists == reference_by_hub(
+            labels, objects, [INFINITY] * m, [0] * m, k + 1
+        )
+        worst = index.knn_results.worst
+        assert index.rknn_backward.lists == reference_by_hub(
+            labels, objects, worst, [-w for w in worst]
+        )
+        data = _index_bytes(index)
+        assert data == reference_save_index(index)
+        loaded = load_index(io.BytesIO(data), labels)
+        assert loaded.rknn_backward == index.rknn_backward
+    # few objects leave most hubs without a pair
+    if density == 0.01:
+        assert sum(not lst for lst in index.rknn_backward.lists) > g.vertex_count // 2
+
+
+def test_sparse_index_load_rejects_every_single_byte_change():
+    """A few objects on a small graph: most RkNN sections are empty, so the
+    file holds runs of zero counts. Every truncation and every single-byte
+    change raises FormatError.
+
+    No object here has two others at its nearest distance; with such a tie,
+    a swapped last row entry loads (next test).
+    """
+    g = preferential_attachment_graph(30, 1, seed=0)
+    labels = build_pll_labels(g)
+    objects = ObjectSet(tuple(sorted(random.Random(1).sample(range(30), 3))))
+    index = offline_preprocess(labels, objects, 1)
+    data = _index_bytes(index)
+    sections = data[13 + 4 * 3 + 5 * 3 :]
+    assert b"\0" * 8 in sections  # a run of two empty sections or more
+    assert sum(not lst for lst in index.rknn_backward.lists) > 20
+    vertices = objects.vertices
+    for i, p in enumerate(vertices):
+        at_worst = [hl_distance(labels, p, v) for v in vertices].count(index.knn_results.worst[i])
+        assert at_worst == 1
+    for pos in range(len(data)):
+        with pytest.raises(FormatError):
+            load_index(io.BytesIO(data[:pos]), labels)
+        for delta in range(1, 256):
+            changed = bytearray(data)
+            changed[pos] = (changed[pos] + delta) % 256
+            try:
+                load_index(io.BytesIO(bytes(changed)), labels)
+            except FormatError:
+                continue
+            pytest.fail(f"byte {pos} changed by {delta} loaded without error")
+
+
+def test_index_load_accepts_a_tied_swap_of_the_last_row_entry():
+    """Known gap: of a kNN row, only the last entry's distance is checked
+    against the labels. Its object index swapped for another object at the
+    same distance loads; queries read only the distance and answer alike."""
+    g = preferential_attachment_graph(40, 2, seed=0)
+    labels = build_pll_labels(g)
+    objects = ObjectSet(tuple(sorted(random.Random(0).sample(range(40), 4))))
+    index = offline_preprocess(labels, objects, 1)
+    vertices = objects.vertices
+    i, j = next(
+        (i, j)
+        for i, row in enumerate(index.knn_results.rows)
+        for j, v in enumerate(vertices)
+        if j not in (i, row[-1][0])
+        and hl_distance(labels, vertices[i], v) == index.knn_results.worst[i]
+    )
+    data = bytearray(_index_bytes(index))
+    struct.pack_into("<I", data, 13 + 4 * 4 + 5 * i, j)
+    loaded = load_index(io.BytesIO(bytes(data)), labels)
+    assert loaded.knn_results.rows[i] == [(j, index.knn_results.worst[i])]
+    assert loaded.knn_results != index.knn_results
+    for q in range(labels.vertex_count):
+        assert rknn_query(loaded, labels, q) == rknn_query(index, labels, q)
 
 
 # --- object file parsing ---

@@ -18,6 +18,7 @@ from hubrknn import (
     rknn_query,
     save_index,
 )
+from hubrknn.offline import _knn_row
 
 from fixtures import TREE14_RKNN_Q0
 from graphgen import preferential_attachment_graph, random_connected_graph
@@ -154,6 +155,29 @@ def test_knn_query_caps_k(tree14_labels, tree14_objects):
         knn_query(knnlab, tree14_labels, 0, 2)
     with pytest.raises(ConfigError):
         knn_query(knnlab, tree14_labels, 0, 0)
+
+
+def test_knn_rejects_mismatched_labels(tree14_labels, tree14_objects):
+    knnlab = build_knn_backward_labels(tree14_labels, tree14_objects, 1)
+    assert knnlab.labels is tree14_labels
+    # same hubs, vertex count and pair count; every non-zero distance + 1
+    shifted = LabelSet(
+        tree14_labels.hubs, [bytes(d + 1 if d else 0 for d in ds) for ds in tree14_labels.dists]
+    )
+    # the sweep itself cannot tell: it answers wrongly for 9 of 14 vertices
+    wrong = [
+        q for q in range(14)
+        if _knn_row(shifted, q, -1, 1, knnlab.lists)
+        != _knn_row(tree14_labels, q, -1, 1, knnlab.lists)
+    ]
+    assert len(wrong) == 9
+    # an equal copy is still not the LabelSet the lists were built from
+    copy = LabelSet(list(tree14_labels.hubs), list(tree14_labels.dists))
+    assert copy == tree14_labels
+    for labels in (shifted, copy):
+        with pytest.raises(ConfigError):
+            knn_query(knnlab, labels, 9, 1)
+    assert knn_query(knnlab, tree14_labels, 9, 1) == [(0, 3)]
 
 
 def _short_instances():
