@@ -17,19 +17,22 @@ Runs once per object set, in three substages:
    distance, so the pairs a query can use form a prefix of the list.
 
 Substages 1 and 3 share one regrouping (``_by_hub``); they differ only in
-the per-object distance bound, the sort offset and the cut. The index file
-is written and read as one buffer, and its RkNN sections have one encoder
-(``_encode_sections``): ``load_index`` rebuilds substage 3, re-encodes it
-and compares the stored sections in one comparison. Apart from making one
-empty list per hub and a few C-level passes over those lists, the offline
-work and the index I/O scale with the objects' label pairs, not with the
-vertex count.
+the per-object distance bound, the sort offset and the cut. Apart from
+making one empty list per hub and a few C-level passes over those lists,
+the offline work scales with the objects' label pairs, not with the vertex
+count.
+
+The index file stores only what the labels cannot rebuild: the objects and
+their kNN rows (substage 2), and a checksum that also covers the objects'
+labels. ``load_index`` rebuilds substage 3 from them, and substage 1 on
+first use.
 """
 
 from __future__ import annotations
 
 import struct
 import time
+import zlib
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -40,10 +43,9 @@ from .errors import ConfigError, FormatError, ParseError
 from .labels import _PAIR, INFINITY, LabelSet, _read_exact, hl_distance
 
 _MAGIC = b"RHIX"
-_VERSION = 2
+_VERSION = 3
 _U32 = struct.Struct("<I")
 _HEADER = struct.Struct("<BII")  # version, k, object count
-_EMPTY_SECTION = _U32.pack(0)
 
 
 @dataclass(frozen=True)
@@ -397,66 +399,55 @@ def parse_object_file(source: str | IO[str] | Iterable[str]) -> list[int]:
     return out
 
 
-class _PackedPairs(dict):
-    """(idx, dist) -> its record bytes, each distinct pair packed on first use."""
+def _checksum(head: bytes, labels: LabelSet, vertices: tuple[int, ...]) -> int:
+    """CRC-32 of ``head``, carried on over the objects' labels.
 
-    def __missing__(self, pair: tuple[int, int]) -> bytes:
-        record = self[pair] = _PAIR.pack(*pair)
-        return record
-
-
-def _encode_sections(lists: list[list[tuple[int, int]]]) -> bytes:
-    """The RkNN sections of an index file: per hub a u32 count and its pairs.
-
-    A run of empty hubs is one repeated zero count, and each distinct
-    (idx, dist) pair is packed once (the hubs share few distinct pairs), so
-    the Python work follows the non-empty hubs and their pairs.
-    ``save_index`` writes these bytes and ``load_index`` compares the stored
-    ones against them.
+    Each object's hubs as u32 LE, then its distance bytes, in object order.
+    All hubs are packed in one call; little-endian keeps the value
+    independent of the host's byte order.
     """
-    record = _PackedPairs().__getitem__
-    parts: list[bytes] = []
-    after = 0  # the hub after the last non-empty one encoded
-    for h in compress(range(len(lists)), lists):
-        lst = lists[h]
-        parts.append(_EMPTY_SECTION * (h - after))
-        parts.append(_U32.pack(len(lst)))
-        parts += map(record, lst)
-        after = h + 1
-    parts.append(_EMPTY_SECTION * (len(lists) - after))
-    return b"".join(parts)
+    hubs = [labels.hubs[p] for p in vertices]
+    packed = memoryview(struct.pack(f"<{sum(map(len, hubs))}I", *chain.from_iterable(hubs)))
+    crc = zlib.crc32(head)
+    pos = 0
+    for p, hv in zip(vertices, hubs):
+        end = pos + _U32.size * len(hv)
+        crc = zlib.crc32(labels.dists[p], zlib.crc32(packed[pos:end], crc))
+        pos = end
+    return crc
 
 
 def save_index(index: OfflineIndex, sink: IO[bytes]) -> None:
-    """Serialize the query-time structures (kNN results + RkNN labels) in one write."""
+    """Serialize the objects and the kNN rows, with a checksum, in one write."""
     vertices = index.objects.vertices
     pack = _PAIR.pack
-    sink.write(b"".join([
+    head = b"".join([
         _MAGIC,
         _HEADER.pack(_VERSION, index.k, len(vertices)),
         struct.pack(f"<{len(vertices)}I", *vertices),
         b"".join(pack(idx, d) for row in index.knn_results.rows for idx, d in row),
-        _encode_sections(index.rknn_backward.lists),
-    ]))
+    ])
+    sink.write(head + _U32.pack(_checksum(head, index.labels, vertices)))
 
 
 def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
     """Read an index file and verify it belongs to the given labels.
 
-    The format carries no explicit fingerprint, so compatibility is checked
-    the hard way. Each kNN row's last entry, the k-th-neighbor distance the
-    queries read, must equal the label distance between its two objects.
-    The RkNN sections are then rebuilt from the labels, the objects and
-    those distances (substage 3), re-encoded, and the stored sections must
-    equal those bytes: one comparison, and only on a mismatch a walk of the
-    sections to name the first that differs. Mismatched, corrupt or
-    truncated inputs fail with FormatError. The index is bound to this
-    ``labels`` object, which ``rknn_query`` must be passed.
+    Checks, in order: the magic, version and header; the exact file length;
+    the objects' range and distinctness; each kNN row's range and distance
+    order, and that its last entry, the k-th-neighbor distance the queries
+    read, equals the label distance between its two objects; then the
+    trailing checksum, which covers the file and the objects' labels. Only
+    then is substage 3 rebuilt from the labels, the objects and the rows.
+    Mismatched, corrupt or truncated inputs fail with FormatError. The
+    index is bound to this ``labels`` object, which ``rknn_query`` must be
+    passed.
     """
     magic = _read_exact(source, 4)
     if magic != _MAGIC:
         raise FormatError(f"bad index-file magic {magic!r}")
-    version, k, obj_count = _HEADER.unpack(_read_exact(source, _HEADER.size))
+    header = _read_exact(source, _HEADER.size)
+    version, k, obj_count = _HEADER.unpack(header)
     if version != _VERSION:
         raise FormatError(f"unsupported index-file version {version}")
     n = labels.vertex_count
@@ -464,9 +455,11 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
         raise FormatError(f"index header has k={k} but only {obj_count} objects")
     data = source.read()
     rows_at = _U32.size * obj_count
-    sections_at = rows_at + obj_count * k * _PAIR.size
-    if len(data) < sections_at:
+    crc_at = rows_at + obj_count * k * _PAIR.size
+    if len(data) < crc_at + _U32.size:
         raise FormatError("truncated stream")
+    if len(data) > crc_at + _U32.size:
+        raise FormatError("trailing bytes after the index checksum")
 
     vertices = struct.unpack_from(f"<{obj_count}I", data)
     for v in vertices:
@@ -477,7 +470,7 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
     except ConfigError as exc:
         raise FormatError(str(exc)) from None
 
-    pairs = list(_PAIR.iter_unpack(data[rows_at:sections_at]))
+    pairs = list(_PAIR.iter_unpack(data[rows_at:crc_at]))
     rows = [pairs[i * k : (i + 1) * k] for i in range(obj_count)]
     for i, row in enumerate(rows):
         prev = -1
@@ -493,34 +486,12 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
                 f"kNN result row {i} does not match labels: object {idx} "
                 f"is not at distance {d}"
             )
+
+    (stored,) = _U32.unpack_from(data, crc_at)
+    if stored != _checksum(magic + header + data[:crc_at], labels, vertices):
+        raise FormatError(
+            "index checksum mismatch: the file is corrupt or was built from other labels"
+        )
     knn_results = KnnResultTable(k, rows)
-
     rknn_backward = build_rknn_backward_labels(labels, objects, knn_results)
-    stored = data[sections_at:]
-    expected = _encode_sections(rknn_backward.lists)
-    if stored != expected:
-        raise _section_mismatch(stored, expected, len(rknn_backward.lists))
     return OfflineIndex(objects, knn_results, rknn_backward, labels)
-
-
-def _section_mismatch(stored: bytes, expected: bytes, hubs: int) -> FormatError:
-    """The error for stored RkNN sections that differ from the expected ones.
-
-    Walks the stored sections in hub order; all sections before the first
-    that differs are equal, so both byte strings share its offset.
-    """
-    pos = 0
-    for h in range(hubs):
-        if pos + _U32.size > len(stored):
-            return FormatError("truncated stream")
-        (count,) = _U32.unpack_from(stored, pos)
-        end = pos + _U32.size + count * _PAIR.size
-        if end > len(stored):
-            return FormatError("truncated stream")
-        if stored[pos:end] != expected[pos:end]:
-            return FormatError(
-                f"RkNN section {h} does not match the one rebuilt from the "
-                f"labels and kNN rows"
-            )
-        pos = end
-    return FormatError("trailing bytes after the last RkNN section")

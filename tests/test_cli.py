@@ -171,10 +171,11 @@ def test_corrupted_labels_file_is_data_error(workspace, capsys):
     assert code == 2
 
 
-def test_version_1_index_file_is_data_error(workspace, capsys):
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_version_index_file_is_data_error(workspace, capsys, version):
     _pipeline(workspace)
     data = bytearray(open(workspace["index"], "rb").read())
-    data[4] = 1  # the version byte; v1 RkNN sections are not slack-ordered
+    data[4] = version  # the version byte; v1 and v2 store RkNN sections
     open(workspace["index"], "wb").write(bytes(data))
     capsys.readouterr()
     code = main(
@@ -188,7 +189,7 @@ def test_version_1_index_file_is_data_error(workspace, capsys):
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert "hubrknn: unsupported index-file version 1" in err
+    assert f"hubrknn: unsupported index-file version {version}" in err
     assert "Traceback" not in err
 
 

@@ -1,15 +1,17 @@
 import io
 import random
 import struct
+import zlib
+from functools import partial
 
 import pytest
 
 from hubrknn import (
     ConfigError,
     FormatError,
+    Graph,
     KnnResultTable,
     ObjectSet,
-    RknnBackwardLabels,
     batch_knn,
     bfs_distances,
     build_knn_backward_labels,
@@ -22,7 +24,6 @@ from hubrknn import (
     load_index,
     offline_preprocess,
     parse_object_file,
-    rknn_query,
     save_index,
     to_many_pairs,
 )
@@ -31,8 +32,10 @@ from hubrknn.labels import INFINITY
 from hubrknn.offline import _knn_row
 
 from fixtures import (
+    TREE14_EDGES,
     TREE14_KNN_BACKWARD_K1,
     TREE14_KNN_RESULTS_K1,
+    TREE14_OBJECTS,
     TREE14_RKNN_BACKWARD_K1,
     TREE14_RKNN_TOTAL_PAIRS,
     TREE14_TO_MANY_PAIRS,
@@ -74,20 +77,18 @@ def _index_bytes(index):
 
 
 def reference_save_index(index):
-    """The index file written field by field and one RkNN section per hub."""
-    sink = io.BytesIO()
-    sink.write(b"RHIX")
-    sink.write(struct.pack("<B", 2))
-    sink.write(struct.pack("<I", index.k))
-    sink.write(struct.pack("<I", len(index.objects)))
-    for v in index.objects.vertices:
-        sink.write(struct.pack("<I", v))
-    for row in index.knn_results.rows:
-        sink.write(b"".join(struct.pack("<IB", idx, d) for idx, d in row))
-    for lst in index.rknn_backward.lists:
-        sink.write(struct.pack("<I", len(lst)))
-        sink.write(b"".join(struct.pack("<IB", idx, d) for idx, d in lst))
-    return sink.getvalue()
+    """The v3 index file written field by field, its checksum by zlib.crc32."""
+    fields = [b"RHIX", struct.pack("<B", 3), struct.pack("<I", index.k)]
+    fields.append(struct.pack("<I", len(index.objects)))
+    fields += [struct.pack("<I", v) for v in index.objects.vertices]
+    fields += [struct.pack("<IB", idx, d) for row in index.knn_results.rows for idx, d in row]
+    data = b"".join(fields)
+    crc = zlib.crc32(data)
+    for p in index.objects.vertices:
+        for h in index.labels.hubs[p]:
+            crc = zlib.crc32(struct.pack("<I", h), crc)
+        crc = zlib.crc32(index.labels.dists[p], crc)
+    return data + struct.pack("<I", crc)
 
 
 def make_pa_instance(seed, objects=40):
@@ -140,8 +141,6 @@ def test_batch_knn_fixture_golden(tree14_labels, tree14_objects):
 
 
 def test_adjacent_pair_mutual_nn():
-    from hubrknn import Graph
-
     g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
     labels = build_pll_labels(g)
     obj = ObjectSet((0, 1))
@@ -321,28 +320,12 @@ def test_index_load_rejects_foreign_labels(tree14_labels, tree14_objects):
         load_index(io.BytesIO(sink.getvalue()), other_labels)
 
 
-def test_index_load_rejects_out_of_order_section(tree14_labels, tree14_objects):
-    index = offline_preprocess(tree14_labels, tree14_objects, 1)
-    sink = io.BytesIO()
-    save_index(index, sink)
-    data = sink.getvalue()
-    # hub 0's section follows the header, the objects and the kNN rows
-    start = 4 + 1 + 4 + 4 + 4 * 3 + 5 * 3 + 4
-    first, second = data[start:start + 5], data[start + 5:start + 10]
-    assert [first, second] == [struct.pack("<IB", 2, 3), struct.pack("<IB", 0, 1)]
-    swapped = data[:start] + second + first + data[start + 10:]
-    with pytest.raises(FormatError, match="section 0 "):
-        load_index(io.BytesIO(swapped), tree14_labels)
-
-
-def test_index_load_rejects_version_1(tree14_labels, tree14_objects):
-    index = offline_preprocess(tree14_labels, tree14_objects, 1)
-    sink = io.BytesIO()
-    save_index(index, sink)
-    data = bytearray(sink.getvalue())
-    assert data[4] == 2
-    data[4] = 1  # version 1 files hold the RkNN sections in object-index order
-    with pytest.raises(FormatError, match="version 1"):
+@pytest.mark.parametrize("version", [1, 2])
+def test_index_load_rejects_old_versions(tree14_labels, tree14_objects, version):
+    data = bytearray(_index_bytes(offline_preprocess(tree14_labels, tree14_objects, 1)))
+    assert data[4] == 3
+    data[4] = version  # versions 1 and 2 store RkNN sections and no checksum
+    with pytest.raises(FormatError, match=f"version {version}"):
         load_index(io.BytesIO(bytes(data)), tree14_labels)
 
 
@@ -354,7 +337,7 @@ def test_index_load_rejects_truncation(tree14_labels, tree14_objects):
         load_index(io.BytesIO(sink.getvalue()[:-1]), tree14_labels)
 
 
-def test_index_load_names_truncated_and_trailing_sections(tree14_labels, tree14_objects):
+def test_index_load_names_truncation_and_trailing_bytes(tree14_labels, tree14_objects):
     data = _index_bytes(offline_preprocess(tree14_labels, tree14_objects, 1))
     with pytest.raises(FormatError, match="truncated"):
         load_index(io.BytesIO(data[:-1]), tree14_labels)
@@ -362,15 +345,9 @@ def test_index_load_names_truncated_and_trailing_sections(tree14_labels, tree14_
         load_index(io.BytesIO(data + b"\0"), tree14_labels)
 
 
-def _tree14_index_bytes(index):
-    sink = io.BytesIO()
-    save_index(index, sink)
-    return sink.getvalue()
-
-
 def test_index_load_rejects_wrong_knn_row_distance(tree14_labels, tree14_objects):
-    data = bytearray(_tree14_index_bytes(offline_preprocess(tree14_labels, tree14_objects, 1)))
-    # object 2's row (k=1) is its last 5 bytes before the RkNN sections
+    data = bytearray(_index_bytes(offline_preprocess(tree14_labels, tree14_objects, 1)))
+    # object 2's row (k=1) is its last 5 bytes before the checksum
     pos = 4 + 1 + 4 + 4 + 4 * 3 + 5 * 2 + 4
     assert data[pos] == 4
     data[pos] = 5
@@ -378,36 +355,96 @@ def test_index_load_rejects_wrong_knn_row_distance(tree14_labels, tree14_objects
         load_index(io.BytesIO(bytes(data)), tree14_labels)
 
 
-def test_index_load_rejects_each_dropped_rknn_pair(tree14_labels, tree14_objects):
-    index = offline_preprocess(tree14_labels, tree14_objects, 1)
-    lists = index.rknn_backward.lists
-    dropped = 0
-    for h, lst in enumerate(lists):
-        for j in range(len(lst)):
-            fewer = [list(other) for other in lists]
-            del fewer[h][j]
-            index.rknn_backward = RknnBackwardLabels(fewer)
-            assert index.rknn_backward.total_pairs == TREE14_RKNN_TOTAL_PAIRS - 1
-            with pytest.raises(FormatError, match=f"section {h} "):
-                load_index(io.BytesIO(_tree14_index_bytes(index)), tree14_labels)
-            dropped += 1
-    assert dropped == TREE14_RKNN_TOTAL_PAIRS
+def _tree14(k):
+    return build_pll_labels(Graph.from_edges(TREE14_EDGES)), ObjectSet(TREE14_OBJECTS), k
 
 
-def test_index_load_rejects_every_single_byte_change(tree14_labels, tree14_objects):
-    data = _tree14_index_bytes(offline_preprocess(tree14_labels, tree14_objects, 1))
-    assert len(data) == 136
+def _sparse_pa30():
+    """PA 30/1 with 3 objects: most hubs keep no RkNN pair."""
+    labels = build_pll_labels(preferential_attachment_graph(30, 1, seed=0))
+    objects = ObjectSet(tuple(sorted(random.Random(1).sample(range(30), 3))))
+    return labels, objects, 1
+
+
+def _tied_pa40():
+    """PA 40/2 with 4 objects: an object has two others at its nearest
+    distance, so its row's last entry could name either."""
+    labels = build_pll_labels(preferential_attachment_graph(40, 2, seed=0))
+    objects = ObjectSet(tuple(sorted(random.Random(0).sample(range(40), 4))))
+    return labels, objects, 1
+
+
+@pytest.mark.parametrize(
+    "instance, size",
+    [
+        pytest.param(partial(_tree14, 1), 44, id="tree14-k1"),
+        pytest.param(partial(_tree14, 2), 59, id="tree14-k2"),
+        pytest.param(_sparse_pa30, 44, id="sparse-pa30"),
+        pytest.param(_tied_pa40, 53, id="tied-pa40"),
+    ],
+)
+def test_index_load_rejects_every_single_byte_change(instance, size):
+    """Every truncation and every single-byte change raises FormatError,
+    also in earlier kNN row entries (k=2) and in a last entry that ties."""
+    labels, objects, k = instance()
+    data = _index_bytes(offline_preprocess(labels, objects, k))
+    assert len(data) == size
     for pos in range(len(data)):
         with pytest.raises(FormatError):
-            load_index(io.BytesIO(data[:pos]), tree14_labels)
+            load_index(io.BytesIO(data[:pos]), labels)
         for delta in range(1, 256):
             changed = bytearray(data)
             changed[pos] = (changed[pos] + delta) % 256
             try:
-                load_index(io.BytesIO(bytes(changed)), tree14_labels)
+                load_index(io.BytesIO(bytes(changed)), labels)
             except FormatError:
                 continue
             pytest.fail(f"byte {pos} changed by {delta} loaded without error")
+
+
+def test_index_load_rejects_a_tied_swap_of_the_last_row_entry():
+    """A last row entry swapped for another object at the same distance
+    passes the row checks, and the checksum rejects it."""
+    labels, objects, k = _tied_pa40()
+    index = offline_preprocess(labels, objects, k)
+    vertices = objects.vertices
+    i, j = next(
+        (i, j)
+        for i, row in enumerate(index.knn_results.rows)
+        for j, v in enumerate(vertices)
+        if j not in (i, row[-1][0])
+        and hl_distance(labels, vertices[i], v) == index.knn_results.worst[i]
+    )
+    data = bytearray(_index_bytes(index))
+    struct.pack_into("<I", data, 13 + 4 * 4 + 5 * i, j)
+    with pytest.raises(FormatError, match="checksum"):
+        load_index(io.BytesIO(bytes(data)), labels)
+
+
+def test_index_load_rejects_labels_that_pass_the_row_check():
+    """Labels of the graph with six edges added keep every kNN row's last
+    distance, but the rows and RkNN lists they rebuild answer wrongly; the
+    checksum over the objects' labels rejects them."""
+    g = preferential_attachment_graph(120, 2, seed=0)
+    rng = random.Random(0)
+    adjacency = [set(nbrs) for nbrs in g.adjacency]
+    added = 0
+    while added < 6:
+        u, v = rng.sample(range(120), 2)
+        if v not in adjacency[u]:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+            added += 1
+    changed = build_pll_labels(Graph([sorted(a) for a in adjacency], g.raw_ids))
+    objects = ObjectSet(tuple(random.Random(0).sample(range(120), 12)))
+    index = offline_preprocess(build_pll_labels(g), objects, 2)
+    vertices = objects.vertices
+    for i, row in enumerate(index.knn_results.rows):
+        idx, d = row[-1]
+        assert hl_distance(changed, vertices[i], vertices[idx]) == d
+    assert offline_preprocess(changed, objects, 2).knn_results != index.knn_results
+    with pytest.raises(FormatError, match="checksum"):
+        load_index(io.BytesIO(_index_bytes(index)), changed)
 
 
 @pytest.fixture(scope="module")
@@ -443,64 +480,6 @@ def test_sparse_regrouping_and_encoding_match_dense_references(pa1800, density, 
     # few objects leave most hubs without a pair
     if density == 0.01:
         assert sum(not lst for lst in index.rknn_backward.lists) > g.vertex_count // 2
-
-
-def test_sparse_index_load_rejects_every_single_byte_change():
-    """A few objects on a small graph: most RkNN sections are empty, so the
-    file holds runs of zero counts. Every truncation and every single-byte
-    change raises FormatError.
-
-    No object here has two others at its nearest distance; with such a tie,
-    a swapped last row entry loads (next test).
-    """
-    g = preferential_attachment_graph(30, 1, seed=0)
-    labels = build_pll_labels(g)
-    objects = ObjectSet(tuple(sorted(random.Random(1).sample(range(30), 3))))
-    index = offline_preprocess(labels, objects, 1)
-    data = _index_bytes(index)
-    sections = data[13 + 4 * 3 + 5 * 3 :]
-    assert b"\0" * 8 in sections  # a run of two empty sections or more
-    assert sum(not lst for lst in index.rknn_backward.lists) > 20
-    vertices = objects.vertices
-    for i, p in enumerate(vertices):
-        at_worst = [hl_distance(labels, p, v) for v in vertices].count(index.knn_results.worst[i])
-        assert at_worst == 1
-    for pos in range(len(data)):
-        with pytest.raises(FormatError):
-            load_index(io.BytesIO(data[:pos]), labels)
-        for delta in range(1, 256):
-            changed = bytearray(data)
-            changed[pos] = (changed[pos] + delta) % 256
-            try:
-                load_index(io.BytesIO(bytes(changed)), labels)
-            except FormatError:
-                continue
-            pytest.fail(f"byte {pos} changed by {delta} loaded without error")
-
-
-def test_index_load_accepts_a_tied_swap_of_the_last_row_entry():
-    """Known gap: of a kNN row, only the last entry's distance is checked
-    against the labels. Its object index swapped for another object at the
-    same distance loads; queries read only the distance and answer alike."""
-    g = preferential_attachment_graph(40, 2, seed=0)
-    labels = build_pll_labels(g)
-    objects = ObjectSet(tuple(sorted(random.Random(0).sample(range(40), 4))))
-    index = offline_preprocess(labels, objects, 1)
-    vertices = objects.vertices
-    i, j = next(
-        (i, j)
-        for i, row in enumerate(index.knn_results.rows)
-        for j, v in enumerate(vertices)
-        if j not in (i, row[-1][0])
-        and hl_distance(labels, vertices[i], v) == index.knn_results.worst[i]
-    )
-    data = bytearray(_index_bytes(index))
-    struct.pack_into("<I", data, 13 + 4 * 4 + 5 * i, j)
-    loaded = load_index(io.BytesIO(bytes(data)), labels)
-    assert loaded.knn_results.rows[i] == [(j, index.knn_results.worst[i])]
-    assert loaded.knn_results != index.knn_results
-    for q in range(labels.vertex_count):
-        assert rknn_query(loaded, labels, q) == rknn_query(index, labels, q)
 
 
 # --- object file parsing ---
