@@ -43,6 +43,6 @@ from .offline import (
     to_many_pairs,
 )
 from .online import RknnAnswer, knn_query, rknn_query
-from .oracle import DistanceRow, bfs_distances, oracle_knn, oracle_rknn
+from .oracle import DistanceRow, bfs_distances, oracle_rknn
 
 __version__ = "0.1.0"

@@ -21,9 +21,10 @@ from typing import IO
 
 from .errors import ConfigError
 from .graph import Graph
-from .labels import LabelSet
+from .labels import INFINITY, LabelSet
 from .offline import IndexStats, ObjectSet, index_stats, offline_preprocess
 from .online import rknn_query
+from .oracle import bfs_distances
 
 log = logging.getLogger(__name__)
 
@@ -80,18 +81,6 @@ class SweepRecord:
 
 CSV_COLUMNS = [f.name for f in fields(SweepRecord)]
 
-# Wall-clock columns are excluded from determinism comparisons.
-TIME_COLUMNS = frozenset(
-    {
-        "knn_backward_ms",
-        "batch_knn_ms",
-        "rknn_labels_ms",
-        "offline_total_ms",
-        "online_mean_ms",
-        "online_median_ms",
-    }
-)
-
 
 def _ceil_count(fraction: float, n: int) -> int:
     # round() first so 0.1 * 40 = 4.000000000000001 still ceils to 4
@@ -118,9 +107,10 @@ def generate_ball_objects(
 ) -> ObjectSet:
     """Objects drawn from a BFS ball around a random root.
 
-    The ball holds ceil(ball * |V|) vertices; its last BFS level is truncated
-    deterministically by ascending vertex ID. The object set is then a
-    uniform subset of the ball of size ceil(density * |V|).
+    The ball is the first ceil(ball * |V|) vertices a BFS from the root
+    reaches, ordered by (distance, vertex ID), so its last level is cut by
+    ascending vertex ID. The object set is then a uniform subset of the
+    ball of size ceil(density * |V|).
     """
     n = graph.vertex_count
     ball_size = _ceil_count(ball, n)
@@ -133,30 +123,15 @@ def generate_ball_objects(
         )
     rng = random.Random(seed)
     root = rng.randrange(n)
-
-    members: list[int] = []
-    visited = [False] * n
-    visited[root] = True
-    level = [root]
-    while level and len(members) < ball_size:
-        quota = ball_size - len(members)
-        if len(level) > quota:
-            level = sorted(level)[:quota]
-        members.extend(level)
-        nxt = []
-        for v in level:
-            for w in graph.adjacency[v]:
-                if not visited[w]:
-                    visited[w] = True
-                    nxt.append(w)
-        level = nxt
-
-    if len(members) < ball_size:
+    dist = bfs_distances(graph, root).dist
+    reached = n - dist.count(INFINITY)
+    if reached < ball_size:
         raise ConfigError(
-            f"BFS from root {root} reached only {len(members)} of "
+            f"BFS from root {root} reached only {reached} of "
             f"{ball_size} requested ball vertices"
         )
-    members.sort()
+    # stable sort: the first ball_size vertices by (distance, vertex ID)
+    members = sorted(sorted(range(n), key=dist.__getitem__)[:ball_size])
     return ObjectSet(tuple(sorted(rng.sample(members, size))))
 
 

@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--index", required=True)
     p.add_argument("--vertex", required=True, type=int)
-    p.add_argument("--k", required=True, type=int)
+    p.add_argument("--k", type=int, help="default: the index's k")
 
     p = sub.add_parser("bench", help="run a parameter sweep, emit CSV")
     p.add_argument("--graph", required=True)
@@ -230,24 +230,21 @@ def _cmd_query(args) -> int:
 def _cmd_knn(args) -> int:
     graph, index = _load_indexed(args)
     q = graph.dense_id(args.vertex)
-    for idx, dist in knn_query(index.knn_backward, index.labels, q, args.k):
+    k = index.k if args.k is None else args.k
+    for idx, dist in knn_query(index.knn_backward, index.labels, q, k):
         raw = graph.raw_ids[index.objects.vertices[idx]]
         print(f"{raw}\t{dist}")
     return 0
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _parse_list(text: str, kind: type) -> tuple:
+    """A comma-separated list of ``kind`` (int or float) values."""
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok)
+        return tuple(kind(tok) for tok in text.split(",") if tok)
     except ValueError:
-        raise UsageError(f"expected a comma-separated float list, got {text!r}") from None
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok)
-    except ValueError:
-        raise UsageError(f"expected a comma-separated int list, got {text!r}") from None
+        raise UsageError(
+            f"expected a comma-separated {kind.__name__} list, got {text!r}"
+        ) from None
 
 
 def _cmd_bench(args) -> int:
@@ -258,9 +255,9 @@ def _cmd_bench(args) -> int:
     graph = _load_graph(args.graph)
     labels = _load_labels_checked(args.labels, graph)
     config = SweepConfig(
-        densities=_parse_floats(args.densities),
-        ks=_parse_ints(args.ks),
-        balls=_parse_floats(args.balls),
+        densities=_parse_list(args.densities, float),
+        ks=_parse_list(args.ks, int),
+        balls=_parse_list(args.balls, float),
         sets_per_point=args.sets,
         queries_per_set=args.queries,
         seed=args.seed,

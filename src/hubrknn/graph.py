@@ -72,9 +72,6 @@ class Graph:
             nbrs.sort()
         return cls(adjacency, raw_ids)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def avg_degree(self) -> float:
         return 2.0 * self.edge_count / self.vertex_count
 
@@ -150,13 +147,15 @@ def largest_connected_component(graph: Graph) -> Graph:
     n = graph.vertex_count
     visited = [False] * n
     best: list[int] = []
+    unvisited = n
     for start in range(n):
         if visited[start]:
             continue
         component = _bfs_collect(graph, start, visited)
+        unvisited -= len(component)
         if len(component) > len(best):
             best = component
-        if len(best) > n - sum(visited):  # no remaining component can win
+        if len(best) > unvisited:  # no remaining component can win
             break
     if len(best) == n:
         return graph

@@ -64,6 +64,7 @@ class ObjectSet:
         return len(self.vertices)
 
 
+@dataclass(slots=True, repr=False)
 class KnnBackwardLabels:
     """Per-hub lists of the k+1 nearest (objectIndex, dist) pairs.
 
@@ -71,59 +72,37 @@ class KnnBackwardLabels:
     ``knn_query`` accepts with them; equality compares ``k`` and the lists.
     """
 
-    __slots__ = ("k", "lists", "labels")
-
-    def __init__(self, k: int, lists: list[list[tuple[int, int]]], labels: LabelSet):
-        self.k = k
-        self.lists = lists  # hub -> [(idx, dist)] ascending by (dist, idx)
-        self.labels = labels
+    k: int
+    lists: list[list[tuple[int, int]]]  # hub -> [(idx, dist)] ascending by (dist, idx)
+    labels: LabelSet = field(compare=False)
 
     def total_pairs(self) -> int:
         return sum(len(lst) for lst in self.lists)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KnnBackwardLabels):
-            return NotImplemented
-        return self.k == other.k and self.lists == other.lists
 
-    __hash__ = None  # type: ignore[assignment]
-
-
+@dataclass(slots=True, repr=False)
 class KnnResultTable:
     """Row i holds object i's k nearest other objects, ascending by distance."""
 
-    __slots__ = ("k", "rows", "worst")
+    k: int
+    rows: list[list[tuple[int, int]]]
+    worst: list[int] = field(init=False, compare=False)  # k-th neighbor distance
 
-    def __init__(self, k: int, rows: list[list[tuple[int, int]]]):
-        self.k = k
-        self.rows = rows
-        self.worst = [row[-1][1] for row in rows]  # k-th neighbor distance
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KnnResultTable):
-            return NotImplemented
-        return self.k == other.k and self.rows == other.rows
-
-    __hash__ = None  # type: ignore[assignment]
+    def __post_init__(self):
+        self.worst = [row[-1][1] for row in self.rows]
 
 
+@dataclass(slots=True, repr=False)
 class RknnBackwardLabels:
     """Per-hub (objectIndex, dist) pairs surviving the k-th-neighbor filter."""
 
-    __slots__ = ("lists", "total_pairs")
+    # hub -> [(idx, dist)] ascending by (dist - worst[idx], idx), where
+    # worst[idx] is object idx's k-th-neighbor distance
+    lists: list[list[tuple[int, int]]]
+    total_pairs: int = field(init=False, compare=False)
 
-    def __init__(self, lists: list[list[tuple[int, int]]]):
-        # hub -> [(idx, dist)] ascending by (dist - worst[idx], idx), where
-        # worst[idx] is object idx's k-th-neighbor distance
-        self.lists = lists
-        self.total_pairs = sum(map(len, lists))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RknnBackwardLabels):
-            return NotImplemented
-        return self.lists == other.lists
-
-    __hash__ = None  # type: ignore[assignment]
+    def __post_init__(self):
+        self.total_pairs = sum(map(len, self.lists))
 
 
 @dataclass

@@ -33,9 +33,6 @@ class RknnAnswer:
         """(objectIndex, dist) for every finite entry, in index order."""
         return [(i, d) for i, d in enumerate(self.distances) if d < INFINITY]
 
-    def __len__(self) -> int:
-        return len(self.distances)
-
 
 def rknn_query(index: OfflineIndex, labels: LabelSet, q: int) -> RknnAnswer:
     """All objects having q among their k nearest objects, with distances.

@@ -1,8 +1,9 @@
-"""Brute-force BFS ground truth for distances, kNN, and reverse kNN.
+"""Brute-force BFS ground truth for distances and reverse kNN.
 
 Deliberately slow and simple: one BFS per object (or per vertex). Used by
 the test suite and exposed on the CLI behind ``query --oracle`` for
-debugging index results.
+debugging index results; ``bfs_distances`` also draws the bench's BFS
+balls.
 """
 
 from __future__ import annotations
@@ -34,17 +35,6 @@ def bfs_distances(graph: Graph, source: int) -> DistanceRow:
                 dist[w] = nd
                 queue.append(w)
     return DistanceRow(source, tuple(dist))
-
-
-def oracle_knn(
-    graph: Graph, objects: ObjectSet, i: int, k: int
-) -> list[tuple[int, int]]:
-    """Object i's k nearest other objects by BFS, ties by object index."""
-    row = bfs_distances(graph, objects.vertices[i]).dist
-    candidates = sorted(
-        (row[p], j) for j, p in enumerate(objects.vertices) if j != i and row[p] < INFINITY
-    )
-    return [(j, d) for d, j in candidates[:k]]
 
 
 def oracle_rknn(

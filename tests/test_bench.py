@@ -1,20 +1,66 @@
 import io
 import math
+import random
 
 import pytest
 
-from hubrknn import ConfigError, bfs_distances, build_pll_labels
+from hubrknn import INFINITY, ConfigError, Graph, ObjectSet, bfs_distances, build_pll_labels
 from hubrknn.bench import (
     CSV_COLUMNS,
-    TIME_COLUMNS,
     SweepConfig,
+    _ceil_count,
     generate_ball_objects,
     generate_random_objects,
     run_sweep,
 )
 
 from fixtures import TREE14_RKNN_TOTAL_PAIRS, TREE14_TO_MANY_PAIRS
-from graphgen import random_connected_graph
+from graphgen import preferential_attachment_graph, random_connected_graph
+
+# Wall-clock columns are excluded from determinism comparisons.
+TIME_COLUMNS = frozenset(
+    {
+        "knn_backward_ms",
+        "batch_knn_ms",
+        "rknn_labels_ms",
+        "offline_total_ms",
+        "online_mean_ms",
+        "online_median_ms",
+    }
+)
+
+
+def reference_ball_objects(graph: Graph, density: float, ball: float, seed: int) -> ObjectSet:
+    """``generate_ball_objects`` as a level-by-level BFS: every full level
+    joins the ball, and the last one is cut by ascending vertex ID."""
+    n = graph.vertex_count
+    ball_size = _ceil_count(ball, n)
+    size = _ceil_count(density, n)
+    rng = random.Random(seed)
+    root = rng.randrange(n)
+    members: list[int] = []
+    visited = [False] * n
+    visited[root] = True
+    level = [root]
+    while level and len(members) < ball_size:
+        quota = ball_size - len(members)
+        if len(level) > quota:
+            level = sorted(level)[:quota]
+        members.extend(level)
+        nxt = []
+        for v in level:
+            for w in graph.adjacency[v]:
+                if not visited[w]:
+                    visited[w] = True
+                    nxt.append(w)
+        level = nxt
+    if len(members) < ball_size:
+        raise ConfigError(
+            f"BFS from root {root} reached only {len(members)} of "
+            f"{ball_size} requested ball vertices"
+        )
+    members.sort()
+    return ObjectSet(tuple(sorted(rng.sample(members, size))))
 
 
 def test_random_objects_full_density(tree14):
@@ -57,15 +103,46 @@ def test_ball_objects_stay_within_radius():
     g = random_connected_graph(200, 300, seed=6)
     obj = generate_ball_objects(g, 0.05, 0.2, seed=6)
     # recover the root the generator drew, then bound member depth
-    import random as _random
-
-    from hubrknn.bench import _ceil_count
-
-    root = _random.Random(6).randrange(200)
+    root = random.Random(6).randrange(200)
     row = bfs_distances(g, root).dist
     ball_size = _ceil_count(0.2, 200)
     radius = sorted(row)[ball_size - 1]
     assert all(row[v] <= radius for v in obj.vertices)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        preferential_attachment_graph(300, 3, seed=11),
+        preferential_attachment_graph(500, 1, seed=12),
+        random_connected_graph(400, 100, seed=13),
+        random_connected_graph(250, 0, seed=14),
+    ],
+    ids=["pa300x3", "pa500x1", "random400", "tree250"],
+)
+def test_ball_objects_match_the_level_by_level_bfs(graph):
+    n = graph.vertex_count
+    cut = 0  # cases whose ball ends inside a BFS level
+    for seed in range(12):
+        for density, ball in [(0.01, 0.05), (0.02, 0.13), (0.05, 0.3), (0.1, 0.5), (0.2, 1.0)]:
+            got = generate_ball_objects(graph, density, ball, seed)
+            assert got == reference_ball_objects(graph, density, ball, seed)
+            root = random.Random(seed).randrange(n)
+            dist = bfs_distances(graph, root).dist
+            radius = sorted(dist)[_ceil_count(ball, n) - 1]
+            cut += sum(d <= radius for d in dist) > _ceil_count(ball, n)
+    assert cut > 0
+
+
+def test_ball_objects_name_the_unreached_vertices():
+    # a 6-vertex path plus a separate 4-vertex path: no ball of 8 exists
+    g = Graph.from_edges([(v, v + 1) for v in range(5)] + [(v, v + 1) for v in range(10, 13)])
+    for seed in range(4):
+        with pytest.raises(ConfigError) as want:
+            reference_ball_objects(g, 0.2, 0.8, seed)
+        with pytest.raises(ConfigError) as got:
+            generate_ball_objects(g, 0.2, 0.8, seed)
+        assert str(got.value) == str(want.value)
 
 
 def test_ball_objects_rejects_undersized_ball(tree14):

@@ -110,6 +110,38 @@ def test_knn_subcommand(workspace, capsys):
     assert capsys.readouterr().out.splitlines() == ["4\t3"]
 
 
+def test_knn_k_defaults_to_the_index_k(workspace, capsys):
+    assert main(["build", "--graph", workspace["graph"], "--out", workspace["labels"]]) == 0
+    preprocess = [
+        "preprocess",
+        "--graph", workspace["graph"],
+        "--labels", workspace["labels"],
+        "--objects", workspace["objects"],
+        "--k", "2",
+        "--out", workspace["index"],
+    ]
+    assert main(preprocess) == 0
+    knn = [
+        "knn",
+        "--graph", workspace["graph"],
+        "--labels", workspace["labels"],
+        "--index", workspace["index"],
+        "--vertex", "9",
+    ]
+    capsys.readouterr()
+    assert main(knn) == 0
+    assert capsys.readouterr().out.splitlines() == ["4\t3", "10\t4"]
+    assert main(knn + ["--k", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["4\t3", "10\t4"]
+    assert main(knn + ["--k", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["4\t3"]
+    for bad in ("0", "3"):
+        assert main(knn + ["--k", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"hubrknn: k={bad} outside [1, 2]" in captured.err
+
+
 def test_stats_reports_label_counts(workspace, capsys):
     _pipeline(workspace)
     capsys.readouterr()
@@ -303,3 +335,24 @@ def test_bench_subcommand_writes_csv(workspace, tmp_path, capsys):
     assert len(lines) == 2
     assert lines[0].startswith("graph,density,k,ball")
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "option, value, kind",
+    [("--densities", "0.1,x", "float"), ("--ks", "1,2.5", "int"), ("--balls", "one", "float")],
+)
+def test_bench_rejects_a_malformed_list(workspace, capsys, option, value, kind):
+    assert main(["build", "--graph", workspace["graph"], "--out", workspace["labels"]]) == 0
+    capsys.readouterr()
+    code = main(
+        [
+            "bench",
+            "--graph", workspace["graph"],
+            "--labels", workspace["labels"],
+            option, value,
+            "--out", "-",
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"hubrknn: expected a comma-separated {kind} list, got {value!r}" in err

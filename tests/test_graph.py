@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -96,7 +97,7 @@ def test_parse_empty_input_rejected():
 
 def test_degree_sum_matches_edge_count():
     g = random_connected_graph(64, 100, seed=7)
-    assert sum(g.degree(v) for v in range(g.vertex_count)) == 2 * g.edge_count
+    assert sum(len(g.adjacency[v]) for v in range(g.vertex_count)) == 2 * g.edge_count
 
 
 def test_roundtrip_fixture(tree14):
@@ -129,11 +130,13 @@ def test_lcc_identity_on_connected_input():
 
 
 def test_lcc_keeps_larger_component():
-    g = parse_edge_list("0 1\n1 2\n8 9")
-    lcc = largest_connected_component(g)
-    assert lcc.vertex_count == 3
-    assert lcc.raw_ids == [0, 1, 2]
-    assert is_connected(lcc)
+    # the larger component first, then last: the early stop must not cut it
+    for text in ("0 1\n1 2\n8 9", "8 9\n0 1\n1 2"):
+        g = parse_edge_list(text)
+        lcc = largest_connected_component(g)
+        assert lcc.vertex_count == 3
+        assert lcc.raw_ids == [0, 1, 2]
+        assert is_connected(lcc)
 
 
 def test_lcc_tie_goes_to_smallest_dense_id():
@@ -152,6 +155,16 @@ def test_lcc_output_connected_on_random_multicomponent():
     lcc = largest_connected_component(g)
     assert lcc.vertex_count == 4
     assert is_connected(lcc)
+
+
+def test_lcc_is_linear_in_the_component_count():
+    # 20,000 two-vertex components: one pass over them takes well under
+    # 0.1 s, and a rescan of the visited flags per component several seconds
+    g = Graph.from_edges((2 * i, 2 * i + 1) for i in range(20_000))
+    t0 = time.perf_counter()
+    lcc = largest_connected_component(g)
+    assert time.perf_counter() - t0 < 2.0
+    assert lcc.raw_ids == [0, 1]  # all tie; the smallest dense ID wins
 
 
 def test_degree_ordering_star_center_first():

@@ -10,6 +10,7 @@ from hubrknn import (
     ConfigError,
     FormatError,
     Graph,
+    KnnBackwardLabels,
     KnnResultTable,
     ObjectSet,
     batch_knn,
@@ -255,6 +256,29 @@ def test_offline_preprocess_idempotent(tree14_labels, tree14_objects):
     assert a.knn_results == b.knn_results
     assert a.rknn_backward == b.rknn_backward
     assert a.knn_backward == b.knn_backward
+
+
+def test_offline_values_compare_by_content_and_stay_unhashable(tree14, tree14_objects):
+    # the kNN backward labels compare k and their lists, not the label set
+    # they were built from
+    a_labels, b_labels = build_pll_labels(tree14), build_pll_labels(tree14)
+    assert a_labels == b_labels and a_labels is not b_labels
+    a = offline_preprocess(a_labels, tree14_objects, 1)
+    b = offline_preprocess(b_labels, tree14_objects, 1)
+    assert a.knn_backward.labels is not b.knn_backward.labels
+    assert a.knn_backward == b.knn_backward
+    unequal = build_pll_labels(Graph.from_edges([(0, 1)]))
+    assert KnnBackwardLabels(1, a.knn_backward.lists, unequal) == a.knn_backward
+    assert a.knn_results == b.knn_results
+    assert a.rknn_backward == b.rknn_backward
+    c = offline_preprocess(a_labels, tree14_objects, 2)
+    assert c.knn_backward != a.knn_backward
+    assert c.knn_results != a.knn_results
+    assert c.rknn_backward != a.rknn_backward
+    for value in (a.knn_backward, a.knn_results, a.rknn_backward):
+        assert type(value).__hash__ is None
+        with pytest.raises(TypeError):
+            hash(value)
 
 
 def test_epsilon_bounds(tree14_labels, tree14_objects):

@@ -7,7 +7,6 @@ from hubrknn import (
     bfs_distances,
     build_pll_labels,
     hl_distance,
-    oracle_knn,
     oracle_rknn,
     parse_edge_list,
 )
@@ -39,6 +38,17 @@ def test_bfs_edge_difference_invariant():
     for v in range(g.vertex_count):
         for w in g.adjacency[v]:
             assert abs(row[v] - row[w]) <= 1
+
+
+def oracle_knn(
+    graph: Graph, objects: ObjectSet, i: int, k: int
+) -> list[tuple[int, int]]:
+    """Object i's k nearest other objects by BFS, ties by object index."""
+    row = bfs_distances(graph, objects.vertices[i]).dist
+    candidates = sorted(
+        (row[p], j) for j, p in enumerate(objects.vertices) if j != i and row[p] < INFINITY
+    )
+    return [(j, d) for d, j in candidates[:k]]
 
 
 def test_oracle_knn_fixture(tree14, tree14_objects):

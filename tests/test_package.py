@@ -3,8 +3,10 @@
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
+from collections import Counter
 
 import hubrknn
 
@@ -43,3 +45,62 @@ def test_cli_import_leaves_bench_unloaded():
         timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) for each module-level function, class and constant, and
+    each method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield item.name, item
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+def _names(tree: ast.AST) -> Counter:
+    """Every identifier ``tree`` reads or writes as a name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_package_definition_is_used():
+    """Nothing in the package exists only for the tests, or for nobody.
+
+    A definition counts as used when its name appears as a name or an
+    attribute outside the definition itself, in the package or the
+    benchmark, or as an identifier in one of the README's code blocks.
+    Imports and prose do not count, so a re-export from ``__init__`` or a
+    mention in a docstring keeps nothing alive.
+    """
+    modules = {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for folder in ("src/hubrknn", "perfbench")
+        for path in sorted((REPO / folder).rglob("*.py"))
+    }
+    uses = sum(map(_names, modules.values()), Counter())
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```.*?```", readme, re.S):
+        uses.update(re.findall(r"[A-Za-z_]\w*", block))
+    unused = [
+        f"{path.name}:{node.lineno} {name}"
+        for path, tree in modules.items()
+        if path.is_relative_to(REPO / "src")
+        for name, node in _definitions(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+        and uses[name] == _names(node)[name]
+    ]
+    assert unused == []
