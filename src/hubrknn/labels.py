@@ -1,14 +1,15 @@
 """Two-hop hub labels: pruned landmark labeling, distance queries, file I/O.
 
-Every vertex carries a hub-sorted array of (hub, distance) pairs such that
-any two vertices share at least one hub lying on a shortest path between
-them (the cover property). A vertex-to-vertex distance query is then a
-single merge sweep over two sorted arrays.
+Every vertex carries an array of (hub, distance) pairs such that any two
+vertices share at least one hub on a shortest path between them (the cover
+property). Labels are distance-major, in memory and in the label file: the
+own pair (v, 0) first, then strictly ascending by (distance, hub).
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from typing import IO
 
 from .errors import ConfigError, FormatError
@@ -22,18 +23,20 @@ INFINITY = 1 << 30
 MAX_DIST = 255
 
 _MAGIC = b"RHUB"
-_VERSION = 1
+_VERSION = 2
+_HEADER = struct.Struct("<4sBQ")  # magic, version, vertex count
 _PAIR = struct.Struct("<IB")
-_HEAD_COUNT = struct.Struct("<I")
+_U32 = struct.Struct("<I")  # a label's pair count; the trailing checksum
 # A label holds at least its own pair: a 4-byte count and one 5-byte pair.
-_MIN_LABEL_SIZE = _HEAD_COUNT.size + _PAIR.size
+_MIN_LABEL_SIZE = _U32.size + _PAIR.size
 
 
 class LabelSet:
     """Per-vertex hub labels: a hub list and a distance byte string each.
 
-    ``hubs[v]`` is a strictly ascending ``list[int]``; ``dists[v]`` is a
-    ``bytes`` aligned with it, one byte per pair as in the label file.
+    ``hubs[v]`` is a ``list[int]``; ``dists[v]`` is a ``bytes`` aligned with
+    it, one byte per pair as in the label file. Pairs are in (dist, hub)
+    order from ``(v, 0)``, so a sweep meets the nearest hubs first.
     Indexing ``bytes`` returns cached small ints, so a sweep reads both alike.
     Labels from ``build_pll_labels`` and ``load_labels`` also point to one
     int object per hub, so a pair costs a list slot and a distance byte.
@@ -130,99 +133,98 @@ def build_pll_labels(graph: Graph, ordering: VertexOrdering | None = None) -> La
             seen |= level
             d += 1
 
-    # Labels were appended in landmark order; queries need hub order. The
-    # hubs stay the shared ``root`` int objects.
+    # Labels were appended in landmark order; the sweeps read them in
+    # (dist, hub) order. The hubs stay the shared ``root`` int objects.
     for v in range(n):
-        pairs = sorted(zip(hubs[v], dists[v]))
-        hubs[v] = [h for h, _ in pairs]
-        dists[v] = bytes(d for _, d in pairs)
+        pairs = sorted(zip(dists[v], hubs[v]))
+        hubs[v] = [h for _, h in pairs]
+        dists[v] = bytes(d for d, _ in pairs)
 
     return LabelSet(hubs, dists)
 
 
 def hl_distance(labels: LabelSet, s: int, t: int) -> int:
-    """Minimum of dist(s,h) + dist(h,t) over common hubs; INFINITY if none."""
+    """Minimum of dist(s,h) + dist(h,t) over common hubs; INFINITY if none.
+
+    Each of t's hubs is looked up in s's label.
+    """
     n = labels.vertex_count
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError(f"vertex pair ({s}, {t}) out of range for {n} vertices")
-    hs, ds = labels.hubs[s], labels.dists[s]
-    ht, dt = labels.hubs[t], labels.dists[t]
+    to_s = dict(zip(labels.hubs[s], labels.dists[s]))
     best = INFINITY
-    i = j = 0
-    ls, lt = len(hs), len(ht)
-    while i < ls and j < lt:
-        a, b = hs[i], ht[j]
-        if a == b:
-            cand = ds[i] + dt[j]
-            if cand < best:
-                best = cand
-            i += 1
-            j += 1
-        elif a < b:
-            i += 1
-        else:
-            j += 1
+    for h, d in zip(labels.hubs[t], labels.dists[t]):
+        if d >= best:
+            break  # t's label ascends by distance: no later hub does better
+        via = to_s.get(h, INFINITY) + d
+        if via < best:
+            best = via
     return best
 
 
 def save_labels(labels: LabelSet, sink: IO[bytes]) -> None:
-    """Serialize to the binary label format (see README for the layout)."""
-    sink.write(_MAGIC)
-    sink.write(struct.pack("<B", _VERSION))
-    sink.write(struct.pack("<Q", labels.vertex_count))
+    """Serialize to the binary label format (see README), in one write."""
     pack = _PAIR.pack
-    for v in range(labels.vertex_count):
-        hv, dv = labels.hubs[v], labels.dists[v]
-        sink.write(_HEAD_COUNT.pack(len(hv)))
-        sink.write(b"".join(pack(h, d) for h, d in zip(hv, dv)))
+    data = bytearray(_HEADER.pack(_MAGIC, _VERSION, labels.vertex_count))
+    for hv, dv in zip(labels.hubs, labels.dists):
+        data += _U32.pack(len(hv))
+        data += b"".join(map(pack, hv, dv))  # one label's pairs live at a time
+    data += _U32.pack(zlib.crc32(data))
+    sink.write(data)
 
 
 def load_labels(source: IO[bytes]) -> LabelSet:
     """Read and validate a label file; FormatError on any corruption.
 
-    Every hub is mapped to one shared int object per vertex, and each
-    label's distances are the distance bytes of its pairs.
+    The checksum is checked first. Each label must then start with (v, 0),
+    and every later pair have distance >= 1, ascend strictly by (dist, hub)
+    and name a distinct hub in range. Every hub is mapped to one shared int
+    object per vertex; a label's distances are its pairs' distance bytes.
     """
-    magic = _read_exact(source, 4)
-    if magic != _MAGIC:
-        raise FormatError(f"bad label-file magic {magic!r}")
-    (version,) = struct.unpack("<B", _read_exact(source, 1))
-    if version != _VERSION:
-        raise FormatError(f"unsupported label-file version {version}")
-    (n,) = struct.unpack("<Q", _read_exact(source, 8))
     data = source.read()
-    size = len(data)
+    if data[:4] != _MAGIC:
+        raise FormatError(f"bad label-file magic {data[:4]!r}")
+    if len(data) > 4 and data[4] != _VERSION:
+        raise FormatError(f"unsupported label-file version {data[4]}")
+    size = len(data) - _U32.size  # where the checksum starts
+    if size < _HEADER.size:
+        raise FormatError("truncated stream")
+    if _U32.unpack_from(data, size)[0] != zlib.crc32(memoryview(data)[:size]):
+        raise FormatError("label-file checksum mismatch: the file is corrupt or truncated")
+    n = _HEADER.unpack_from(data)[2]
+    pos = _HEADER.size
     # Bound n by the bytes present before allocating anything per vertex.
-    if n * _MIN_LABEL_SIZE > size:
-        raise FormatError(f"truncated stream: {n} labels cannot fit in {size} bytes")
+    if pos + n * _MIN_LABEL_SIZE > size:
+        raise FormatError(f"truncated stream: {n} labels cannot fit in {size - pos} bytes")
     shared = list(range(n))
     hubs: list[list[int]] = []
     dists: list[bytes] = []
-    pos = 0
     for v in range(n):
-        (count,) = _HEAD_COUNT.unpack_from(data, pos)
-        start = pos + _HEAD_COUNT.size
+        (count,) = _U32.unpack_from(data, pos)
+        start = pos + _U32.size
         pos = start + count * _PAIR.size
         # the labels after this one need their minimum size too
         if pos + (n - 1 - v) * _MIN_LABEL_SIZE > size:
             raise FormatError("truncated stream")
-        hv: list[int] = []
-        prev = -1
-        own = False  # the cover property for (v, v) needs (v, 0)
-        for h, d in _PAIR.iter_unpack(data[start:pos]):
-            if h <= prev:
-                raise FormatError(f"label of vertex {v} is not strictly hub-sorted")
-            if h >= n:
-                raise FormatError(f"label of vertex {v} names hub {h} >= {n}")
-            if not d:
-                if h != v:
-                    raise FormatError(f"label of vertex {v} has hub {h} at distance 0")
-                own = True
-            prev = h
-            hv.append(shared[h])
-        if not own:
-            # hubs ascend strictly, so (v, d) with d > 0 also ends here
-            raise FormatError(f"label of vertex {v} lacks its own pair ({v}, 0)")
+        pairs = _PAIR.iter_unpack(data[start:pos])
+        if next(pairs, None) != (v, 0):
+            raise FormatError(f"label of vertex {v} does not start with its own pair ({v}, 0)")
+        hv = [shared[v]]
+        ph, pd = -1, 1  # so a later pair at distance 0 is out of order
+        try:
+            for h, d in pairs:
+                if d != pd:
+                    if d < pd:
+                        raise FormatError(f"label of vertex {v} has ({h}, {d}) out of order")
+                    pd = d
+                elif h <= ph:
+                    raise FormatError(f"label of vertex {v} has ({h}, {d}) out of order")
+                ph = h
+                hv.append(shared[h])
+        except IndexError:  # shared[h] with h >= n
+            raise FormatError(f"label of vertex {v} names hub {h} >= {n}") from None
+        if len(set(hv)) != count:
+            raise FormatError(f"label of vertex {v} names a hub twice")
         hubs.append(hv)
         # the distances are each pair's last byte
         dists.append(data[start + _PAIR.size - 1 : pos : _PAIR.size])
@@ -230,9 +232,3 @@ def load_labels(source: IO[bytes]) -> LabelSet:
         raise FormatError("trailing bytes after the last label")
     return LabelSet(hubs, dists)
 
-
-def _read_exact(source: IO[bytes], nbytes: int) -> bytes:
-    buf = source.read(nbytes)
-    if len(buf) != nbytes:
-        raise FormatError("truncated stream")
-    return buf

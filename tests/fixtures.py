@@ -75,5 +75,9 @@ def as_hub_dict(lists):
 
 
 def label_pairs(labels, v):
-    """Vertex v's label as (hub, dist) pairs, ascending by hub."""
-    return list(zip(labels.hubs[v], labels.dists[v]))
+    """Vertex v's label as (hub, dist) pairs, ascending by hub.
+
+    Labels are stored in (dist, hub) order; hub order keeps the goldens
+    above and the reference comparisons independent of that order.
+    """
+    return sorted(zip(labels.hubs[v], labels.dists[v]))

@@ -203,12 +203,12 @@ def test_corrupted_labels_file_is_data_error(workspace, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_old_version_index_file_is_data_error(workspace, capsys, version):
+def _query_with_version(workspace, capsys, path, version):
+    """Exit code and stderr of a query after the file's version byte is set."""
     _pipeline(workspace)
-    data = bytearray(open(workspace["index"], "rb").read())
-    data[4] = version  # the version byte; v1 and v2 store RkNN sections
-    open(workspace["index"], "wb").write(bytes(data))
+    data = bytearray(open(path, "rb").read())
+    data[4] = version
+    open(path, "wb").write(bytes(data))
     capsys.readouterr()
     code = main(
         [
@@ -219,9 +219,23 @@ def test_old_version_index_file_is_data_error(workspace, capsys, version):
             "--vertex", "0",
         ]
     )
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_old_version_index_file_is_data_error(workspace, capsys, version):
+    # v1 and v2 store RkNN sections; v3 checksums the labels in hub order
+    code, err = _query_with_version(workspace, capsys, workspace["index"], version)
     assert code == 2
-    err = capsys.readouterr().err
     assert f"hubrknn: unsupported index-file version {version}" in err
+    assert "Traceback" not in err
+
+
+def test_old_version_label_file_is_data_error(workspace, capsys):
+    # v1 stores labels in hub order with no checksum
+    code, err = _query_with_version(workspace, capsys, workspace["labels"], 1)
+    assert code == 2
+    assert "hubrknn: unsupported label-file version 1" in err
     assert "Traceback" not in err
 
 

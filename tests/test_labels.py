@@ -3,6 +3,7 @@ import io
 import random
 import struct
 import tracemalloc
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,11 @@ def reference_pll(graph, ordering):
     return LabelSet(hubs, dists)
 
 
+def all_pairs(labels):
+    """Every label as (hub, dist) pairs in hub order, whatever the stored order."""
+    return [label_pairs(labels, v) for v in range(labels.vertex_count)]
+
+
 def random_ordering(graph, seed):
     order = list(range(graph.vertex_count))
     random.Random(seed).shuffle(order)
@@ -120,7 +126,7 @@ def test_build_matches_reference_pll(name, order_seed):
         ordering = random_ordering(g, order_seed)
     labels = build_pll_labels(g, ordering)
     expected = reference_pll(g, ordering)
-    assert labels == expected
+    assert all_pairs(labels) == all_pairs(expected)
     assert labels.total_pairs == expected.total_pairs
 
 
@@ -134,8 +140,33 @@ def test_build_matches_reference_on_random_graphs(n, edge_count, seed):
     ordering = random_ordering(g, seed)
     labels = build_pll_labels(g, ordering)
     expected = reference_pll(g, ordering)
-    assert labels == expected
+    assert all_pairs(labels) == all_pairs(expected)
     assert labels.total_pairs == expected.total_pairs
+
+
+def _assert_distance_major(labels):
+    """Each label starts with (v, 0) and ascends strictly by (dist, hub)."""
+    for v in range(labels.vertex_count):
+        pairs = list(zip(labels.dists[v], labels.hubs[v]))
+        assert pairs[0] == (0, v)
+        assert all(a < b for a, b in zip(pairs, pairs[1:]))
+        assert 0 not in labels.dists[v][1:]
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=60, deadline=None)
+def test_built_and_loaded_labels_are_distance_major(seed):
+    n = 2 + seed % 90
+    if seed % 2:
+        g = preferential_attachment_graph(n, 1 + seed % 5, seed=seed)
+    else:
+        g = random_connected_graph(n, seed % 150, seed=seed)
+    built = build_pll_labels(g, random_ordering(g, seed))
+    _assert_distance_major(built)
+    loaded = load_labels(io.BytesIO(_saved(built)))
+    _assert_distance_major(loaded)
+    _assert_compact(loaded)
+    assert loaded == built
 
 
 def test_single_vertex_label():
@@ -289,80 +320,123 @@ def test_loaded_labels_stay_compact():
     assert retained / labels.total_pairs < 15
 
 
+def _saved(labels):
+    sink = io.BytesIO()
+    save_labels(labels, sink)
+    return sink.getvalue()
+
+
+def _with_label(labels, v, pairs):
+    """A copy of ``labels`` with vertex v's label replaced, pairs kept in order."""
+    hubs, dists = list(labels.hubs), list(labels.dists)
+    hubs[v] = [h for h, _ in pairs]
+    dists[v] = bytes(d for _, d in pairs)
+    return LabelSet(hubs, dists)
+
+
+def _load_error(labels):
+    """The FormatError message of loading ``labels`` as written by save_labels."""
+    with pytest.raises(FormatError) as err:
+        load_labels(io.BytesIO(_saved(labels)))
+    return str(err.value)
+
+
 def test_load_rejects_hostile_vertex_count():
-    """A header claiming 2**40 vertices allocates nothing per vertex."""
-    data = b"RHUB\x01" + struct.pack("<Q", 2**40) + struct.pack("<IIB", 1, 0, 0)
+    """A header claiming 2**40 vertices, checksum intact, allocates nothing per vertex."""
+    data = b"RHUB\x02" + struct.pack("<Q", 2**40) + struct.pack("<IIB", 1, 0, 0)
+    data += struct.pack("<I", zlib.crc32(data))
 
     def attempt():
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as err:
             load_labels(io.BytesIO(data))
+        assert f"{2**40} labels cannot fit" in str(err.value)
 
     _, _, peak = _traced(attempt)
     assert peak < 1 << 20
 
 
 def test_load_rejects_corrupted_magic(tree14_labels):
-    sink = io.BytesIO()
-    save_labels(tree14_labels, sink)
-    data = bytearray(sink.getvalue())
+    data = bytearray(_saved(tree14_labels))
     data[0] ^= 0xFF
     with pytest.raises(FormatError):
         load_labels(io.BytesIO(bytes(data)))
 
 
 def test_load_rejects_truncation(tree14_labels):
-    sink = io.BytesIO()
-    save_labels(tree14_labels, sink)
-    data = sink.getvalue()
+    data = _saved(tree14_labels)
     for size in range(len(data)):  # cuts inside and between labels alike
         with pytest.raises(FormatError):
             load_labels(io.BytesIO(data[:size]))
 
 
-def test_load_rejects_unsorted_label(tree14_labels):
-    sink = io.BytesIO()
-    save_labels(tree14_labels, sink)
-    data = bytearray(sink.getvalue())
-    # vertex 0 has one pair (hub 0) right after the 4-byte count at offset 13;
-    # bump its hub above vertex 1's first hub... simpler: swap vertex 1's two
-    # pairs, which makes its hubs descend.
-    base = 13 + 4 + 5 + 4  # header, v0 count, v0 pair, v1 count
-    pair1, pair2 = data[base : base + 5], data[base + 5 : base + 10]
-    data[base : base + 5], data[base + 5 : base + 10] = pair2, pair1
-    with pytest.raises(FormatError) as err:
+def test_load_rejects_every_single_byte_change(tree14_labels):
+    """Every byte of the file, set to each of its 255 other values, fails."""
+    data = _saved(tree14_labels)
+    assert len(data) == 13 + 4 * 14 + 5 * TREE14_TOTAL_PAIRS + 4
+    bad = bytearray(data)
+    for pos, old in enumerate(data):
+        for new in range(256):
+            if new != old:
+                bad[pos] = new
+                with pytest.raises(FormatError) as err:
+                    load_labels(io.BytesIO(bad))
+                # past the magic and the version byte, the checksum catches it
+                assert pos < 5 or "checksum mismatch" in str(err.value)
+        bad[pos] = old
+
+
+def test_load_rejects_old_label_version(tree14_labels):
+    data = bytearray(_saved(tree14_labels))
+    assert data[4] == 2
+    data[4] = 1  # version 1 stored labels in hub order with no checksum
+    with pytest.raises(FormatError, match="unsupported label-file version 1"):
         load_labels(io.BytesIO(bytes(data)))
-    assert "sorted" in str(err.value)
+
+
+def test_load_rejects_unsorted_label(tree14_labels):
+    """Pairs out of (dist, hub) order, within one distance and across two."""
+    assert label_pairs(tree14_labels, 11) == [(0, 3), (1, 2), (5, 1), (11, 0)]
+    for pairs, wrong in (
+        ([(11, 0), (5, 1), (1, 2), (0, 2)], (0, 2)),  # hubs descend within distance 2
+        ([(11, 0), (5, 1), (0, 2), (0, 2)], (0, 2)),  # and repeat within it
+        ([(11, 0), (1, 2), (5, 1), (0, 3)], (5, 1)),  # distance 2 before distance 1
+    ):
+        message = _load_error(_with_label(tree14_labels, 11, pairs))
+        assert message == f"label of vertex 11 has {wrong} out of order"
 
 
 def test_load_rejects_changed_zero_distances(tree14_labels):
-    """Each label holds (v, 0) and no other pair at distance 0."""
-    sink = io.BytesIO()
-    save_labels(tree14_labels, sink)
-    data = sink.getvalue()
-    offset = 13  # magic, version, vertex count
+    """Each label starts with (v, 0) and holds no other pair at distance 0."""
     changed = 0
     for v in range(14):
-        offset += 4  # pair count
-        for h, d in label_pairs(tree14_labels, v):
-            dist_byte = offset + 4
+        stored = list(zip(tree14_labels.hubs[v], tree14_labels.dists[v]))
+        for pos, (h, d) in enumerate(stored):
             for new in (1, 255) if h == v else (0,):
-                bad = bytearray(data)
-                bad[dist_byte] = new
-                with pytest.raises(FormatError):
-                    load_labels(io.BytesIO(bytes(bad)))
+                pairs = list(stored)
+                pairs[pos] = (h, new)
+                message = _load_error(_with_label(tree14_labels, v, pairs))
+                if h == v:
+                    assert message.endswith(f"does not start with its own pair ({v}, 0)")
+                else:  # every pair after (v, 0) needs distance >= 1
+                    assert message == f"label of vertex {v} has ({h}, 0) out of order"
                 changed += 1
-            offset += 5
-    assert offset == len(data)
     assert changed == 2 * 14 + TREE14_TOTAL_PAIRS - 14
 
-    hubs = [list(h) for h in tree14_labels.hubs]
-    dists = [list(d) for d in tree14_labels.dists]
-    del hubs[5][-1], dists[5][-1]  # vertex 5's own pair (5, 0)
-    sink = io.BytesIO()
-    save_labels(LabelSet(hubs, dists), sink)
-    with pytest.raises(FormatError) as err:
-        load_labels(io.BytesIO(sink.getvalue()))
-    assert "own pair (5, 0)" in str(err.value)
+    own_last = label_pairs(tree14_labels, 5)  # hub order puts (5, 0) last
+    for pairs in (own_last[:-1], own_last, [(1, 1), (5, 0), (0, 2)], []):
+        message = _load_error(_with_label(tree14_labels, 5, pairs))
+        assert message == "label of vertex 5 does not start with its own pair (5, 0)"
+
+
+def test_load_rejects_repeated_and_out_of_range_hubs(tree14_labels):
+    for pairs, expected in (
+        ([(11, 0), (5, 1), (5, 2), (0, 3)], "names a hub twice"),
+        ([(11, 0), (5, 1), (1, 2), (11, 3)], "names a hub twice"),
+        ([(11, 0), (5, 1), (1, 2), (14, 3)], "names hub 14 >= 14"),
+        ([(11, 0), (15, 1), (1, 2), (0, 3)], "names hub 15 >= 14"),
+    ):
+        message = _load_error(_with_label(tree14_labels, 11, pairs))
+        assert message == f"label of vertex 11 {expected}"
 
 
 @given(st.integers(min_value=0, max_value=2**32))

@@ -78,8 +78,8 @@ def _index_bytes(index):
 
 
 def reference_save_index(index):
-    """The v3 index file written field by field, its checksum by zlib.crc32."""
-    fields = [b"RHIX", struct.pack("<B", 3), struct.pack("<I", index.k)]
+    """The v4 index file written field by field, its checksum by zlib.crc32."""
+    fields = [b"RHIX", struct.pack("<B", 4), struct.pack("<I", index.k)]
     fields.append(struct.pack("<I", len(index.objects)))
     fields += [struct.pack("<I", v) for v in index.objects.vertices]
     fields += [struct.pack("<IB", idx, d) for row in index.knn_results.rows for idx, d in row]
@@ -344,11 +344,13 @@ def test_index_load_rejects_foreign_labels(tree14_labels, tree14_objects):
         load_index(io.BytesIO(sink.getvalue()), other_labels)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_index_load_rejects_old_versions(tree14_labels, tree14_objects, version):
     data = bytearray(_index_bytes(offline_preprocess(tree14_labels, tree14_objects, 1)))
-    assert data[4] == 3
-    data[4] = version  # versions 1 and 2 store RkNN sections and no checksum
+    assert data[4] == 4
+    # versions 1 and 2 store RkNN sections and no checksum; version 3's
+    # checksum covers the objects' labels in hub order
+    data[4] = version
     with pytest.raises(FormatError, match=f"version {version}"):
         load_index(io.BytesIO(bytes(data)), tree14_labels)
 
