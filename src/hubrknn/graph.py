@@ -43,27 +43,18 @@ class Graph:
         edges are dropped. Raw IDs are densified in first-appearance order
         (scanning u then v of each pair).
         """
-        raw_to_dense: dict[int, int] = {}
-        raw_ids: list[int] = []
-
-        def dense(raw: int) -> int:
-            d = raw_to_dense.get(raw)
-            if d is None:
-                d = len(raw_ids)
-                raw_to_dense[raw] = d
-                raw_ids.append(raw)
-            return d
-
+        ids: dict[int, int] = {}  # raw -> dense, in first-appearance order
         edges: set[tuple[int, int]] = set()
         for ru, rv in pairs:
-            u, v = dense(ru), dense(rv)
+            u, v = ids.setdefault(ru, len(ids)), ids.setdefault(rv, len(ids))
             if u == v:
                 continue
             edges.add((u, v) if u < v else (v, u))
 
-        if not raw_ids:
+        if not ids:
             raise ParseError("empty graph: input contains no vertices")
 
+        raw_ids = list(ids)
         adjacency: list[list[int]] = [[] for _ in raw_ids]
         for u, v in edges:
             adjacency[u].append(v)
@@ -104,6 +95,17 @@ class VertexOrdering:
             raise ConfigError("ordering is not a permutation of the vertex IDs")
 
 
+def _data_lines(
+    source: str | IO[str] | Iterable[str], comments: tuple[str, ...]
+) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of each line not blank or a comment."""
+    lines = source.splitlines() if isinstance(source, str) else source
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith(comments):
+            yield lineno, stripped
+
+
 def parse_edge_list(source: str | IO[str] | Iterable[str]) -> Graph:
     """Parse an edge-list text stream into a normalized Graph.
 
@@ -111,31 +113,25 @@ def parse_edge_list(source: str | IO[str] | Iterable[str]) -> Graph:
     whitespace-separated non-negative integer IDs. Raises ParseError with the
     offending line number on malformed input.
     """
-    lines: Iterator[str] | list[str]
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source
 
-    pairs: list[tuple[int, int]] = []
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith(COMMENT_PREFIXES):
-            continue
-        tokens = stripped.split()
-        if len(tokens) != 2:
-            raise ParseError(
-                f"line {lineno}: expected two vertex IDs, found {len(tokens)} tokens"
-            )
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer vertex ID in {stripped!r}") from None
-        if u < 0 or v < 0:
-            raise ParseError(f"line {lineno}: negative vertex ID in {stripped!r}")
-        pairs.append((u, v))
+    def pairs() -> Iterator[tuple[int, int]]:
+        for lineno, stripped in _data_lines(source, COMMENT_PREFIXES):
+            tokens = stripped.split()
+            if len(tokens) != 2:
+                raise ParseError(
+                    f"line {lineno}: expected two vertex IDs, found {len(tokens)} tokens"
+                )
+            try:
+                u, v = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise ParseError(
+                    f"line {lineno}: non-integer vertex ID in {stripped!r}"
+                ) from None
+            if u < 0 or v < 0:
+                raise ParseError(f"line {lineno}: negative vertex ID in {stripped!r}")
+            yield u, v
 
-    return Graph.from_edges(pairs)
+    return Graph.from_edges(pairs())
 
 
 def largest_connected_component(graph: Graph) -> Graph:

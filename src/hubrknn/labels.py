@@ -4,10 +4,15 @@ Every vertex carries an array of (hub, distance) pairs such that any two
 vertices share at least one hub on a shortest path between them (the cover
 property). Labels are distance-major, in memory and in the label file: the
 own pair (v, 0) first, then strictly ascending by (distance, hub).
+
+Label and index files share one framing (``_seal``/``_unseal``): magic,
+version byte, body, and a CRC-32 of all of it that is checked first. An
+index names its labels by their file's CRC, ``LabelSet.checksum()``.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 import zlib
 from typing import IO
@@ -24,11 +29,33 @@ MAX_DIST = 255
 
 _MAGIC = b"RHUB"
 _VERSION = 2
-_HEADER = struct.Struct("<4sBQ")  # magic, version, vertex count
+_COUNT = struct.Struct("<Q")  # vertex count, the label file's header
 _PAIR = struct.Struct("<IB")
-_U32 = struct.Struct("<I")  # a label's pair count; the trailing checksum
+_U32 = struct.Struct("<I")  # a label's pair count; a checksum
 # A label holds at least its own pair: a 4-byte count and one 5-byte pair.
 _MIN_LABEL_SIZE = _U32.size + _PAIR.size
+
+
+def _seal(magic: bytes, version: int, body: bytes | bytearray) -> bytes:
+    """``magic``, the version byte, ``body`` and a u32 LE CRC-32 of all three."""
+    head = magic + bytes((version,))
+    return b"".join((head, body, _U32.pack(zlib.crc32(body, zlib.crc32(head)))))
+
+
+def _unseal(data: bytes, magic: bytes, version: int, kind: str, head: struct.Struct):
+    """A sealed ``kind`` file's ``head`` fields, the rest of its body, and its
+    CRC; the magic, the version and the CRC are checked first."""
+    if data[:4] != magic:
+        raise FormatError(f"bad {kind}-file magic {data[:4]!r}")
+    if len(data) > 4 and data[4] != version:
+        raise FormatError(f"unsupported {kind}-file version {data[4]}")
+    end = len(data) - _U32.size  # where the checksum starts
+    if end < 5 + head.size:
+        raise FormatError("truncated stream")
+    (crc,) = _U32.unpack_from(data, end)
+    if crc != zlib.crc32(memoryview(data)[:end]):
+        raise FormatError(f"{kind}-file checksum mismatch: the file is corrupt or truncated")
+    return head.unpack_from(data, 5), data[5 + head.size : end], crc
 
 
 class LabelSet:
@@ -41,14 +68,22 @@ class LabelSet:
     Labels from ``build_pll_labels`` and ``load_labels`` also point to one
     int object per hub, so a pair costs a list slot and a distance byte.
     Immutable by convention once built; queries may run concurrently.
+    ``checksum()`` names the set's label file; equality ignores it.
     """
 
-    __slots__ = ("hubs", "dists", "total_pairs")
+    __slots__ = ("hubs", "dists", "total_pairs", "_crc")
 
     def __init__(self, hubs: list[list[int]], dists: list[bytes] | list[list[int]]):
         self.hubs = hubs
         self.dists = [bytes(d) for d in dists]  # no copy of a bytes argument
         self.total_pairs = sum(map(len, hubs))
+        self._crc: int | None = None
+
+    def checksum(self) -> int:
+        """The CRC-32 this set's label file ends with, encoded at most once."""
+        if self._crc is None:
+            save_labels(self, io.BytesIO())
+        return self._crc
 
     @property
     def vertex_count(self) -> int:
@@ -163,40 +198,35 @@ def hl_distance(labels: LabelSet, s: int, t: int) -> int:
 
 
 def save_labels(labels: LabelSet, sink: IO[bytes]) -> None:
-    """Serialize to the binary label format (see README), in one write."""
+    """Serialize to the binary label format (see README), in one write, and
+    record the file's CRC as the labels' checksum."""
     pack = _PAIR.pack
-    data = bytearray(_HEADER.pack(_MAGIC, _VERSION, labels.vertex_count))
+    body = bytearray(_COUNT.pack(labels.vertex_count))
     for hv, dv in zip(labels.hubs, labels.dists):
-        data += _U32.pack(len(hv))
-        data += b"".join(map(pack, hv, dv))  # one label's pairs live at a time
-    data += _U32.pack(zlib.crc32(data))
+        body += _U32.pack(len(hv))
+        body += b"".join(map(pack, hv, dv))  # one label's pairs live at a time
+    data = _seal(_MAGIC, _VERSION, body)
+    (labels._crc,) = _U32.unpack_from(data, len(data) - _U32.size)
     sink.write(data)
 
 
 def load_labels(source: IO[bytes]) -> LabelSet:
     """Read and validate a label file; FormatError on any corruption.
 
-    The checksum is checked first. Each label must then start with (v, 0),
-    and every later pair have distance >= 1, ascend strictly by (dist, hub)
-    and name a distinct hub in range. Every hub is mapped to one shared int
-    object per vertex; a label's distances are its pairs' distance bytes.
+    The framing and its checksum are checked first. Each label must then
+    start with (v, 0), and every later pair have distance >= 1, ascend
+    strictly by (dist, hub) and name a distinct hub in range. Every hub is
+    mapped to one shared int object per vertex; a label's distances are its
+    pairs' distance bytes. The file's CRC becomes the set's ``checksum()``.
     """
-    data = source.read()
-    if data[:4] != _MAGIC:
-        raise FormatError(f"bad label-file magic {data[:4]!r}")
-    if len(data) > 4 and data[4] != _VERSION:
-        raise FormatError(f"unsupported label-file version {data[4]}")
-    size = len(data) - _U32.size  # where the checksum starts
-    if size < _HEADER.size:
-        raise FormatError("truncated stream")
-    if _U32.unpack_from(data, size)[0] != zlib.crc32(memoryview(data)[:size]):
-        raise FormatError("label-file checksum mismatch: the file is corrupt or truncated")
-    n = _HEADER.unpack_from(data)[2]
-    pos = _HEADER.size
+    (n,), data, crc = _unseal(source.read(), _MAGIC, _VERSION, "label", _COUNT)
+    size = len(data)
+    pos = 0
     # Bound n by the bytes present before allocating anything per vertex.
-    if pos + n * _MIN_LABEL_SIZE > size:
-        raise FormatError(f"truncated stream: {n} labels cannot fit in {size - pos} bytes")
+    if n * _MIN_LABEL_SIZE > size:
+        raise FormatError(f"truncated stream: {n} labels cannot fit in {size} bytes")
     shared = list(range(n))
+    owner = [-1] * n  # owner[h] is the last vertex whose label named hub h
     hubs: list[list[int]] = []
     dists: list[bytes] = []
     for v in range(n):
@@ -210,6 +240,7 @@ def load_labels(source: IO[bytes]) -> LabelSet:
         if next(pairs, None) != (v, 0):
             raise FormatError(f"label of vertex {v} does not start with its own pair ({v}, 0)")
         hv = [shared[v]]
+        owner[v] = v
         ph, pd = -1, 1  # so a later pair at distance 0 is out of order
         try:
             for h, d in pairs:
@@ -220,15 +251,18 @@ def load_labels(source: IO[bytes]) -> LabelSet:
                 elif h <= ph:
                     raise FormatError(f"label of vertex {v} has ({h}, {d}) out of order")
                 ph = h
+                if owner[h] == v:
+                    raise FormatError(f"label of vertex {v} names a hub twice")
+                owner[h] = v
                 hv.append(shared[h])
-        except IndexError:  # shared[h] with h >= n
+        except IndexError:  # owner[h] with h >= n
             raise FormatError(f"label of vertex {v} names hub {h} >= {n}") from None
-        if len(set(hv)) != count:
-            raise FormatError(f"label of vertex {v} names a hub twice")
         hubs.append(hv)
         # the distances are each pair's last byte
         dists.append(data[start + _PAIR.size - 1 : pos : _PAIR.size])
     if pos != size:
         raise FormatError("trailing bytes after the last label")
-    return LabelSet(hubs, dists)
+    labels = LabelSet(hubs, dists)
+    labels._crc = crc
+    return labels
 

@@ -23,16 +23,15 @@ the offline work scales with the objects' label pairs, not with the vertex
 count.
 
 The index file stores only what the labels cannot rebuild: the objects and
-their kNN rows (substage 2), and a checksum that also covers the objects'
-labels. ``load_index`` rebuilds substage 3 from them, and substage 1 on
-first use.
+their kNN rows (substage 2). It is sealed like a label file and names its
+labels by the checksum their label file ends with. ``load_index`` rebuilds
+substage 3 from them, and substage 1 on first use.
 """
 
 from __future__ import annotations
 
 import struct
 import time
-import zlib
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -40,11 +39,12 @@ from itertools import chain, compress
 from typing import IO, Iterable
 
 from .errors import ConfigError, FormatError, ParseError
-from .labels import _PAIR, _U32, INFINITY, LabelSet, hl_distance
+from .graph import _data_lines
+from .labels import _PAIR, _U32, INFINITY, LabelSet, _seal, _unseal, hl_distance
 
 _MAGIC = b"RHIX"
-_VERSION = 4
-_HEADER = struct.Struct("<BII")  # version, k, object count
+_VERSION = 5
+_HEADER = struct.Struct("<III")  # the labels' checksum, k, object count
 
 
 @dataclass(frozen=True)
@@ -357,12 +357,8 @@ def index_stats(index: OfflineIndex) -> IndexStats:
 
 def parse_object_file(source: str | IO[str] | Iterable[str]) -> list[int]:
     """Raw vertex IDs, one per line; '#' starts a comment."""
-    lines = source.splitlines() if isinstance(source, str) else source
     out: list[int] = []
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in _data_lines(source, ("#",)):
         try:
             out.append(int(stripped))
         except ValueError:
@@ -372,67 +368,47 @@ def parse_object_file(source: str | IO[str] | Iterable[str]) -> list[int]:
     return out
 
 
-def _checksum(head: bytes, labels: LabelSet, vertices: tuple[int, ...]) -> int:
-    """CRC-32 of ``head``, carried on over the objects' labels.
-
-    Each object's hubs as u32 LE, then its distance bytes, in object order.
-    All hubs are packed in one call; little-endian keeps the value
-    independent of the host's byte order.
-    """
-    hubs = [labels.hubs[p] for p in vertices]
-    packed = memoryview(struct.pack(f"<{sum(map(len, hubs))}I", *chain.from_iterable(hubs)))
-    crc = zlib.crc32(head)
-    pos = 0
-    for p, hv in zip(vertices, hubs):
-        end = pos + _U32.size * len(hv)
-        crc = zlib.crc32(labels.dists[p], zlib.crc32(packed[pos:end], crc))
-        pos = end
-    return crc
-
-
 def save_index(index: OfflineIndex, sink: IO[bytes]) -> None:
-    """Serialize the objects and the kNN rows, with a checksum, in one write."""
+    """Serialize the objects and the kNN rows, sealed, in one write."""
     vertices = index.objects.vertices
     pack = _PAIR.pack
-    head = b"".join([
-        _MAGIC,
-        _HEADER.pack(_VERSION, index.k, len(vertices)),
+    body = b"".join([
+        _HEADER.pack(index.labels.checksum(), index.k, len(vertices)),
         struct.pack(f"<{len(vertices)}I", *vertices),
         b"".join(pack(idx, d) for row in index.knn_results.rows for idx, d in row),
     ])
-    sink.write(head + _U32.pack(_checksum(head, index.labels, vertices)))
+    sink.write(_seal(_MAGIC, _VERSION, body))
 
 
 def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
     """Read an index file and verify it belongs to the given labels.
 
-    Checks, in order: the magic, version and header; the exact file length;
-    the objects' range and distinctness; each kNN row's range and distance
-    order, and that its last entry, the k-th-neighbor distance the queries
-    read, equals the label distance between its two objects; then the
-    trailing checksum, which covers the file and the objects' labels. Only
+    Checks, in order: the framing (magic, version and the trailing CRC of
+    the file); that the label checksum it names is ``labels.checksum()``;
+    the header and the exact body length (naming a truncation or trailing
+    bytes); the objects' range and distinctness; each kNN row's range and
+    distance order, and that its last entry, the k-th-neighbor distance the
+    queries read, equals the label distance between its two objects. Only
     then is substage 3 rebuilt from the labels, the objects and the rows.
     Mismatched, corrupt or truncated inputs fail with FormatError. The
     index is bound to this ``labels`` object, which ``rknn_query`` must be
     passed.
     """
-    magic = _read_exact(source, 4)
-    if magic != _MAGIC:
-        raise FormatError(f"bad index-file magic {magic!r}")
-    header = _read_exact(source, _HEADER.size)
-    version, k, obj_count = _HEADER.unpack(header)
-    if version != _VERSION:
-        raise FormatError(f"unsupported index-file version {version}")
+    (named, k, obj_count), data, _ = _unseal(source.read(), _MAGIC, _VERSION, "index", _HEADER)
+    if named != labels.checksum():
+        raise FormatError(
+            f"index was built from other labels: it names label checksum {named:08x}, "
+            f"these labels have {labels.checksum():08x}"
+        )
     n = labels.vertex_count
     if k < 1 or obj_count < k + 1:
         raise FormatError(f"index header has k={k} but only {obj_count} objects")
-    data = source.read()
     rows_at = _U32.size * obj_count
-    crc_at = rows_at + obj_count * k * _PAIR.size
-    if len(data) < crc_at + _U32.size:
+    end = rows_at + obj_count * k * _PAIR.size
+    if len(data) < end:
         raise FormatError("truncated stream")
-    if len(data) > crc_at + _U32.size:
-        raise FormatError("trailing bytes after the index checksum")
+    if len(data) > end:
+        raise FormatError("trailing bytes after the last kNN row")
 
     vertices = struct.unpack_from(f"<{obj_count}I", data)
     for v in vertices:
@@ -443,7 +419,7 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
     except ConfigError as exc:
         raise FormatError(str(exc)) from None
 
-    pairs = list(_PAIR.iter_unpack(data[rows_at:crc_at]))
+    pairs = list(_PAIR.iter_unpack(data[rows_at:]))
     rows = [pairs[i * k : (i + 1) * k] for i in range(obj_count)]
     for i, row in enumerate(rows):
         prev = -1
@@ -460,18 +436,6 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
                 f"is not at distance {d}"
             )
 
-    (stored,) = _U32.unpack_from(data, crc_at)
-    if stored != _checksum(magic + header + data[:crc_at], labels, vertices):
-        raise FormatError(
-            "index checksum mismatch: the file is corrupt or was built from other labels"
-        )
     knn_results = KnnResultTable(k, rows)
     rknn_backward = build_rknn_backward_labels(labels, objects, knn_results)
     return OfflineIndex(objects, knn_results, rknn_backward, labels)
-
-
-def _read_exact(source: IO[bytes], nbytes: int) -> bytes:
-    buf = source.read(nbytes)
-    if len(buf) != nbytes:
-        raise FormatError("truncated stream")
-    return buf

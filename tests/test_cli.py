@@ -222,12 +222,41 @@ def _query_with_version(workspace, capsys, path, version):
     return code, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_old_version_index_file_is_data_error(workspace, capsys, version):
-    # v1 and v2 store RkNN sections; v3 checksums the labels in hub order
+    # v1 and v2 store RkNN sections; v3 and v4 checksum the objects' labels
     code, err = _query_with_version(workspace, capsys, workspace["index"], version)
     assert code == 2
     assert f"hubrknn: unsupported index-file version {version}" in err
+    assert "Traceback" not in err
+
+
+def test_index_with_labels_changed_outside_the_objects_is_data_error(workspace, capsys):
+    """Labels that differ only in a non-object vertex's label name another
+    label file than the index does."""
+    _pipeline(workspace)
+    with open(workspace["labels"], "rb") as f:
+        labels = hubrknn.load_labels(f)
+    with open(workspace["index"], "rb") as f:
+        objects = hubrknn.load_index(f, labels).objects.vertices
+    v = next(v for v in range(labels.vertex_count) if v not in objects and len(labels.hubs[v]) > 1)
+    dists = list(labels.dists)
+    dists[v] = dists[v][:-1] + bytes([dists[v][-1] + 1])  # still distance-major
+    with open(workspace["labels"], "wb") as f:
+        hubrknn.save_labels(hubrknn.LabelSet(labels.hubs, dists), f)
+    capsys.readouterr()
+    code = main(
+        [
+            "query",
+            "--graph", workspace["graph"],
+            "--labels", workspace["labels"],
+            "--index", workspace["index"],
+            "--vertex", "0",
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "hubrknn: index was built from other labels" in err
     assert "Traceback" not in err
 
 

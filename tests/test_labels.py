@@ -432,11 +432,36 @@ def test_load_rejects_repeated_and_out_of_range_hubs(tree14_labels):
     for pairs, expected in (
         ([(11, 0), (5, 1), (5, 2), (0, 3)], "names a hub twice"),
         ([(11, 0), (5, 1), (1, 2), (11, 3)], "names a hub twice"),
+        ([(11, 0), (5, 1), (11, 1), (0, 3)], "names a hub twice"),  # own hub at 1
         ([(11, 0), (5, 1), (1, 2), (14, 3)], "names hub 14 >= 14"),
         ([(11, 0), (15, 1), (1, 2), (0, 3)], "names hub 15 >= 14"),
     ):
         message = _load_error(_with_label(tree14_labels, 11, pairs))
         assert message == f"label of vertex 11 {expected}"
+
+
+@pytest.mark.parametrize("name", ["tree14", "pa300"])
+def test_checksum_is_the_label_files_trailing_crc(tree14_labels, name):
+    """Built labels, their file's last four bytes and the labels loaded from
+    it agree on the checksum; so do equal but distinct label sets."""
+    if name == "tree14":
+        built = tree14_labels
+    else:
+        built = build_pll_labels(preferential_attachment_graph(300, 4, seed=5))
+    data = _saved(built)
+    (trailing,) = struct.unpack("<I", data[-4:])
+    assert trailing == zlib.crc32(data[:-4])
+    loaded = load_labels(io.BytesIO(data))
+    copy = LabelSet([list(hv) for hv in built.hubs], [bytes(dv) for dv in built.dists])
+    assert copy == built and copy.hubs is not built.hubs
+    assert built.checksum() == trailing
+    assert loaded.checksum() == trailing
+    assert copy.checksum() == trailing
+    assert _saved(copy) == data
+    dists = list(built.dists)
+    dists[-1] = dists[-1][:-1] + bytes([dists[-1][-1] + 1])
+    other = LabelSet(built.hubs, dists)
+    assert other != built and other.checksum() != trailing
 
 
 @given(st.integers(min_value=0, max_value=2**32))

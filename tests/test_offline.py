@@ -12,6 +12,7 @@ from hubrknn import (
     Graph,
     KnnBackwardLabels,
     KnnResultTable,
+    LabelSet,
     ObjectSet,
     batch_knn,
     bfs_distances,
@@ -23,9 +24,11 @@ from hubrknn import (
     index_stats,
     knn_query,
     load_index,
+    load_labels,
     offline_preprocess,
     parse_object_file,
     save_index,
+    save_labels,
     to_many_pairs,
 )
 from hubrknn.bench import generate_ball_objects, generate_random_objects
@@ -78,18 +81,27 @@ def _index_bytes(index):
 
 
 def reference_save_index(index):
-    """The v4 index file written field by field, its checksum by zlib.crc32."""
-    fields = [b"RHIX", struct.pack("<B", 4), struct.pack("<I", index.k)]
-    fields.append(struct.pack("<I", len(index.objects)))
+    """The v5 index file written field by field, its checksum by zlib.crc32;
+    the labels are named by the last four bytes of their label file."""
+    label_file = io.BytesIO()
+    save_labels(index.labels, label_file)
+    fields = [b"RHIX", struct.pack("<B", 5), label_file.getvalue()[-4:]]
+    fields += [struct.pack("<I", index.k), struct.pack("<I", len(index.objects))]
     fields += [struct.pack("<I", v) for v in index.objects.vertices]
     fields += [struct.pack("<IB", idx, d) for row in index.knn_results.rows for idx, d in row]
     data = b"".join(fields)
-    crc = zlib.crc32(data)
-    for p in index.objects.vertices:
-        for h in index.labels.hubs[p]:
-            crc = zlib.crc32(struct.pack("<I", h), crc)
-        crc = zlib.crc32(index.labels.dists[p], crc)
-    return data + struct.pack("<I", crc)
+    return data + struct.pack("<I", zlib.crc32(data))
+
+
+# magic, version byte, the labels' checksum, k, object count
+OBJECTS_AT = 4 + 1 + 4 + 4 + 4
+
+
+def _load_resealed(data, labels):
+    """load_index of an index file changed in place, its CRC recomputed, so
+    the change reaches the checks behind the CRC."""
+    body = bytes(data[:-4])
+    return load_index(io.BytesIO(body + struct.pack("<I", zlib.crc32(body))), labels)
 
 
 def make_pa_instance(seed, objects=40):
@@ -344,12 +356,13 @@ def test_index_load_rejects_foreign_labels(tree14_labels, tree14_objects):
         load_index(io.BytesIO(sink.getvalue()), other_labels)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_index_load_rejects_old_versions(tree14_labels, tree14_objects, version):
     data = bytearray(_index_bytes(offline_preprocess(tree14_labels, tree14_objects, 1)))
-    assert data[4] == 4
-    # versions 1 and 2 store RkNN sections and no checksum; version 3's
-    # checksum covers the objects' labels in hub order
+    assert data[4] == 5
+    # versions 1 and 2 store RkNN sections and no checksum; the checksums of
+    # versions 3 and 4 carry on over the objects' labels, in hub order and
+    # in distance order
     data[4] = version
     with pytest.raises(FormatError, match=f"version {version}"):
         load_index(io.BytesIO(bytes(data)), tree14_labels)
@@ -365,20 +378,91 @@ def test_index_load_rejects_truncation(tree14_labels, tree14_objects):
 
 def test_index_load_names_truncation_and_trailing_bytes(tree14_labels, tree14_objects):
     data = _index_bytes(offline_preprocess(tree14_labels, tree14_objects, 1))
-    with pytest.raises(FormatError, match="truncated"):
-        load_index(io.BytesIO(data[:-1]), tree14_labels)
-    with pytest.raises(FormatError, match="trailing bytes"):
-        load_index(io.BytesIO(data + b"\0"), tree14_labels)
+    # the CRC is checked first, so a cut file fails as a cut label file does
+    message = "index-file checksum mismatch: the file is corrupt or truncated"
+    for cut in (data[:-1], data[: OBJECTS_AT + 4], data + b"\0"):
+        with pytest.raises(FormatError) as err:
+            load_index(io.BytesIO(cut), tree14_labels)
+        assert str(err.value) == message
+    # too short for the framing and the header fields
+    for cut in (data[:5], data[: OBJECTS_AT + 3]):
+        with pytest.raises(FormatError, match="^truncated stream$"):
+            load_index(io.BytesIO(cut), tree14_labels)
+    # the body's own length is checked behind the CRC
+    with pytest.raises(FormatError, match="^truncated stream$"):
+        _load_resealed(data[:-5] + data[-4:], tree14_labels)
+    with pytest.raises(FormatError, match="^truncated stream$"):
+        _load_resealed(data[:OBJECTS_AT - 1] + data[-4:], tree14_labels)
+    with pytest.raises(FormatError, match="^trailing bytes after the last kNN row$"):
+        _load_resealed(data[:-4] + b"\0" + data[-4:], tree14_labels)
 
 
 def test_index_load_rejects_wrong_knn_row_distance(tree14_labels, tree14_objects):
     data = bytearray(_index_bytes(offline_preprocess(tree14_labels, tree14_objects, 1)))
     # object 2's row (k=1) is its last 5 bytes before the checksum
-    pos = 4 + 1 + 4 + 4 + 4 * 3 + 5 * 2 + 4
+    pos = OBJECTS_AT + 4 * 3 + 5 * 2 + 4
     assert data[pos] == 4
     data[pos] = 5
-    with pytest.raises(FormatError, match="row 2 "):
+    with pytest.raises(FormatError, match="index-file checksum mismatch"):
         load_index(io.BytesIO(bytes(data)), tree14_labels)
+    with pytest.raises(FormatError) as err:
+        _load_resealed(data, tree14_labels)
+    assert str(err.value) == (
+        "kNN result row 2 does not match labels: object 0 is not at distance 5"
+    )
+
+
+def _set_u32(at, value):
+    return lambda data: struct.pack_into("<I", data, at, value)
+
+
+def _set_byte(at, value):
+    return lambda data: data.__setitem__(at, value)
+
+
+# (k, change to the TREE14 index file, message). The k=1 rows are
+# [(1, 1)], [(0, 1)], [(0, 4)]; the k=2 rows [(1, 1), (2, 4)],
+# [(0, 1), (2, 5)], [(0, 4), (1, 5)].
+STRUCTURAL_CASES = {
+    "k-zero": (1, _set_u32(9, 0), "index header has k=0 but only 3 objects"),
+    "k-too-large": (1, _set_u32(9, 3), "index header has k=3 but only 3 objects"),
+    "few-objects": (2, _set_u32(13, 2), "index header has k=2 but only 2 objects"),
+    "object-out-of-range": (
+        1, _set_u32(OBJECTS_AT + 4, 14), "index object vertex 14 out of range for 14 vertices"
+    ),
+    "duplicate-objects": (
+        1, _set_u32(OBJECTS_AT + 4, 4), "object set contains duplicate vertices"
+    ),
+    "row-index-past-m": (
+        1, _set_u32(OBJECTS_AT + 12 + 5, 3), "kNN result row 1 references index 3"
+    ),
+    "row-names-itself": (
+        1, _set_u32(OBJECTS_AT + 12 + 5, 1), "kNN result row 1 references index 1"
+    ),
+    "row-out-of-order": (
+        2, _set_byte(OBJECTS_AT + 12 + 4, 9), "kNN result row 0 is not distance-sorted"
+    ),
+    "last-entry-distance": (
+        2,
+        _set_byte(OBJECTS_AT + 12 + 10 + 9, 6),
+        "kNN result row 1 does not match labels: object 2 is not at distance 6",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(STRUCTURAL_CASES))
+def test_index_load_runs_every_structural_check_behind_the_crc(
+    tree14_labels, tree14_objects, case
+):
+    """Each check behind the CRC, reached by a file with its CRC recomputed."""
+    k, change, message = STRUCTURAL_CASES[case]
+    data = bytearray(_index_bytes(offline_preprocess(tree14_labels, tree14_objects, k)))
+    change(data)
+    with pytest.raises(FormatError, match="index-file checksum mismatch"):
+        load_index(io.BytesIO(bytes(data)), tree14_labels)
+    with pytest.raises(FormatError) as err:
+        _load_resealed(data, tree14_labels)
+    assert str(err.value) == message
 
 
 def _tree14(k):
@@ -403,10 +487,10 @@ def _tied_pa40():
 @pytest.mark.parametrize(
     "instance, size",
     [
-        pytest.param(partial(_tree14, 1), 44, id="tree14-k1"),
-        pytest.param(partial(_tree14, 2), 59, id="tree14-k2"),
-        pytest.param(_sparse_pa30, 44, id="sparse-pa30"),
-        pytest.param(_tied_pa40, 53, id="tied-pa40"),
+        pytest.param(partial(_tree14, 1), 48, id="tree14-k1"),
+        pytest.param(partial(_tree14, 2), 63, id="tree14-k2"),
+        pytest.param(_sparse_pa30, 48, id="sparse-pa30"),
+        pytest.param(_tied_pa40, 57, id="tied-pa40"),
     ],
 )
 def test_index_load_rejects_every_single_byte_change(instance, size):
@@ -430,7 +514,7 @@ def test_index_load_rejects_every_single_byte_change(instance, size):
 
 def test_index_load_rejects_a_tied_swap_of_the_last_row_entry():
     """A last row entry swapped for another object at the same distance
-    passes the row checks, and the checksum rejects it."""
+    passes the row checks, and the file's CRC rejects it."""
     labels, objects, k = _tied_pa40()
     index = offline_preprocess(labels, objects, k)
     vertices = objects.vertices
@@ -442,15 +526,15 @@ def test_index_load_rejects_a_tied_swap_of_the_last_row_entry():
         and hl_distance(labels, vertices[i], v) == index.knn_results.worst[i]
     )
     data = bytearray(_index_bytes(index))
-    struct.pack_into("<I", data, 13 + 4 * 4 + 5 * i, j)
-    with pytest.raises(FormatError, match="checksum"):
+    struct.pack_into("<I", data, OBJECTS_AT + 4 * 4 + 5 * i, j)
+    with pytest.raises(FormatError, match="^index-file checksum mismatch"):
         load_index(io.BytesIO(bytes(data)), labels)
 
 
 def test_index_load_rejects_labels_that_pass_the_row_check():
     """Labels of the graph with six edges added keep every kNN row's last
     distance, but the rows and RkNN lists they rebuild answer wrongly; the
-    checksum over the objects' labels rejects them."""
+    label checksum the index names rejects them."""
     g = preferential_attachment_graph(120, 2, seed=0)
     rng = random.Random(0)
     adjacency = [set(nbrs) for nbrs in g.adjacency]
@@ -469,8 +553,28 @@ def test_index_load_rejects_labels_that_pass_the_row_check():
         idx, d = row[-1]
         assert hl_distance(changed, vertices[i], vertices[idx]) == d
     assert offline_preprocess(changed, objects, 2).knn_results != index.knn_results
-    with pytest.raises(FormatError, match="checksum"):
+    with pytest.raises(FormatError, match="^index was built from other labels"):
         load_index(io.BytesIO(_index_bytes(index)), changed)
+
+
+def test_index_load_rejects_labels_changed_outside_the_objects(tree14_labels, tree14_objects):
+    """Labels that differ from the index's only in a non-object vertex's
+    label are another label file, and the index names its own."""
+    data = _index_bytes(offline_preprocess(tree14_labels, tree14_objects, 1))
+    v = 11
+    assert v not in tree14_objects.vertices
+    dists = list(tree14_labels.dists)
+    dists[v] = dists[v][:-1] + bytes([dists[v][-1] + 1])  # still distance-major
+    changed = LabelSet(list(tree14_labels.hubs), dists)
+    sink = io.BytesIO()
+    save_labels(changed, sink)
+    changed = load_labels(io.BytesIO(sink.getvalue()))  # a valid label file
+    with pytest.raises(FormatError) as err:
+        load_index(io.BytesIO(data), changed)
+    assert str(err.value) == (
+        f"index was built from other labels: it names label checksum "
+        f"{tree14_labels.checksum():08x}, these labels have {changed.checksum():08x}"
+    )
 
 
 @pytest.fixture(scope="module")

@@ -11,24 +11,36 @@ from collections import Counter
 import hubrknn
 
 
+def _absolute_imports(path: pathlib.Path):
+    """(line, module name) of each absolute import in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
+SOURCES = sorted(pathlib.Path(hubrknn.__file__).parent.glob("*.py"))
+
+
 def test_package_imports_only_stdlib():
     """The runtime has no dependencies: every absolute import is stdlib."""
-    sources = sorted(pathlib.Path(hubrknn.__file__).parent.glob("*.py"))
-    assert sources
-    for path in sources:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                top = name.split(".")[0]
-                assert top == "hubrknn" or top in sys.stdlib_module_names, (
-                    f"{path.name}:{node.lineno} imports {name}"
-                )
+    assert SOURCES
+    for path in SOURCES:
+        for lineno, name in _absolute_imports(path):
+            top = name.split(".")[0]
+            assert top == "hubrknn" or top in sys.stdlib_module_names, (
+                f"{path.name}:{lineno} imports {name}"
+            )
+
+
+def test_only_labels_imports_zlib():
+    """The sealed file framing, and with it the CRC, stays in labels.py."""
+    importers = [
+        path.name for path in SOURCES for _, name in _absolute_imports(path) if name == "zlib"
+    ]
+    assert importers == ["labels.py"]
 
 
 def test_cli_import_leaves_bench_unloaded():
