@@ -13,7 +13,7 @@ raw-to-dense mapping can be rebuilt deterministically from the source file.
 from __future__ import annotations
 
 import argparse
-import logging
+import io
 import os
 import sys
 import time
@@ -31,6 +31,7 @@ from .labels import (
 from .offline import (
     ObjectSet,
     OfflineIndex,
+    _read_index_header,
     index_stats,
     load_index,
     offline_preprocess,
@@ -113,7 +114,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"hubrknn: {exc}", file=sys.stderr)
         return 1
 
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     try:
         return _dispatch(args)
     except UsageError as exc:
@@ -153,9 +153,10 @@ def _load_graph(path: str) -> Graph:
     return largest_connected_component(graph)
 
 
-def _load_labels_checked(path: str, graph: Graph) -> LabelSet:
+def _load_labels_checked(path: str, graph: Graph, vertices=None) -> LabelSet:
+    """The labels of --labels, all of them or those of ``vertices``."""
     with open(path, "rb") as f:
-        labels = load_labels(f)
+        labels = load_labels(f, vertices)
     if labels.vertex_count != graph.vertex_count:
         raise FormatError(
             f"label file covers {labels.vertex_count} vertices but the graph "
@@ -164,12 +165,17 @@ def _load_labels_checked(path: str, graph: Graph) -> LabelSet:
     return labels
 
 
-def _load_indexed(args) -> tuple[Graph, OfflineIndex]:
-    """The graph, and the index bound to the labels, of --graph/--labels/--index."""
+def _load_indexed(args) -> tuple[Graph, OfflineIndex, int]:
+    """The graph, the index bound to the labels, and the dense --vertex of
+    --graph/--labels/--index/--vertex; only the labels of the objects and
+    of --vertex are decoded, the ones a query reads."""
     graph = _load_graph(args.graph)
-    labels = _load_labels_checked(args.labels, graph)
+    q = graph.dense_id(args.vertex)
     with open(args.index, "rb") as f:
-        return graph, load_index(f, labels)
+        data = f.read()
+    objects = _read_index_header(data)[2]
+    labels = _load_labels_checked(args.labels, graph, {q, *objects})
+    return graph, load_index(io.BytesIO(data), labels), q
 
 
 def _cmd_build(args) -> int:
@@ -194,8 +200,8 @@ def _read_objects(path: str, graph: Graph) -> ObjectSet:
 
 def _cmd_preprocess(args) -> int:
     graph = _load_graph(args.graph)
-    labels = _load_labels_checked(args.labels, graph)
     objects = _read_objects(args.objects, graph)
+    labels = _load_labels_checked(args.labels, graph, objects.vertices)
     index = offline_preprocess(labels, objects, args.k)
     with open(args.out, "wb") as f:
         save_index(index, f)
@@ -209,8 +215,7 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    graph, index = _load_indexed(args)
-    q = graph.dense_id(args.vertex)
+    graph, index, q = _load_indexed(args)
 
     if args.oracle:
         members = dict(oracle_rknn(graph, index.objects, q, index.k))
@@ -228,8 +233,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_knn(args) -> int:
-    graph, index = _load_indexed(args)
-    q = graph.dense_id(args.vertex)
+    graph, index, q = _load_indexed(args)
     k = index.k if args.k is None else args.k
     for idx, dist in knn_query(index.knn_backward, index.labels, q, k):
         raw = graph.raw_ids[index.objects.vertices[idx]]
@@ -248,9 +252,13 @@ def _parse_list(text: str, kind: type) -> tuple:
 
 
 def _cmd_bench(args) -> int:
-    # imported here: bench pulls in csv, hashlib and statistics,
+    # imported here: bench pulls in csv, hashlib, logging and statistics,
     # which no other subcommand needs
+    import logging
+
     from .bench import SweepConfig, run_sweep
+
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
 
     graph = _load_graph(args.graph)
     labels = _load_labels_checked(args.labels, graph)
@@ -271,14 +279,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    if args.index and not args.labels:
+        raise UsageError("--index requires --labels")
+    graph = _load_graph(args.graph)
+    labels = _load_labels_checked(args.labels, graph) if args.labels else None
     if args.index:
-        if not args.labels:
-            raise UsageError("--index requires --labels")
-        graph, index = _load_indexed(args)
-        labels = index.labels
-    else:
-        graph = _load_graph(args.graph)
-        labels = _load_labels_checked(args.labels, graph) if args.labels else None
+        with open(args.index, "rb") as f:
+            index = load_index(f, labels)
     print(f"vertices\t{graph.vertex_count}")
     print(f"edges\t{graph.edge_count}")
     print(f"avg_degree\t{graph.avg_degree():.2f}")

@@ -15,7 +15,8 @@ from __future__ import annotations
 import io
 import struct
 import zlib
-from typing import IO
+from itertools import accumulate
+from typing import IO, Iterable
 
 from .errors import ConfigError, FormatError
 from .graph import Graph, VertexOrdering, degree_ordering
@@ -28,7 +29,7 @@ INFINITY = 1 << 30
 MAX_DIST = 255
 
 _MAGIC = b"RHUB"
-_VERSION = 2
+_VERSION = 3
 _COUNT = struct.Struct("<Q")  # vertex count, the label file's header
 _PAIR = struct.Struct("<IB")
 _U32 = struct.Struct("<I")  # a label's pair count; a checksum
@@ -69,6 +70,8 @@ class LabelSet:
     int object per hub, so a pair costs a list slot and a distance byte.
     Immutable by convention once built; queries may run concurrently.
     ``checksum()`` names the set's label file; equality ignores it.
+    A set from ``load_labels(source, vertices)`` holds None, never an empty
+    label, for every vertex not decoded; ``total_pairs`` counts them all.
     """
 
     __slots__ = ("hubs", "dists", "total_pairs", "_crc")
@@ -201,43 +204,49 @@ def save_labels(labels: LabelSet, sink: IO[bytes]) -> None:
     """Serialize to the binary label format (see README), in one write, and
     record the file's CRC as the labels' checksum."""
     pack = _PAIR.pack
-    body = bytearray(_COUNT.pack(labels.vertex_count))
+    n = labels.vertex_count
+    body = bytearray(_COUNT.pack(n))
+    body += struct.pack(f"<{n}I", *map(len, labels.hubs))  # the counts column
     for hv, dv in zip(labels.hubs, labels.dists):
-        body += _U32.pack(len(hv))
         body += b"".join(map(pack, hv, dv))  # one label's pairs live at a time
     data = _seal(_MAGIC, _VERSION, body)
     (labels._crc,) = _U32.unpack_from(data, len(data) - _U32.size)
     sink.write(data)
 
 
-def load_labels(source: IO[bytes]) -> LabelSet:
+def load_labels(source: IO[bytes], vertices: Iterable[int] | None = None) -> LabelSet:
     """Read and validate a label file; FormatError on any corruption.
 
-    The framing and its checksum are checked first. Each label must then
-    start with (v, 0), and every later pair have distance >= 1, ascend
-    strictly by (dist, hub) and name a distinct hub in range. Every hub is
-    mapped to one shared int object per vertex; a label's distances are its
-    pairs' distance bytes. The file's CRC becomes the set's ``checksum()``.
+    The framing and its checksum are checked first, then the counts column:
+    no label is empty, and the counts add up to the pairs that follow. Each
+    decoded label must start with (v, 0), and every later pair have
+    distance >= 1, ascend strictly by (dist, hub) and name a distinct hub in
+    range. Every hub is mapped to one shared int object per vertex; a
+    label's distances are its pairs' distance bytes. With ``vertices``, only
+    their labels are decoded and checked: every other entry is None, and IDs
+    outside range(n) decode nothing. ``total_pairs`` and ``checksum()`` (the
+    file's CRC) describe the whole file either way.
     """
     (n,), data, crc = _unseal(source.read(), _MAGIC, _VERSION, "label", _COUNT)
     size = len(data)
-    pos = 0
     # Bound n by the bytes present before allocating anything per vertex.
     if n * _MIN_LABEL_SIZE > size:
         raise FormatError(f"truncated stream: {n} labels cannot fit in {size} bytes")
+    counts = struct.unpack_from(f"<{n}I", data)
+    if 0 in counts:
+        raise FormatError(f"label of vertex {counts.index(0)} is empty")
+    # ends[v] is where vertex v's pairs start, ends[v + 1] where they end
+    ends = list(accumulate(map(_PAIR.size.__mul__, counts), initial=_U32.size * n))
+    if ends[-1] != size:
+        raise FormatError(f"counts sum to {sum(counts)} pairs but {size - ends[0]} bytes follow")
     shared = list(range(n))
     owner = [-1] * n  # owner[h] is the last vertex whose label named hub h
-    hubs: list[list[int]] = []
-    dists: list[bytes] = []
-    for v in range(n):
-        (count,) = _U32.unpack_from(data, pos)
-        start = pos + _U32.size
-        pos = start + count * _PAIR.size
-        # the labels after this one need their minimum size too
-        if pos + (n - 1 - v) * _MIN_LABEL_SIZE > size:
-            raise FormatError("truncated stream")
-        pairs = _PAIR.iter_unpack(data[start:pos])
-        if next(pairs, None) != (v, 0):
+    hubs: list = [None] * n
+    dists: list = [None] * n
+    for v in range(n) if vertices is None else set(vertices).intersection(range(n)):
+        start, end = ends[v], ends[v + 1]
+        pairs = _PAIR.iter_unpack(data[start:end])
+        if next(pairs) != (v, 0):
             raise FormatError(f"label of vertex {v} does not start with its own pair ({v}, 0)")
         hv = [shared[v]]
         owner[v] = v
@@ -257,12 +266,9 @@ def load_labels(source: IO[bytes]) -> LabelSet:
                 hv.append(shared[h])
         except IndexError:  # owner[h] with h >= n
             raise FormatError(f"label of vertex {v} names hub {h} >= {n}") from None
-        hubs.append(hv)
+        hubs[v] = hv
         # the distances are each pair's last byte
-        dists.append(data[start + _PAIR.size - 1 : pos : _PAIR.size])
-    if pos != size:
-        raise FormatError("trailing bytes after the last label")
-    labels = LabelSet(hubs, dists)
-    labels._crc = crc
+        dists[v] = data[start + _PAIR.size - 1 : end : _PAIR.size]
+    labels = LabelSet([], [])
+    labels.hubs, labels.dists, labels.total_pairs, labels._crc = hubs, dists, sum(counts), crc
     return labels
-

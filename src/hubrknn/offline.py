@@ -380,37 +380,43 @@ def save_index(index: OfflineIndex, sink: IO[bytes]) -> None:
     sink.write(_seal(_MAGIC, _VERSION, body))
 
 
+def _read_index_header(data: bytes) -> tuple[int, int, tuple[int, ...], bytes]:
+    """The label checksum, k and objects an index file names, and its kNN
+    rows' bytes. Checks the framing, the header and the exact body length
+    (naming a truncation or trailing bytes)."""
+    (named, k, obj_count), body, _ = _unseal(data, _MAGIC, _VERSION, "index", _HEADER)
+    if k < 1 or obj_count < k + 1:
+        raise FormatError(f"index header has k={k} but only {obj_count} objects")
+    rows_at = _U32.size * obj_count
+    end = rows_at + obj_count * k * _PAIR.size
+    if len(body) < end:
+        raise FormatError("truncated stream")
+    if len(body) > end:
+        raise FormatError("trailing bytes after the last kNN row")
+    return named, k, struct.unpack_from(f"<{obj_count}I", body), body[rows_at:]
+
+
 def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
     """Read an index file and verify it belongs to the given labels.
 
-    Checks, in order: the framing (magic, version and the trailing CRC of
-    the file); that the label checksum it names is ``labels.checksum()``;
-    the header and the exact body length (naming a truncation or trailing
-    bytes); the objects' range and distinctness; each kNN row's range and
-    distance order, and that its last entry, the k-th-neighbor distance the
-    queries read, equals the label distance between its two objects. Only
-    then is substage 3 rebuilt from the labels, the objects and the rows.
-    Mismatched, corrupt or truncated inputs fail with FormatError. The
-    index is bound to this ``labels`` object, which ``rknn_query`` must be
-    passed.
+    Checks, in order: the file (``_read_index_header``); that the label
+    checksum it names is ``labels.checksum()``; the objects' range and
+    distinctness; each kNN row's range and distance order, and that its
+    last entry, the k-th-neighbor distance the queries read, equals the
+    label distance between its two objects. Only then is substage 3 rebuilt
+    from the labels, the objects and the rows, so ``labels`` needs only the
+    objects' labels decoded. Mismatched, corrupt or truncated inputs fail
+    with FormatError. The index is bound to this ``labels`` object, which
+    ``rknn_query`` must be passed.
     """
-    (named, k, obj_count), data, _ = _unseal(source.read(), _MAGIC, _VERSION, "index", _HEADER)
+    named, k, vertices, rows_data = _read_index_header(source.read())
     if named != labels.checksum():
         raise FormatError(
             f"index was built from other labels: it names label checksum {named:08x}, "
             f"these labels have {labels.checksum():08x}"
         )
     n = labels.vertex_count
-    if k < 1 or obj_count < k + 1:
-        raise FormatError(f"index header has k={k} but only {obj_count} objects")
-    rows_at = _U32.size * obj_count
-    end = rows_at + obj_count * k * _PAIR.size
-    if len(data) < end:
-        raise FormatError("truncated stream")
-    if len(data) > end:
-        raise FormatError("trailing bytes after the last kNN row")
-
-    vertices = struct.unpack_from(f"<{obj_count}I", data)
+    obj_count = len(vertices)
     for v in vertices:
         if v >= n:
             raise FormatError(f"index object vertex {v} out of range for {n} vertices")
@@ -419,7 +425,7 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
     except ConfigError as exc:
         raise FormatError(str(exc)) from None
 
-    pairs = list(_PAIR.iter_unpack(data[rows_at:]))
+    pairs = list(_PAIR.iter_unpack(rows_data))
     rows = [pairs[i * k : (i + 1) * k] for i in range(obj_count)]
     for i, row in enumerate(rows):
         prev = -1

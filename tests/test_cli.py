@@ -1,15 +1,19 @@
 """End-to-end CLI runs over temp files: the full build/preprocess/query flow."""
 
+import io
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import hubrknn
+import hubrknn.cli
 from hubrknn.cli import main
 
 from fixtures import TREE14_TEXT
+from graphgen import preferential_attachment_graph
 
 
 @pytest.fixture()
@@ -399,3 +403,108 @@ def test_bench_rejects_a_malformed_list(workspace, capsys, option, value, kind):
     assert code == 1
     err = capsys.readouterr().err
     assert f"hubrknn: expected a comma-separated {kind} list, got {value!r}" in err
+
+
+def _run(capsys, argv):
+    """Exit code, stdout and stderr of one CLI run."""
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _lookups(ws, vertex):
+    """The query, query --all and knn argv of the workspace at a raw vertex."""
+    files = ["--graph", ws["graph"], "--labels", ws["labels"], "--index", ws["index"]]
+    at = ["--vertex", str(vertex)]
+    return [["query", *files, *at], ["query", *files, *at, "--all"], ["knn", *files, *at]]
+
+
+def test_query_and_knn_decode_only_the_labels_they_read(workspace, capsys, monkeypatch):
+    """The labels of the query vertex and of the objects (4, 10, 12), no more."""
+    _pipeline(workspace)
+    loaded = []
+
+    def spy(source, *rest):
+        loaded.append(hubrknn.load_labels(source, *rest))
+        return loaded[-1]
+
+    monkeypatch.setattr(hubrknn.cli, "load_labels", spy)
+    for vertex, decoded in ((0, {0, 4, 10, 12}), (4, {4, 10, 12})):
+        for argv in _lookups(workspace, vertex):
+            loaded.clear()
+            assert _run(capsys, argv)[0] == 0
+            (labels,) = loaded
+            assert {v for v, hv in enumerate(labels.hubs) if hv is not None} == decoded
+            assert labels.vertex_count == 14 and labels.total_pairs == 39
+
+
+def test_partial_decode_answers_as_a_full_decode(workspace, capsys, monkeypatch):
+    """query, query --all and knn print the same at every TREE14 vertex as
+    when every label is decoded."""
+    _pipeline(workspace)
+    vertices = range(14)
+    partial = [_run(capsys, argv) for v in vertices for argv in _lookups(workspace, v)]
+    monkeypatch.setattr(hubrknn.cli, "load_labels", lambda source, *rest: hubrknn.load_labels(source))
+    full = [_run(capsys, argv) for v in vertices for argv in _lookups(workspace, v)]
+    assert partial == full
+    assert all(code == 0 and err == "" for code, _, err in partial)
+    assert partial[:3] == [(0, "4\t1\n12\t3\n", ""), (0, "4\t1\n10\tinf\n12\t3\n", ""),
+                           (0, "4\t1\n", "")]
+
+
+@pytest.mark.parametrize("path_length", [20, 10])
+def test_label_file_of_another_vertex_count_is_data_error(workspace, capsys, path_length):
+    """Labels of a longer or a shorter graph fail by the file's vertex count,
+    also where the query vertex or an object lies beyond it."""
+    _pipeline(workspace)
+    other = workspace["tmp"] / "path.txt"
+    other.write_text("".join(f"{v} {v + 1}\n" for v in range(path_length - 1)))
+    assert main(["build", "--graph", str(other), "--out", workspace["labels"]]) == 0
+    preprocess = [
+        "preprocess",
+        "--graph", workspace["graph"],
+        "--labels", workspace["labels"],
+        "--objects", workspace["objects"],
+        "--k", "1",
+        "--out", str(workspace["tmp"] / "other.index"),
+    ]
+    for argv in [*_lookups(workspace, 13), preprocess]:
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"hubrknn: label file covers {path_length} vertices but the graph has 14\n"
+
+
+def _pa_workspace(tmp_path):
+    """PA 300/4 as an edge-list file and 60 of its vertices as objects."""
+    graph = preferential_attachment_graph(300, 4, seed=3)
+    edges = tmp_path / "pa.txt"
+    edges.write_text("".join(
+        f"{graph.raw_ids[v]} {graph.raw_ids[w]}\n"
+        for v in range(300) for w in graph.adjacency[v] if v < w
+    ))
+    objects = tmp_path / "pa-objects.txt"
+    objects.write_text("".join(f"{r}\n" for r in random.Random(4).sample(graph.raw_ids, 60)))
+    return {"graph": str(edges), "objects": str(objects),
+            "labels": str(tmp_path / "pa.labels"), "index": str(tmp_path / "pa.index")}
+
+
+@pytest.mark.parametrize("name, k", [("tree14", 1), ("pa300", 4)])
+def test_preprocess_writes_the_index_of_the_fully_loaded_labels(workspace, capsys, name, k):
+    """preprocess decodes only the objects' labels, and its index file is
+    byte for byte the one written from every label."""
+    ws = workspace if name == "tree14" else _pa_workspace(workspace["tmp"])
+    assert main(["build", "--graph", ws["graph"], "--out", ws["labels"]]) == 0
+    argv = ["preprocess", "--graph", ws["graph"], "--labels", ws["labels"],
+            "--objects", ws["objects"], "--k", str(k), "--out", ws["index"]]
+    assert _run(capsys, argv)[0] == 0
+    with open(ws["graph"]) as f:
+        graph = hubrknn.largest_connected_component(hubrknn.parse_edge_list(f))
+    with open(ws["objects"]) as f:
+        objects = hubrknn.ObjectSet(tuple(map(graph.dense_id, hubrknn.parse_object_file(f))))
+    with open(ws["labels"], "rb") as f:
+        labels = hubrknn.load_labels(f)
+    expected = io.BytesIO()
+    hubrknn.save_index(hubrknn.offline_preprocess(labels, objects, k), expected)
+    with open(ws["index"], "rb") as f:
+        assert f.read() == expected.getvalue()

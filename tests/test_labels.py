@@ -334,16 +334,31 @@ def _with_label(labels, v, pairs):
     return LabelSet(hubs, dists)
 
 
-def _load_error(labels):
-    """The FormatError message of loading ``labels`` as written by save_labels."""
-    with pytest.raises(FormatError) as err:
-        load_labels(io.BytesIO(_saved(labels)))
-    return str(err.value)
+def _load_error(labels, v, pairs):
+    """The FormatError message of loading ``labels`` with vertex v's label
+    replaced, as written by save_labels; a full load and one that decodes
+    only v's label fail alike."""
+    data = _saved(_with_label(labels, v, pairs))
+    messages = set()
+    for vertices in (None, [v]):
+        with pytest.raises(FormatError) as err:
+            load_labels(io.BytesIO(data), vertices)
+        messages.add(str(err.value))
+    (message,) = messages
+    return message
+
+
+def _resealed(data):
+    """A label file changed in place, its CRC recomputed, so the change
+    reaches the checks behind the CRC."""
+    body = bytes(data[:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def test_load_rejects_hostile_vertex_count():
-    """A header claiming 2**40 vertices, checksum intact, allocates nothing per vertex."""
-    data = b"RHUB\x02" + struct.pack("<Q", 2**40) + struct.pack("<IIB", 1, 0, 0)
+    """A header claiming 2**40 vertices, checksum intact, allocates nothing
+    per vertex, not even the counts column."""
+    data = b"RHUB\x03" + struct.pack("<Q", 2**40) + struct.pack("<IIB", 1, 0, 0)
     data += struct.pack("<I", zlib.crc32(data))
 
     def attempt():
@@ -362,14 +377,20 @@ def test_load_rejects_corrupted_magic(tree14_labels):
         load_labels(io.BytesIO(bytes(data)))
 
 
-def test_load_rejects_truncation(tree14_labels):
+# a full load, and a partial one: the CRC covers the labels it does not decode
+SUBSETS = [pytest.param(None, id="all"), pytest.param((4, 11), id="subset")]
+
+
+@pytest.mark.parametrize("vertices", SUBSETS)
+def test_load_rejects_truncation(tree14_labels, vertices):
     data = _saved(tree14_labels)
     for size in range(len(data)):  # cuts inside and between labels alike
         with pytest.raises(FormatError):
-            load_labels(io.BytesIO(data[:size]))
+            load_labels(io.BytesIO(data[:size]), vertices)
 
 
-def test_load_rejects_every_single_byte_change(tree14_labels):
+@pytest.mark.parametrize("vertices", SUBSETS)
+def test_load_rejects_every_single_byte_change(tree14_labels, vertices):
     """Every byte of the file, set to each of its 255 other values, fails."""
     data = _saved(tree14_labels)
     assert len(data) == 13 + 4 * 14 + 5 * TREE14_TOTAL_PAIRS + 4
@@ -379,17 +400,20 @@ def test_load_rejects_every_single_byte_change(tree14_labels):
             if new != old:
                 bad[pos] = new
                 with pytest.raises(FormatError) as err:
-                    load_labels(io.BytesIO(bad))
+                    load_labels(io.BytesIO(bad), vertices)
                 # past the magic and the version byte, the checksum catches it
                 assert pos < 5 or "checksum mismatch" in str(err.value)
         bad[pos] = old
 
 
-def test_load_rejects_old_label_version(tree14_labels):
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_rejects_old_label_version(tree14_labels, version):
+    # version 1 stored labels in hub order with no checksum, version 2 each
+    # label's count in front of its pairs
     data = bytearray(_saved(tree14_labels))
-    assert data[4] == 2
-    data[4] = 1  # version 1 stored labels in hub order with no checksum
-    with pytest.raises(FormatError, match="unsupported label-file version 1"):
+    assert data[4] == 3
+    data[4] = version
+    with pytest.raises(FormatError, match=f"unsupported label-file version {version}"):
         load_labels(io.BytesIO(bytes(data)))
 
 
@@ -401,7 +425,7 @@ def test_load_rejects_unsorted_label(tree14_labels):
         ([(11, 0), (5, 1), (0, 2), (0, 2)], (0, 2)),  # and repeat within it
         ([(11, 0), (1, 2), (5, 1), (0, 3)], (5, 1)),  # distance 2 before distance 1
     ):
-        message = _load_error(_with_label(tree14_labels, 11, pairs))
+        message = _load_error(tree14_labels, 11, pairs)
         assert message == f"label of vertex 11 has {wrong} out of order"
 
 
@@ -414,7 +438,7 @@ def test_load_rejects_changed_zero_distances(tree14_labels):
             for new in (1, 255) if h == v else (0,):
                 pairs = list(stored)
                 pairs[pos] = (h, new)
-                message = _load_error(_with_label(tree14_labels, v, pairs))
+                message = _load_error(tree14_labels, v, pairs)
                 if h == v:
                     assert message.endswith(f"does not start with its own pair ({v}, 0)")
                 else:  # every pair after (v, 0) needs distance >= 1
@@ -423,9 +447,11 @@ def test_load_rejects_changed_zero_distances(tree14_labels):
     assert changed == 2 * 14 + TREE14_TOTAL_PAIRS - 14
 
     own_last = label_pairs(tree14_labels, 5)  # hub order puts (5, 0) last
-    for pairs in (own_last[:-1], own_last, [(1, 1), (5, 0), (0, 2)], []):
-        message = _load_error(_with_label(tree14_labels, 5, pairs))
+    for pairs in (own_last[:-1], own_last, [(1, 1), (5, 0), (0, 2)]):
+        message = _load_error(tree14_labels, 5, pairs)
         assert message == "label of vertex 5 does not start with its own pair (5, 0)"
+    # the counts column names an empty label before any label is decoded
+    assert _load_error(tree14_labels, 5, []) == "label of vertex 5 is empty"
 
 
 def test_load_rejects_repeated_and_out_of_range_hubs(tree14_labels):
@@ -436,8 +462,76 @@ def test_load_rejects_repeated_and_out_of_range_hubs(tree14_labels):
         ([(11, 0), (5, 1), (1, 2), (14, 3)], "names hub 14 >= 14"),
         ([(11, 0), (15, 1), (1, 2), (0, 3)], "names hub 15 >= 14"),
     ):
-        message = _load_error(_with_label(tree14_labels, 11, pairs))
+        message = _load_error(tree14_labels, 11, pairs)
         assert message == f"label of vertex 11 {expected}"
+
+
+@pytest.mark.parametrize("name", ["tree14", "pa300"])
+def test_partial_load_decodes_only_the_given_vertices(tree14_labels, name):
+    """The given labels equal the full load's, every other one is None, and
+    the set's totals and checksum describe the whole file."""
+    if name == "tree14":
+        built, vertices = tree14_labels, [11, 4, 11, 0]  # a repeat decodes once
+    else:
+        built = build_pll_labels(preferential_attachment_graph(300, 4, seed=5))
+        vertices = range(0, 300, 7)
+    data = _saved(built)
+    full = load_labels(io.BytesIO(data))
+    part = load_labels(io.BytesIO(data), vertices)
+    assert part.vertex_count == full.vertex_count
+    assert part.total_pairs == full.total_pairs == built.total_pairs
+    assert part.checksum() == full.checksum() == built.checksum()
+    wanted = set(vertices)
+    for v in range(full.vertex_count):
+        if v in wanted:
+            assert part.hubs[v] == full.hubs[v] and part.dists[v] == full.dists[v]
+            assert type(part.dists[v]) is bytes
+        else:
+            assert part.hubs[v] is None and part.dists[v] is None
+            with pytest.raises(TypeError):
+                len(part.hubs[v])
+    _assert_compact(LabelSet([part.hubs[v] for v in wanted], [part.dists[v] for v in wanted]))
+    s, t = min(wanted), max(wanted)
+    assert hl_distance(part, s, t) == hl_distance(full, s, t)
+    # IDs outside the file's range decode nothing, as a full load has no entry for them
+    none = load_labels(io.BytesIO(data), [-1, full.vertex_count])
+    assert none.hubs == [None] * full.vertex_count
+
+
+# the TREE14 label file's counts column starts after the magic, the version and n
+COUNTS_AT = 4 + 1 + 8
+
+
+def test_load_checks_the_counts_column_first(tree14_labels):
+    """With the CRC recomputed: an empty label and counts that disagree with
+    the pairs fail before any label is decoded, in a partial load too; the
+    structure of a label the load does not decode is not checked."""
+    data = _saved(tree14_labels)
+    assert struct.unpack_from("<I", data, COUNTS_AT + 4 * 3) == (2,)
+    cases = {
+        (3, 0): "label of vertex 3 is empty",
+        (3, 3): "counts sum to 40 pairs but 195 bytes follow",
+        (3, 1): "counts sum to 38 pairs but 195 bytes follow",
+    }
+    for (v, count), message in cases.items():
+        bad = bytearray(data)
+        struct.pack_into("<I", bad, COUNTS_AT + 4 * v, count)
+        for vertices in (None, [11], []):
+            with pytest.raises(FormatError) as err:
+                load_labels(io.BytesIO(_resealed(bad)), vertices)
+            assert str(err.value) == message
+    # vertex 3 gives its second pair to vertex 4: the sum holds, and only a
+    # load that decodes 4 sees a label that does not start with its own pair
+    bad = bytearray(data)
+    struct.pack_into("<II", bad, COUNTS_AT + 4 * 3, 1, 3)
+    bad = _resealed(bad)
+    for vertices in (None, [4], [3, 4]):
+        with pytest.raises(FormatError) as err:
+            load_labels(io.BytesIO(bad), vertices)
+        assert str(err.value) == "label of vertex 4 does not start with its own pair (4, 0)"
+    part = load_labels(io.BytesIO(bad), [3, 11])
+    assert label_pairs(part, 3) == [(3, 0)]
+    assert label_pairs(part, 11) == label_pairs(tree14_labels, 11)
 
 
 @pytest.mark.parametrize("name", ["tree14", "pa300"])

@@ -333,6 +333,15 @@ def test_index_roundtrip(tree14_labels, tree14_objects):
         again = io.BytesIO()
         save_index(loaded, again)
         assert again.getvalue() == data
+        # labels with only the objects' labels decoded load the same index
+        label_file = io.BytesIO()
+        save_labels(labels, label_file)
+        part = load_labels(io.BytesIO(label_file.getvalue()), objects.vertices)
+        from_part = load_index(io.BytesIO(data), part)
+        assert from_part.knn_results == index.knn_results
+        assert from_part.rknn_backward == index.rknn_backward
+        assert from_part.knn_backward == index.knn_backward
+        assert index_stats(from_part) == index_stats(index)
 
 
 def test_index_load_rejects_bad_magic(tree14_labels, tree14_objects):

@@ -44,10 +44,14 @@ def test_only_labels_imports_zlib():
 
 
 def test_cli_import_leaves_bench_unloaded():
-    """Only the bench subcommand imports bench, with csv, hashlib and statistics."""
+    """Only the bench subcommand imports bench, with csv, hashlib, logging and
+    statistics."""
     src = str(pathlib.Path(hubrknn.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, hubrknn.cli; print(sorted({'hubrknn.bench', 'csv'} & set(sys.modules)))"
+    probe = (
+        "import sys, hubrknn.cli; "
+        "print(sorted({'hubrknn.bench', 'csv', 'logging'} & set(sys.modules)))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": path},
