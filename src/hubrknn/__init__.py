@@ -9,7 +9,6 @@ file formats and the CLI.
 from .errors import ConfigError, FormatError, ParseError
 from .graph import (
     Graph,
-    VertexOrdering,
     degree_ordering,
     largest_connected_component,
     parse_edge_list,
@@ -24,9 +23,7 @@ from .labels import (
     save_labels,
 )
 from .offline import (
-    IndexStats,
     KnnBackwardLabels,
-    KnnResultTable,
     ObjectSet,
     OfflineIndex,
     OfflineTimings,

@@ -22,7 +22,7 @@ from typing import IO
 from .errors import ConfigError
 from .graph import Graph
 from .labels import INFINITY, LabelSet
-from .offline import IndexStats, ObjectSet, index_stats, offline_preprocess
+from .offline import ObjectSet, index_stats, offline_preprocess
 from .online import rknn_query
 from .oracle import bfs_distances
 
@@ -72,7 +72,7 @@ class SweepRecord:
     knn_result_pairs: float
     rknn_pairs: float
     to_many_pairs: float
-    model_bytes: float  # IndexStats.model_bytes
+    model_bytes: float  # index_stats' 5-bytes-per-pair model
     pairs_scanned_mean: float
 
     def row(self) -> list:
@@ -189,7 +189,7 @@ def _run_point(
     sub_times = [0.0, 0.0, 0.0]
     online_ms: list[float] = []
     scanned: list[int] = []
-    stats: list[IndexStats] = []
+    stats: list[dict[str, float]] = []
 
     for s in range(config.sets_per_point):
         oseed = _cell_seed(config.seed, density, k, ball, s, "objects")
@@ -227,11 +227,7 @@ def _run_point(
         offline_total_ms=1e3 * sum(sub_times) / sets,
         online_mean_ms=statistics.mean(online_ms),
         online_median_ms=statistics.median(online_ms),
-        epsilon=statistics.mean(st.epsilon for st in stats),
-        knn_backward_pairs=sum(st.knn_backward_pairs for st in stats) / sets,
-        knn_result_pairs=sum(st.knn_result_pairs for st in stats) / sets,
-        rknn_pairs=sum(st.rknn_pairs for st in stats) / sets,
-        to_many_pairs=sum(st.to_many_pairs for st in stats) / sets,
-        model_bytes=sum(st.model_bytes for st in stats) / sets,
         pairs_scanned_mean=statistics.mean(scanned),
+        # per-set means; float() because the mean of ints can be an int
+        **{name: float(statistics.mean(st[name] for st in stats)) for name in stats[0]},
     )

@@ -297,14 +297,12 @@ def _cmd_stats(args) -> int:
 
     if args.index:
         stats = index_stats(index)
-        print(f"k\t{stats.k}")
-        print(f"objects\t{stats.object_count}")
-        print(f"knn_backward_pairs\t{stats.knn_backward_pairs}")
-        print(f"knn_result_pairs\t{stats.knn_result_pairs}")
-        print(f"rknn_pairs\t{stats.rknn_pairs}")
-        print(f"to_many_pairs\t{stats.to_many_pairs}")
-        print(f"epsilon\t{stats.epsilon:.4f}")
-        print(f"index_model_bytes\t{stats.model_bytes}")
+        print(f"k\t{index.k}")
+        print(f"objects\t{len(index.objects)}")
+        for name in ("knn_backward_pairs", "knn_result_pairs", "rknn_pairs", "to_many_pairs"):
+            print(f"{name}\t{stats[name]}")
+        print(f"epsilon\t{stats['epsilon']:.4f}")
+        print(f"index_model_bytes\t{stats['model_bytes']}")
     return 0
 
 

@@ -10,7 +10,6 @@ the Graph so results can be reported in the caller's original IDs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 from .errors import ConfigError, ParseError
@@ -82,17 +81,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(vertices={self.vertex_count}, edges={self.edge_count})"
-
-
-@dataclass(frozen=True)
-class VertexOrdering:
-    """Label-construction priority: ``order[0]`` is the first landmark."""
-
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.order) != list(range(len(self.order))):
-            raise ConfigError("ordering is not a permutation of the vertex IDs")
 
 
 def _data_lines(
@@ -178,8 +166,8 @@ def _bfs_collect(graph: Graph, start: int, visited: list[bool]) -> list[int]:
     return out
 
 
-def degree_ordering(graph: Graph) -> VertexOrdering:
-    """Vertices by descending degree, ties by ascending ID."""
+def degree_ordering(graph: Graph) -> tuple[int, ...]:
+    """Vertices by descending degree, ties by ascending ID: the label
+    build's landmark order, first landmark first."""
     adjacency = graph.adjacency
-    order = sorted(range(graph.vertex_count), key=lambda v: (-len(adjacency[v]), v))
-    return VertexOrdering(tuple(order))
+    return tuple(sorted(range(graph.vertex_count), key=lambda v: (-len(adjacency[v]), v)))

@@ -19,7 +19,7 @@ from itertools import accumulate
 from typing import IO, Iterable
 
 from .errors import ConfigError, FormatError
-from .graph import Graph, VertexOrdering, degree_ordering
+from .graph import Graph, degree_ordering
 
 # Sentinel strictly greater than any representable hop distance.
 INFINITY = 1 << 30
@@ -106,8 +106,11 @@ class LabelSet:
         return f"LabelSet(vertices={self.vertex_count}, pairs={self.total_pairs})"
 
 
-def build_pll_labels(graph: Graph, ordering: VertexOrdering | None = None) -> LabelSet:
+def build_pll_labels(graph: Graph, ordering: tuple[int, ...] | None = None) -> LabelSet:
     """Run pruned landmark labeling over the given vertex ordering.
+
+    ``ordering`` is a permutation of the vertex IDs, first landmark first;
+    ``degree_ordering`` by default.
 
     One BFS per vertex, in priority order. A visit to w at depth d is pruned
     when the labels built so far already certify dist(root, w) <= d;
@@ -121,12 +124,10 @@ def build_pll_labels(graph: Graph, ordering: VertexOrdering | None = None) -> La
     equal those of the per-vertex prune test. The ``reach`` sets live only
     during the build, at three to six times the label file's size.
     """
-    if ordering is None:
-        ordering = degree_ordering(graph)
+    order = degree_ordering(graph) if ordering is None else ordering
     n = graph.vertex_count
-    order = ordering.order
-    if len(order) != n:
-        raise ConfigError("ordering size does not match the graph")
+    if sorted(order) != list(range(n)):
+        raise ConfigError("ordering is not a permutation of the graph's vertex IDs")
 
     bit_of = [0] * n
     for i, v in enumerate(order):

@@ -22,10 +22,11 @@ making one empty list per hub and a few C-level passes over those lists,
 the offline work scales with the objects' label pairs, not with the vertex
 count.
 
-The index file stores only what the labels cannot rebuild: the objects and
-their kNN rows (substage 2). It is sealed like a label file and names its
-labels by the checksum their label file ends with. ``load_index`` rebuilds
-substage 3 from them, and substage 1 on first use.
+An ``OfflineIndex`` is made from the labels, the objects and their kNN rows
+(substage 2); its constructor runs substage 3, and substage 1 runs on first
+use unless ``offline_preprocess`` hands over its own lists. The index file
+stores only the objects and the rows. It is sealed like a label file and
+names its labels by the checksum their label file ends with.
 """
 
 from __future__ import annotations
@@ -80,18 +81,6 @@ class KnnBackwardLabels:
 
 
 @dataclass(slots=True, repr=False)
-class KnnResultTable:
-    """Row i holds object i's k nearest other objects, ascending by distance."""
-
-    k: int
-    rows: list[list[tuple[int, int]]]
-    worst: list[int] = field(init=False, compare=False)  # k-th neighbor distance
-
-    def __post_init__(self):
-        self.worst = [row[-1][1] for row in self.rows]
-
-
-@dataclass(slots=True, repr=False)
 class RknnBackwardLabels:
     """Per-hub (objectIndex, dist) pairs surviving the k-th-neighbor filter."""
 
@@ -115,23 +104,25 @@ class OfflineTimings:
         return self.knn_backward_s + self.batch_knn_s + self.rknn_labels_s
 
 
-@dataclass
 class OfflineIndex:
     """Everything the online phase needs for one object set and one k.
 
-    Built (``offline_preprocess``) or loaded (``load_index``) alike; a loaded
-    index rebuilds ``knn_backward`` from its labels on first access.
+    ``rows[i]`` holds object i's k nearest other objects as (objectIndex,
+    dist), ascending by distance, and ``worst[i]`` the last one's distance.
+    Built (``offline_preprocess``) and loaded (``load_index``) indexes come
+    from this one constructor, which runs substage 3. A loaded index builds
+    ``knn_backward`` from the labels on first access.
     """
 
-    objects: ObjectSet
-    knn_results: KnnResultTable
-    rknn_backward: RknnBackwardLabels
-    labels: LabelSet
-    timings: OfflineTimings = field(default_factory=OfflineTimings)
-
-    @property
-    def k(self) -> int:
-        return self.knn_results.k
+    def __init__(self, objects: ObjectSet, rows: list[list[tuple[int, int]]], labels: LabelSet):
+        self.objects = objects
+        self.rows = rows
+        self.labels = labels
+        self.k = len(rows[0])
+        _check_objects(labels, objects, self.k)
+        self.worst = [row[-1][1] for row in rows]
+        self.rknn_backward = build_rknn_backward_labels(labels, objects, self.worst)
+        self.timings = OfflineTimings()
 
     @cached_property
     def knn_backward(self) -> KnnBackwardLabels:
@@ -263,8 +254,9 @@ def batch_knn(
     labels: LabelSet,
     objects: ObjectSet,
     knn_backward: KnnBackwardLabels,
-) -> KnnResultTable:
-    """Substage 2: every object's k nearest other objects, k from the lists."""
+) -> list[list[tuple[int, int]]]:
+    """Substage 2: every object's k nearest other objects as (objectIndex,
+    dist), ascending by distance; k from the lists."""
     k = knn_backward.k
     _check_objects(labels, objects, k)
     vertices = objects.vertices
@@ -278,39 +270,34 @@ def batch_knn(
             )
         return result
 
-    return KnnResultTable(k, [row(i) for i in range(len(vertices))])
+    return [row(i) for i in range(len(vertices))]
 
 
 def build_rknn_backward_labels(
     labels: LabelSet,
     objects: ObjectSet,
-    knn_results: KnnResultTable,
+    worst: list[int],
 ) -> RknnBackwardLabels:
-    """Substage 3: regroup object labels by hub, filtered by worst_dist.
+    """Substage 3: regroup object labels by hub, filtered by ``worst``, each
+    object's k-th-neighbor distance.
 
     Each hub's list is ordered by slack ``dist - worst[idx]``, ties by
     index. A query reaching the hub at distance d can use a pair iff its
     slack is <= -d, so the online sweep stops at the first pair that fails.
     """
-    _check_objects(labels, objects, knn_results.k)
-    worst = knn_results.worst
     return RknnBackwardLabels(_by_hub(labels, objects, worst, [-w for w in worst]))
 
 
 def offline_preprocess(labels: LabelSet, objects: ObjectSet, k: int) -> OfflineIndex:
-    """Run the three substages in order and assemble the index."""
-    timings = OfflineTimings()
+    """Run the three substages in order; the index constructor is substage 3."""
     t0 = time.perf_counter()
     knn_backward = build_knn_backward_labels(labels, objects, k)
     t1 = time.perf_counter()
-    knn_results = batch_knn(labels, objects, knn_backward)
+    rows = batch_knn(labels, objects, knn_backward)
     t2 = time.perf_counter()
-    rknn_backward = build_rknn_backward_labels(labels, objects, knn_results)
+    index = OfflineIndex(objects, rows, labels)
     t3 = time.perf_counter()
-    timings.knn_backward_s = t1 - t0
-    timings.batch_knn_s = t2 - t1
-    timings.rknn_labels_s = t3 - t2
-    index = OfflineIndex(objects, knn_results, rknn_backward, labels, timings)
+    index.timings = OfflineTimings(t1 - t0, t2 - t1, t3 - t2)
     index.knn_backward = knn_backward  # substage 1's lists, not rebuilt
     return index
 
@@ -325,34 +312,21 @@ def epsilon(index: OfflineIndex) -> float:
     return index.rknn_backward.total_pairs / to_many_pairs(index.labels, index.objects)
 
 
-@dataclass(frozen=True)
-class IndexStats:
-    k: int
-    object_count: int
-    knn_backward_pairs: int
-    knn_result_pairs: int
-    rknn_pairs: int
-    to_many_pairs: int
-    epsilon: float
-
-    # The 5-bytes-per-pair model (object index u32, distance u8) over the
-    # three structures an index holds in memory; not the index file's size.
-    @property
-    def model_bytes(self) -> int:
-        pairs = self.knn_backward_pairs + self.knn_result_pairs + self.rknn_pairs
-        return _PAIR.size * pairs
-
-
-def index_stats(index: OfflineIndex) -> IndexStats:
-    return IndexStats(
-        k=index.k,
-        object_count=len(index.objects),
-        knn_backward_pairs=index.knn_backward.total_pairs(),
-        knn_result_pairs=index.k * len(index.objects),
-        rknn_pairs=index.rknn_backward.total_pairs,
-        to_many_pairs=to_many_pairs(index.labels, index.objects),
-        epsilon=epsilon(index),
-    )
+def index_stats(index: OfflineIndex) -> dict[str, float]:
+    """The index's pair counts, keyed by the bench CSV's column names."""
+    knn_backward_pairs = index.knn_backward.total_pairs()
+    knn_result_pairs = index.k * len(index.objects)
+    rknn_pairs = index.rknn_backward.total_pairs
+    return {
+        "knn_backward_pairs": knn_backward_pairs,
+        "knn_result_pairs": knn_result_pairs,
+        "rknn_pairs": rknn_pairs,
+        "to_many_pairs": to_many_pairs(index.labels, index.objects),
+        "epsilon": epsilon(index),
+        # The 5-bytes-per-pair model (object index u32, distance u8) over the
+        # three structures an index holds in memory; not the index file's size.
+        "model_bytes": _PAIR.size * (knn_backward_pairs + knn_result_pairs + rknn_pairs),
+    }
 
 
 def parse_object_file(source: str | IO[str] | Iterable[str]) -> list[int]:
@@ -375,7 +349,7 @@ def save_index(index: OfflineIndex, sink: IO[bytes]) -> None:
     body = b"".join([
         _HEADER.pack(index.labels.checksum(), index.k, len(vertices)),
         struct.pack(f"<{len(vertices)}I", *vertices),
-        b"".join(pack(idx, d) for row in index.knn_results.rows for idx, d in row),
+        b"".join(pack(idx, d) for row in index.rows for idx, d in row),
     ])
     sink.write(_seal(_MAGIC, _VERSION, body))
 
@@ -403,9 +377,10 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
     checksum it names is ``labels.checksum()``; the objects' range and
     distinctness; each kNN row's range and distance order, and that its
     last entry, the k-th-neighbor distance the queries read, equals the
-    label distance between its two objects. Only then is substage 3 rebuilt
-    from the labels, the objects and the rows, so ``labels`` needs only the
-    objects' labels decoded. Mismatched, corrupt or truncated inputs fail
+    label distance between its two objects. Only then does the
+    ``OfflineIndex`` constructor rebuild substage 3 from the labels, the
+    objects and the rows, so ``labels`` needs only the objects' labels
+    decoded. Mismatched, corrupt or truncated inputs fail
     with FormatError. The index is bound to this ``labels`` object, which
     ``rknn_query`` must be passed.
     """
@@ -442,6 +417,4 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
                 f"is not at distance {d}"
             )
 
-    knn_results = KnnResultTable(k, rows)
-    rknn_backward = build_rknn_backward_labels(labels, objects, knn_results)
-    return OfflineIndex(objects, knn_results, rknn_backward, labels)
+    return OfflineIndex(objects, rows, labels)

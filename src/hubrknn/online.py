@@ -27,7 +27,7 @@ class RknnAnswer:
     """
 
     distances: list[int]
-    pairs_scanned: int = 0
+    pairs_scanned: int
 
     def members(self) -> list[tuple[int, int]]:
         """(objectIndex, dist) for every finite entry, in index order."""
@@ -46,7 +46,7 @@ def rknn_query(index: OfflineIndex, labels: LabelSet, q: int) -> RknnAnswer:
         raise ValueError(f"query vertex {q} out of range for {n} vertices")
 
     out = [INFINITY] * len(index.objects)
-    worst = index.knn_results.worst
+    worst = index.worst
     rknn_lists = index.rknn_backward.lists
     scanned = 0
     for h, d in zip(labels.hubs[q], labels.dists[q]):

@@ -18,7 +18,6 @@ from .offline import ObjectSet
 
 @dataclass(frozen=True)
 class DistanceRow:
-    source: int
     dist: tuple[int, ...]  # INFINITY for unreachable vertices
 
 
@@ -34,7 +33,7 @@ def bfs_distances(graph: Graph, source: int) -> DistanceRow:
             if dist[w] == INFINITY:
                 dist[w] = nd
                 queue.append(w)
-    return DistanceRow(source, tuple(dist))
+    return DistanceRow(tuple(dist))
 
 
 def oracle_rknn(

@@ -118,9 +118,10 @@ def test_criterion_2_golden_offline(tree14_labels, tree14_objects):
     with verdict(2, "golden fixture offline substages (exact tables)"):
         knnlab = build_knn_backward_labels(tree14_labels, tree14_objects, 1)
         assert as_hub_dict(knnlab.lists) == TREE14_KNN_BACKWARD_K1
-        table = batch_knn(tree14_labels, tree14_objects, knnlab)
-        assert table.rows == TREE14_KNN_RESULTS_K1
-        rknn = build_rknn_backward_labels(tree14_labels, tree14_objects, table)
+        rows = batch_knn(tree14_labels, tree14_objects, knnlab)
+        assert rows == TREE14_KNN_RESULTS_K1
+        worst = [row[-1][1] for row in rows]
+        rknn = build_rknn_backward_labels(tree14_labels, tree14_objects, worst)
         assert as_hub_dict(rknn.lists) == TREE14_RKNN_BACKWARD_K1
 
 
@@ -179,14 +180,14 @@ def test_criterion_5_knn_consistency(desk_instances):
                     if len(objects) < k + 1:
                         continue
                     knnlab = build_knn_backward_labels(labels, objects, k)
-                    table = batch_knn(labels, objects, knnlab)
+                    knn_rows = batch_knn(labels, objects, knnlab)
                     for i, row in enumerate(rows):
                         truth = sorted(
                             row[p]
                             for j, p in enumerate(objects.vertices)
                             if j != i
                         )[:k]
-                        got = table.rows[i]
+                        got = knn_rows[i]
                         assert [d for _, d in got] == truth
                         for idx, d in got:
                             assert d == row[objects.vertices[idx]]

@@ -158,16 +158,23 @@ def test_stats_reports_label_counts(workspace, capsys):
         ]
     )
     assert code == 0
-    out = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
-    assert out["vertices"] == "14"
-    assert out["edges"] == "13"
-    assert out["label_pairs"] == "39"
-    assert out["labels_per_vertex"] == "2.79"
-    assert out["rknn_pairs"] == "8"
-    assert out["epsilon"] == "0.8889"
     # loaded index: substage 1 rebuilt from the labels; 5 B per stored pair
-    assert out["knn_backward_pairs"] == "8"
-    assert out["index_model_bytes"] == str(5 * (8 + 3 + 8))
+    assert capsys.readouterr().out.splitlines() == [
+        "vertices\t14",
+        "edges\t13",
+        "avg_degree\t1.86",
+        "label_pairs\t39",
+        "labels_per_vertex\t2.79",
+        f"label_model_bytes\t{5 * 39}",
+        "k\t1",
+        "objects\t3",
+        "knn_backward_pairs\t8",
+        "knn_result_pairs\t3",
+        "rknn_pairs\t8",
+        "to_many_pairs\t9",
+        "epsilon\t0.8889",
+        f"index_model_bytes\t{5 * (8 + 3 + 8)}",
+    ]
 
 
 def test_mismatched_index_is_data_error(workspace, tmp_path, capsys):

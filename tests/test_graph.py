@@ -41,8 +41,8 @@ def serialize_edge_list(graph, sink):
 
 def rank(ordering):
     """Inverse permutation: rank[v] = position of v in the order."""
-    out = [0] * len(ordering.order)
-    for pos, v in enumerate(ordering.order):
+    out = [0] * len(ordering)
+    for pos, v in enumerate(ordering):
         out[v] = pos
     return out
 
@@ -169,26 +169,26 @@ def test_lcc_is_linear_in_the_component_count():
 
 def test_degree_ordering_star_center_first():
     g = parse_edge_list("0 1\n0 2\n0 3\n0 4")
-    assert degree_ordering(g).order[0] == 0
+    assert degree_ordering(g)[0] == 0
 
 
 def test_degree_ordering_fixture(tree14):
     from fixtures import TREE14_ORDER
 
-    assert degree_ordering(tree14).order == TREE14_ORDER
+    assert degree_ordering(tree14) == TREE14_ORDER
 
 
 def test_degree_ordering_ring_pure_id_tiebreak():
     n = 8
     g = Graph.from_edges([(i, (i + 1) % n) for i in range(n)])
-    assert degree_ordering(g).order == tuple(range(n))
+    assert degree_ordering(g) == tuple(range(n))
 
 
 def test_ordering_rank_is_inverse():
     g = random_connected_graph(30, 40, seed=3)
     ordering = degree_ordering(g)
     inverse = rank(ordering)
-    for pos, v in enumerate(ordering.order):
+    for pos, v in enumerate(ordering):
         assert inverse[v] == pos
     by_degree = sorted(range(g.vertex_count), key=lambda v: (-len(g.adjacency[v]), v))
     assert [inverse[v] for v in by_degree] == list(range(g.vertex_count))

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from hubrknn import (
     INFINITY,
     MAX_DIST,
+    ConfigError,
     FormatError,
     Graph,
     LabelSet,
-    VertexOrdering,
     bfs_distances,
     build_pll_labels,
     degree_ordering,
@@ -40,7 +40,7 @@ def reference_pll(graph, ordering):
     dists = [[] for _ in range(n)]
     root_dist = [INFINITY] * n  # distances root -> hub, indexed by hub
     seen = bytearray(n)
-    for root in ordering.order:
+    for root in ordering:
         for h, dh in zip(hubs[root], dists[root]):
             root_dist[h] = dh
         seen[root] = 1
@@ -82,7 +82,7 @@ def all_pairs(labels):
 def random_ordering(graph, seed):
     order = list(range(graph.vertex_count))
     random.Random(seed).shuffle(order)
-    return VertexOrdering(tuple(order))
+    return tuple(order)
 
 
 def path_graph(n):
@@ -249,7 +249,7 @@ def test_distance_width_guard():
 def test_distance_width_boundary():
     # first landmark at one end: its BFS reaches hop n - 1
     longest = path_graph(MAX_DIST + 1)
-    labels = build_pll_labels(longest, VertexOrdering(tuple(range(MAX_DIST + 1))))
+    labels = build_pll_labels(longest, tuple(range(MAX_DIST + 1)))
     assert hl_distance(labels, 0, MAX_DIST) == MAX_DIST
     sink = io.BytesIO()
     save_labels(labels, sink)
@@ -257,8 +257,22 @@ def test_distance_width_boundary():
 
     too_long = path_graph(MAX_DIST + 2)
     with pytest.raises(FormatError) as err:
-        build_pll_labels(too_long, VertexOrdering(tuple(range(MAX_DIST + 2))))
+        build_pll_labels(too_long, tuple(range(MAX_DIST + 2)))
     assert "255" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        pytest.param((0, 1, 1, 3), id="repeated-vertex"),
+        pytest.param((0, 1, 2, 4), id="vertex-beyond-n"),
+        pytest.param((0, 1, 2), id="too-short"),
+        pytest.param((0, 1, 2, 3, 4), id="too-long"),
+    ],
+)
+def test_build_rejects_an_ordering_that_is_not_a_permutation(order):
+    with pytest.raises(ConfigError, match="^ordering is not a permutation of the graph's"):
+        build_pll_labels(path_graph(4), order)
 
 
 def test_save_load_roundtrip_fixture(tree14_labels):

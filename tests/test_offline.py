@@ -11,7 +11,6 @@ from hubrknn import (
     FormatError,
     Graph,
     KnnBackwardLabels,
-    KnnResultTable,
     LabelSet,
     ObjectSet,
     batch_knn,
@@ -88,7 +87,7 @@ def reference_save_index(index):
     fields = [b"RHIX", struct.pack("<B", 5), label_file.getvalue()[-4:]]
     fields += [struct.pack("<I", index.k), struct.pack("<I", len(index.objects))]
     fields += [struct.pack("<I", v) for v in index.objects.vertices]
-    fields += [struct.pack("<IB", idx, d) for row in index.knn_results.rows for idx, d in row]
+    fields += [struct.pack("<IB", idx, d) for row in index.rows for idx, d in row]
     data = b"".join(fields)
     return data + struct.pack("<I", zlib.crc32(data))
 
@@ -149,8 +148,7 @@ def test_knn_backward_matches_naive_scan(k):
 
 def test_batch_knn_fixture_golden(tree14_labels, tree14_objects):
     knnlab = build_knn_backward_labels(tree14_labels, tree14_objects, 1)
-    table = batch_knn(tree14_labels, tree14_objects, knnlab)
-    assert table.rows == TREE14_KNN_RESULTS_K1
+    assert batch_knn(tree14_labels, tree14_objects, knnlab) == TREE14_KNN_RESULTS_K1
 
 
 def test_adjacent_pair_mutual_nn():
@@ -158,8 +156,8 @@ def test_adjacent_pair_mutual_nn():
     labels = build_pll_labels(g)
     obj = ObjectSet((0, 1))
     index = offline_preprocess(labels, obj, 1)
-    assert index.knn_results.rows == [[(1, 1)], [(0, 1)]]
-    assert index.knn_results.worst == [1, 1]
+    assert index.rows == [[(1, 1)], [(0, 1)]]
+    assert index.worst == [1, 1]
 
 
 @pytest.mark.parametrize(
@@ -170,13 +168,13 @@ def test_adjacent_pair_mutual_nn():
 def test_batch_knn_matches_bfs_oracle(instance, k):
     g, labels, obj = instance(seed=k)
     knnlab = build_knn_backward_labels(labels, obj, k)
-    table = batch_knn(labels, obj, knnlab)
+    rows = batch_knn(labels, obj, knnlab)
     for i, p in enumerate(obj.vertices):
         row = bfs_distances(g, p).dist
         truth = sorted((row[q], j) for j, q in enumerate(obj.vertices) if j != i)
         # exact row: ascending by (distance, object index), so equal
         # distances keep the smaller index and no index repeats
-        assert table.rows[i] == [(j, d) for d, j in truth[:k]]
+        assert rows[i] == [(j, d) for d, j in truth[:k]]
 
 
 class RecordingLists(list):
@@ -216,8 +214,9 @@ def test_knn_row_sweeps_by_label_distance_and_stops_early(k):
 
 def test_rknn_backward_fixture_golden(tree14_labels, tree14_objects):
     knnlab = build_knn_backward_labels(tree14_labels, tree14_objects, 1)
-    table = batch_knn(tree14_labels, tree14_objects, knnlab)
-    rknn = build_rknn_backward_labels(tree14_labels, tree14_objects, table)
+    rows = batch_knn(tree14_labels, tree14_objects, knnlab)
+    worst = [row[-1][1] for row in rows]
+    rknn = build_rknn_backward_labels(tree14_labels, tree14_objects, worst)
     assert as_hub_dict(rknn.lists) == TREE14_RKNN_BACKWARD_K1
     assert rknn.total_pairs == TREE14_RKNN_TOTAL_PAIRS
     # the filtered pair: object 1 (vertex 10) at hub 0 with distance 2
@@ -225,8 +224,7 @@ def test_rknn_backward_fixture_golden(tree14_labels, tree14_objects):
 
 
 def test_rknn_backward_vacuous_filter_keeps_everything(tree14_labels, tree14_objects):
-    huge = KnnResultTable(1, [[(1, 10_000)], [(0, 10_000)], [(0, 10_000)]])
-    rknn = build_rknn_backward_labels(tree14_labels, tree14_objects, huge)
+    rknn = build_rknn_backward_labels(tree14_labels, tree14_objects, [10_000] * 3)
     assert rknn.total_pairs == to_many_pairs(tree14_labels, tree14_objects)
 
 
@@ -234,12 +232,12 @@ def test_rknn_backward_matches_naive_filter():
     _, labels, obj = make_instance(seed=21)
     k = 2
     knnlab = build_knn_backward_labels(labels, obj, k)
-    table = batch_knn(labels, obj, knnlab)
-    rknn = build_rknn_backward_labels(labels, obj, table)
+    worst = [row[-1][1] for row in batch_knn(labels, obj, knnlab)]
+    rknn = build_rknn_backward_labels(labels, obj, worst)
     expected = set()
     for i, p in enumerate(obj.vertices):
         for h, d in zip(labels.hubs[p], labels.dists[p]):
-            if d <= table.worst[i]:
+            if d <= worst[i]:
                 expected.add((h, i, d))
     got = {
         (h, i, d) for h, lst in enumerate(rknn.lists) for i, d in lst
@@ -247,7 +245,7 @@ def test_rknn_backward_matches_naive_filter():
     assert got == expected
     # per-hub order is by (slack, object index), slack = dist - kth distance
     for lst in rknn.lists:
-        keys = [(d - table.worst[i], i) for i, d in lst]
+        keys = [(d - worst[i], i) for i, d in lst]
         assert keys == sorted(keys)
 
 
@@ -257,7 +255,8 @@ def test_rknn_backward_matches_naive_filter():
 def test_offline_preprocess_assembles_all_tables(tree14_labels, tree14_objects):
     index = offline_preprocess(tree14_labels, tree14_objects, 1)
     assert as_hub_dict(index.knn_backward.lists) == TREE14_KNN_BACKWARD_K1
-    assert index.knn_results.rows == TREE14_KNN_RESULTS_K1
+    assert index.rows == TREE14_KNN_RESULTS_K1
+    assert index.worst == [row[-1][1] for row in TREE14_KNN_RESULTS_K1]
     assert as_hub_dict(index.rknn_backward.lists) == TREE14_RKNN_BACKWARD_K1
     assert index.timings.total_s >= 0
 
@@ -265,7 +264,7 @@ def test_offline_preprocess_assembles_all_tables(tree14_labels, tree14_objects):
 def test_offline_preprocess_idempotent(tree14_labels, tree14_objects):
     a = offline_preprocess(tree14_labels, tree14_objects, 1)
     b = offline_preprocess(tree14_labels, tree14_objects, 1)
-    assert a.knn_results == b.knn_results
+    assert a.rows == b.rows
     assert a.rknn_backward == b.rknn_backward
     assert a.knn_backward == b.knn_backward
 
@@ -281,13 +280,13 @@ def test_offline_values_compare_by_content_and_stay_unhashable(tree14, tree14_ob
     assert a.knn_backward == b.knn_backward
     unequal = build_pll_labels(Graph.from_edges([(0, 1)]))
     assert KnnBackwardLabels(1, a.knn_backward.lists, unequal) == a.knn_backward
-    assert a.knn_results == b.knn_results
+    assert a.rows == b.rows
     assert a.rknn_backward == b.rknn_backward
     c = offline_preprocess(a_labels, tree14_objects, 2)
     assert c.knn_backward != a.knn_backward
-    assert c.knn_results != a.knn_results
+    assert c.rows != a.rows
     assert c.rknn_backward != a.rknn_backward
-    for value in (a.knn_backward, a.knn_results, a.rknn_backward):
+    for value in (a.knn_backward, a.rows, a.rknn_backward):
         assert type(value).__hash__ is None
         with pytest.raises(TypeError):
             hash(value)
@@ -302,10 +301,10 @@ def test_epsilon_bounds(tree14_labels, tree14_objects):
 
 def test_index_stats_reports_counts(tree14_labels, tree14_objects):
     stats = index_stats(offline_preprocess(tree14_labels, tree14_objects, 1))
-    assert stats.rknn_pairs == TREE14_RKNN_TOTAL_PAIRS
-    assert stats.to_many_pairs == TREE14_TO_MANY_PAIRS
-    assert stats.knn_result_pairs == 3
-    assert stats.model_bytes == 5 * (stats.knn_backward_pairs + 3 + stats.rknn_pairs)
+    assert stats["rknn_pairs"] == TREE14_RKNN_TOTAL_PAIRS
+    assert stats["to_many_pairs"] == TREE14_TO_MANY_PAIRS
+    assert stats["knn_result_pairs"] == 3
+    assert stats["model_bytes"] == 5 * (stats["knn_backward_pairs"] + 3 + stats["rknn_pairs"])
 
 
 # --- serialization ---
@@ -321,7 +320,8 @@ def test_index_roundtrip(tree14_labels, tree14_objects):
         loaded = load_index(io.BytesIO(data), labels)
         assert loaded.k == k
         assert loaded.objects == objects
-        assert loaded.knn_results == index.knn_results
+        assert loaded.rows == index.rows
+        assert loaded.worst == index.worst
         assert loaded.rknn_backward == index.rknn_backward
         # a loaded index rebuilds substage 1 once, equal to the built lists
         assert loaded.knn_backward == index.knn_backward
@@ -338,7 +338,7 @@ def test_index_roundtrip(tree14_labels, tree14_objects):
         save_labels(labels, label_file)
         part = load_labels(io.BytesIO(label_file.getvalue()), objects.vertices)
         from_part = load_index(io.BytesIO(data), part)
-        assert from_part.knn_results == index.knn_results
+        assert from_part.rows == index.rows
         assert from_part.rknn_backward == index.rknn_backward
         assert from_part.knn_backward == index.knn_backward
         assert index_stats(from_part) == index_stats(index)
@@ -529,10 +529,10 @@ def test_index_load_rejects_a_tied_swap_of_the_last_row_entry():
     vertices = objects.vertices
     i, j = next(
         (i, j)
-        for i, row in enumerate(index.knn_results.rows)
+        for i, row in enumerate(index.rows)
         for j, v in enumerate(vertices)
         if j not in (i, row[-1][0])
-        and hl_distance(labels, vertices[i], v) == index.knn_results.worst[i]
+        and hl_distance(labels, vertices[i], v) == index.worst[i]
     )
     data = bytearray(_index_bytes(index))
     struct.pack_into("<I", data, OBJECTS_AT + 4 * 4 + 5 * i, j)
@@ -558,10 +558,10 @@ def test_index_load_rejects_labels_that_pass_the_row_check():
     objects = ObjectSet(tuple(random.Random(0).sample(range(120), 12)))
     index = offline_preprocess(build_pll_labels(g), objects, 2)
     vertices = objects.vertices
-    for i, row in enumerate(index.knn_results.rows):
+    for i, row in enumerate(index.rows):
         idx, d = row[-1]
         assert hl_distance(changed, vertices[i], vertices[idx]) == d
-    assert offline_preprocess(changed, objects, 2).knn_results != index.knn_results
+    assert offline_preprocess(changed, objects, 2).rows != index.rows
     with pytest.raises(FormatError, match="^index was built from other labels"):
         load_index(io.BytesIO(_index_bytes(index)), changed)
 
@@ -608,7 +608,7 @@ def test_sparse_regrouping_and_encoding_match_dense_references(pa1800, density, 
         assert index.knn_backward.lists == reference_by_hub(
             labels, objects, [INFINITY] * m, [0] * m, k + 1
         )
-        worst = index.knn_results.worst
+        worst = index.worst
         assert index.rknn_backward.lists == reference_by_hub(
             labels, objects, worst, [-w for w in worst]
         )

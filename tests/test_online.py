@@ -101,7 +101,7 @@ def test_rknn_from_loaded_index_matches_oracle(k):
         sink = io.BytesIO()
         save_index(offline_preprocess(labels, objects, k), sink)
         index = load_index(io.BytesIO(sink.getvalue()), labels)
-        worst = index.knn_results.worst
+        worst = index.worst
         for lst in index.rknn_backward.lists:
             keys = [(d - worst[i], i) for i, d in lst]
             assert keys == sorted(keys)
