@@ -5,9 +5,13 @@ stdout, diagnostics to stderr. Exit codes: 0 success, 1 usage error, 2 data
 error (bad files, format mismatches, infeasible parameters). A reader that
 closes the output pipe early (``| head``) is not an error and exits 0.
 
-Only raw (pre-densification) vertex IDs appear on this surface; every
-subcommand that touches vertex IDs therefore takes ``--graph`` so the
-raw-to-dense mapping can be rebuilt deterministically from the source file.
+Only raw (pre-densification) vertex IDs appear on this surface. A label
+file carries the raw-ID table of its graph and the CRC-32 of the edge-list
+text it was built from, so ``query``, ``knn`` and ``preprocess`` read
+``--graph`` only to check that CRC, and map IDs through the table without
+parsing it. ``build``, ``bench``, ``stats`` and ``query --oracle`` parse the
+graph; every command that reads labels checks the same binding and fails
+with a data error on labels built from another edge list.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import sys
 import time
 
 from .errors import ConfigError, FormatError, ParseError
-from .graph import Graph, degree_ordering, largest_connected_component, parse_edge_list
+from .graph import Graph, degree_ordering, largest_connected_component, parse_edge_list, text_crc
 from .labels import (
     _PAIR,
     INFINITY,
@@ -153,29 +157,37 @@ def _load_graph(path: str) -> Graph:
     return largest_connected_component(graph)
 
 
-def _load_labels_checked(path: str, graph: Graph, vertices=None) -> LabelSet:
-    """The labels of --labels, all of them or those of ``vertices``."""
+def _edge_list_crc(path: str) -> int:
+    """The ``text_crc`` of --graph, read as ``parse_edge_list`` reads it."""
+    with open(path, "r", encoding="utf-8") as f:
+        return text_crc(f.read())
+
+
+def _load_labels_bound(path: str, edge_list_crc: int, vertices=None, raw_vertices=()) -> LabelSet:
+    """The labels of --labels (all of them, or those of ``vertices`` and of
+    the raw IDs ``raw_vertices``), checked to be built from the edge list
+    whose CRC is ``edge_list_crc``."""
     with open(path, "rb") as f:
-        labels = load_labels(f, vertices)
-    if labels.vertex_count != graph.vertex_count:
+        labels = load_labels(f, vertices, raw_vertices)
+    if labels.edge_list_crc != edge_list_crc:
+        named = "none" if labels.edge_list_crc is None else f"{labels.edge_list_crc:08x}"
         raise FormatError(
-            f"label file covers {labels.vertex_count} vertices but the graph "
-            f"has {graph.vertex_count}"
+            f"label file was built from another edge list: it names edge-list CRC {named}, "
+            f"--graph has {edge_list_crc:08x}; rebuild it with build"
         )
     return labels
 
 
-def _load_indexed(args) -> tuple[Graph, OfflineIndex, int]:
-    """The graph, the index bound to the labels, and the dense --vertex of
-    --graph/--labels/--index/--vertex; only the labels of the objects and
-    of --vertex are decoded, the ones a query reads."""
-    graph = _load_graph(args.graph)
-    q = graph.dense_id(args.vertex)
+def _load_indexed(args, edge_list_crc: int) -> tuple[OfflineIndex, int]:
+    """The index of --labels/--index, bound to the edge list whose CRC is
+    ``edge_list_crc``, and the dense --vertex; only the labels of the
+    objects and of --vertex are decoded, the ones a query reads."""
     with open(args.index, "rb") as f:
         data = f.read()
     objects = _read_index_header(data)[2]
-    labels = _load_labels_checked(args.labels, graph, {q, *objects})
-    return graph, load_index(io.BytesIO(data), labels), q
+    labels = _load_labels_bound(args.labels, edge_list_crc, objects, (args.vertex,))
+    q = labels.dense_id(args.vertex)
+    return load_index(io.BytesIO(data), labels), q
 
 
 def _cmd_build(args) -> int:
@@ -192,16 +204,12 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _read_objects(path: str, graph: Graph) -> ObjectSet:
-    with open(path, "r", encoding="utf-8") as f:
-        raw_ids = parse_object_file(f)
-    return ObjectSet(tuple(graph.dense_id(r) for r in raw_ids))
-
-
 def _cmd_preprocess(args) -> int:
-    graph = _load_graph(args.graph)
-    objects = _read_objects(args.objects, graph)
-    labels = _load_labels_checked(args.labels, graph, objects.vertices)
+    edge_list_crc = _edge_list_crc(args.graph)
+    with open(args.objects, "r", encoding="utf-8") as f:
+        raw_objects = parse_object_file(f)
+    labels = _load_labels_bound(args.labels, edge_list_crc, (), raw_objects)
+    objects = ObjectSet(tuple(map(labels.dense_id, raw_objects)))
     index = offline_preprocess(labels, objects, args.k)
     with open(args.out, "wb") as f:
         save_index(index, f)
@@ -215,16 +223,18 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    graph, index, q = _load_indexed(args)
-
     if args.oracle:
+        graph = _load_graph(args.graph)
+        index, q = _load_indexed(args, graph.edge_list_crc)
         members = dict(oracle_rknn(graph, index.objects, q, index.k))
         distances = [members.get(i, INFINITY) for i in range(len(index.objects))]
     else:
+        index, q = _load_indexed(args, _edge_list_crc(args.graph))
         distances = rknn_query(index, index.labels, q).distances
 
+    raw_ids = index.labels.raw_ids
     for i, dist in enumerate(distances):
-        raw = graph.raw_ids[index.objects.vertices[i]]
+        raw = raw_ids[index.objects.vertices[i]]
         if dist < INFINITY:
             print(f"{raw}\t{dist}")
         elif args.all:
@@ -233,10 +243,11 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_knn(args) -> int:
-    graph, index, q = _load_indexed(args)
+    index, q = _load_indexed(args, _edge_list_crc(args.graph))
     k = index.k if args.k is None else args.k
+    raw_ids = index.labels.raw_ids
     for idx, dist in knn_query(index.knn_backward, index.labels, q, k):
-        raw = graph.raw_ids[index.objects.vertices[idx]]
+        raw = raw_ids[index.objects.vertices[idx]]
         print(f"{raw}\t{dist}")
     return 0
 
@@ -261,7 +272,7 @@ def _cmd_bench(args) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
 
     graph = _load_graph(args.graph)
-    labels = _load_labels_checked(args.labels, graph)
+    labels = _load_labels_bound(args.labels, graph.edge_list_crc)
     config = SweepConfig(
         densities=_parse_list(args.densities, float),
         ks=_parse_list(args.ks, int),
@@ -282,7 +293,7 @@ def _cmd_stats(args) -> int:
     if args.index and not args.labels:
         raise UsageError("--index requires --labels")
     graph = _load_graph(args.graph)
-    labels = _load_labels_checked(args.labels, graph) if args.labels else None
+    labels = _load_labels_bound(args.labels, graph.edge_list_crc) if args.labels else None
     if args.index:
         with open(args.index, "rb") as f:
             index = load_index(f, labels)

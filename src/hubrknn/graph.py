@@ -4,17 +4,21 @@ Input graphs are plain text edge lists (one edge per line, ``#``/``%``
 comments), the format used by most public network datasets. Vertex IDs in a
 file ("raw" IDs) may be arbitrary non-negative integers; they are remapped to
 dense 0-based IDs in order of first appearance, and the mapping is kept on
-the Graph so results can be reported in the caller's original IDs.
+the Graph so results can be reported in the caller's original IDs. A parsed
+Graph also keeps the CRC-32 of the text it was parsed from, which a label
+file stores to name the edge list it was built from.
 """
 
 from __future__ import annotations
 
+import zlib
 from collections import deque
 from typing import IO, Iterable, Iterator
 
 from .errors import ConfigError, ParseError
 
 COMMENT_PREFIXES = ("#", "%")
+_CHUNK = 1 << 16  # characters of an edge-list stream read at a time
 
 
 class Graph:
@@ -22,16 +26,23 @@ class Graph:
 
     ``adjacency[v]`` is a sorted list of neighbors with no self-loops and no
     duplicates; ``raw_ids[v]`` is the original ID vertex ``v`` had on input.
-    Instances are safe to share between threads once built.
+    ``edge_list_crc`` is the ``text_crc`` of the edge list the graph was
+    parsed from, None for a graph never parsed from text; equality ignores
+    it. Instances are safe to share between threads once built.
     """
 
-    __slots__ = ("vertex_count", "edge_count", "adjacency", "raw_ids", "_raw_to_dense")
+    __slots__ = (
+        "vertex_count", "edge_count", "adjacency", "raw_ids", "edge_list_crc", "_raw_to_dense"
+    )
 
-    def __init__(self, adjacency: list[list[int]], raw_ids: list[int]):
+    def __init__(
+        self, adjacency: list[list[int]], raw_ids: list[int], edge_list_crc: int | None = None
+    ):
         self.vertex_count = len(adjacency)
         self.adjacency = adjacency
         self.edge_count = sum(len(nbrs) for nbrs in adjacency) // 2
         self.raw_ids = raw_ids
+        self.edge_list_crc = edge_list_crc
         self._raw_to_dense = {raw: v for v, raw in enumerate(raw_ids)}
 
     @classmethod
@@ -94,16 +105,40 @@ def _data_lines(
             yield lineno, stripped
 
 
-def parse_edge_list(source: str | IO[str] | Iterable[str]) -> Graph:
-    """Parse an edge-list text stream into a normalized Graph.
+def text_crc(text: str, crc: int = 0) -> int:
+    """The CRC-32 of ``text`` encoded as UTF-8, continuing ``crc``: what
+    binds a label file to the edge list it was built from."""
+    return zlib.crc32(text.encode("utf-8"), crc)
+
+
+def parse_edge_list(source: str | IO[str]) -> Graph:
+    """Parse an edge-list text or text stream into a normalized Graph that
+    records the text's ``text_crc``.
 
     Lines starting with '#' or '%' are comments. Each data line holds two
     whitespace-separated non-negative integer IDs. Raises ParseError with the
     offending line number on malformed input.
     """
+    crc = 0
+
+    def lines() -> Iterator[str]:
+        """The lines of ``source``, as iterating it gives them, while ``crc``
+        takes in the text read; a stream is read in chunks, so no more than
+        one chunk's lines are held at a time."""
+        nonlocal crc
+        if isinstance(source, str):
+            crc = text_crc(source)
+            yield from source.splitlines()
+            return
+        rest = ""
+        while chunk := source.read(_CHUNK):
+            crc = text_crc(chunk, crc)
+            *done, rest = (rest + chunk).split("\n")
+            yield from done
+        yield rest
 
     def pairs() -> Iterator[tuple[int, int]]:
-        for lineno, stripped in _data_lines(source, COMMENT_PREFIXES):
+        for lineno, stripped in _data_lines(lines(), COMMENT_PREFIXES):
             tokens = stripped.split()
             if len(tokens) != 2:
                 raise ParseError(
@@ -119,7 +154,9 @@ def parse_edge_list(source: str | IO[str] | Iterable[str]) -> Graph:
                 raise ParseError(f"line {lineno}: negative vertex ID in {stripped!r}")
             yield u, v
 
-    return Graph.from_edges(pairs())
+    graph = Graph.from_edges(pairs())
+    graph.edge_list_crc = crc
+    return graph
 
 
 def largest_connected_component(graph: Graph) -> Graph:
@@ -148,7 +185,7 @@ def largest_connected_component(graph: Graph) -> Graph:
     remap = {old: new for new, old in enumerate(best)}
     adjacency = [[remap[w] for w in graph.adjacency[old]] for old in best]
     raw_ids = [graph.raw_ids[old] for old in best]
-    return Graph(adjacency, raw_ids)
+    return Graph(adjacency, raw_ids, graph.edge_list_crc)
 
 
 def _bfs_collect(graph: Graph, start: int, visited: list[bool]) -> list[int]:

@@ -7,16 +7,19 @@ own pair (v, 0) first, then strictly ascending by (distance, hub).
 
 Label and index files share one framing (``_seal``/``_unseal``): magic,
 version byte, body, and a CRC-32 of all of it that is checked first. An
-index names its labels by their file's CRC, ``LabelSet.checksum()``.
+index names its labels by their file's CRC, ``LabelSet.checksum()``, and a
+label file names its edge list by the text's CRC-32 and carries the raw-ID
+table, so a command that has the labels needs no parse to map raw IDs.
 """
 
 from __future__ import annotations
 
 import io
 import struct
+import sys
 import zlib
 from itertools import accumulate
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 from .errors import ConfigError, FormatError
 from .graph import Graph, degree_ordering
@@ -29,12 +32,14 @@ INFINITY = 1 << 30
 MAX_DIST = 255
 
 _MAGIC = b"RHUB"
-_VERSION = 3
-_COUNT = struct.Struct("<Q")  # vertex count, the label file's header
+_VERSION = 4
+_HEAD = struct.Struct("<QQ")  # vertex count, edge-list CRC: the label file's header
+_UNBOUND = 1 << 32  # the edge-list CRC field of labels not built from a parsed text
+_RAW_ID = struct.Struct("<Q")
 _PAIR = struct.Struct("<IB")
 _U32 = struct.Struct("<I")  # a label's pair count; a checksum
-# A label holds at least its own pair: a 4-byte count and one 5-byte pair.
-_MIN_LABEL_SIZE = _U32.size + _PAIR.size
+# A vertex holds at least its raw ID, its label's count and its own pair.
+_MIN_VERTEX_SIZE = _RAW_ID.size + _U32.size + _PAIR.size
 
 
 def _seal(magic: bytes, version: int, body: bytes | bytearray) -> bytes:
@@ -59,8 +64,27 @@ def _unseal(data: bytes, magic: bytes, version: int, kind: str, head: struct.Str
     return head.unpack_from(data, 5), data[5 + head.size : end], crc
 
 
+def _raw_id_table(raw_ids: Sequence[int]) -> memoryview:
+    """``raw_ids`` as a read-only sequence of u64 ints, 8 bytes each; a
+    FormatError names an ID that does not fit."""
+    try:
+        return _u64_view(struct.pack(f"<{len(raw_ids)}Q", *raw_ids))
+    except struct.error:
+        bad = next(r for r in raw_ids if not 0 <= r < 1 << 64)
+        raise FormatError(f"raw vertex ID {bad} does not fit the label file's u64") from None
+
+
+def _u64_view(data: bytes) -> memoryview:
+    """Little-endian u64s in ``data`` as a memoryview of ints."""
+    if sys.byteorder == "big":
+        count = len(data) // _RAW_ID.size
+        data = struct.pack(f">{count}Q", *struct.unpack(f"<{count}Q", data))
+    return memoryview(data).cast("Q")
+
+
 class LabelSet:
-    """Per-vertex hub labels: a hub list and a distance byte string each.
+    """Per-vertex hub labels: a hub list and a distance byte string each,
+    with the raw IDs and the edge-list CRC of the graph they label.
 
     ``hubs[v]`` is a ``list[int]``; ``dists[v]`` is a ``bytes`` aligned with
     it, one byte per pair as in the label file. Pairs are in (dist, hub)
@@ -69,18 +93,34 @@ class LabelSet:
     Labels from ``build_pll_labels`` and ``load_labels`` also point to one
     int object per hub, so a pair costs a list slot and a distance byte.
     Immutable by convention once built; queries may run concurrently.
-    ``checksum()`` names the set's label file; equality ignores it.
+    ``raw_ids[v]`` is vertex v's raw input ID (by default v itself), a
+    memoryview of u64s; ``dense_id`` maps back. ``edge_list_crc`` is the
+    graph's ``Graph.edge_list_crc``: the CRC-32 of the edge-list text the
+    labels were built from, None when the graph was never parsed from text.
+    ``checksum()`` names the set's label file. Equality compares the labels
+    only.
     A set from ``load_labels(source, vertices)`` holds None, never an empty
     label, for every vertex not decoded; ``total_pairs`` counts them all.
     """
 
-    __slots__ = ("hubs", "dists", "total_pairs", "_crc")
+    __slots__ = ("hubs", "dists", "total_pairs", "raw_ids", "edge_list_crc", "_crc", "_dense")
 
-    def __init__(self, hubs: list[list[int]], dists: list[bytes] | list[list[int]]):
+    def __init__(
+        self,
+        hubs: list[list[int]],
+        dists: list[bytes] | list[list[int]],
+        raw_ids: Sequence[int] | None = None,
+        edge_list_crc: int | None = None,
+    ):
         self.hubs = hubs
         self.dists = [bytes(d) for d in dists]  # no copy of a bytes argument
         self.total_pairs = sum(map(len, hubs))
+        self.raw_ids = _raw_id_table(range(len(hubs)) if raw_ids is None else raw_ids)
+        if len(self.raw_ids) != len(hubs):
+            raise ConfigError(f"{len(self.raw_ids)} raw IDs for {len(hubs)} labels")
+        self.edge_list_crc = edge_list_crc
         self._crc: int | None = None
+        self._dense: dict[int, int] | None = None
 
     def checksum(self) -> int:
         """The CRC-32 this set's label file ends with, encoded at most once."""
@@ -91,6 +131,23 @@ class LabelSet:
     @property
     def vertex_count(self) -> int:
         return len(self.hubs)
+
+    def dense_id(self, raw: int) -> int:
+        """Map a raw input ID to its dense ID; ConfigError if absent."""
+        try:
+            return self._dense_ids()[raw]
+        except KeyError:
+            raise ConfigError(f"vertex {raw} is not in the graph") from None
+
+    def _dense_ids(self) -> dict[int, int]:
+        """raw ID -> dense ID, made on first use; FormatError if the table
+        repeats a raw ID."""
+        if self._dense is None:
+            dense = dict(zip(self.raw_ids, range(len(self.raw_ids))))
+            if len(dense) != len(self.raw_ids):
+                raise FormatError("the raw-ID table names a raw ID twice")
+            self._dense = dense
+        return self._dense
 
     def avg_label_size(self) -> float:
         return self.total_pairs / self.vertex_count
@@ -128,6 +185,7 @@ def build_pll_labels(graph: Graph, ordering: tuple[int, ...] | None = None) -> L
     n = graph.vertex_count
     if sorted(order) != list(range(n)):
         raise ConfigError("ordering is not a permutation of the graph's vertex IDs")
+    raw_ids = _raw_id_table(graph.raw_ids)  # an ID too wide fails before the BFSs
 
     bit_of = [0] * n
     for i, v in enumerate(order):
@@ -179,7 +237,7 @@ def build_pll_labels(graph: Graph, ordering: tuple[int, ...] | None = None) -> L
         hubs[v] = [h for _, h in pairs]
         dists[v] = bytes(d for d, _ in pairs)
 
-    return LabelSet(hubs, dists)
+    return LabelSet(hubs, dists, raw_ids, graph.edge_list_crc)
 
 
 def hl_distance(labels: LabelSet, s: int, t: int) -> int:
@@ -206,7 +264,9 @@ def save_labels(labels: LabelSet, sink: IO[bytes]) -> None:
     record the file's CRC as the labels' checksum."""
     pack = _PAIR.pack
     n = labels.vertex_count
-    body = bytearray(_COUNT.pack(n))
+    crc = labels.edge_list_crc
+    body = bytearray(_HEAD.pack(n, _UNBOUND if crc is None else crc))
+    body += struct.pack(f"<{n}Q", *labels.raw_ids)
     body += struct.pack(f"<{n}I", *map(len, labels.hubs))  # the counts column
     for hv, dv in zip(labels.hubs, labels.dists):
         body += b"".join(map(pack, hv, dv))  # one label's pairs live at a time
@@ -215,36 +275,57 @@ def save_labels(labels: LabelSet, sink: IO[bytes]) -> None:
     sink.write(data)
 
 
-def load_labels(source: IO[bytes], vertices: Iterable[int] | None = None) -> LabelSet:
+def load_labels(
+    source: IO[bytes], vertices: Iterable[int] | None = None, raw_vertices: Iterable[int] = ()
+) -> LabelSet:
     """Read and validate a label file; FormatError on any corruption.
 
-    The framing and its checksum are checked first, then the counts column:
-    no label is empty, and the counts add up to the pairs that follow. Each
-    decoded label must start with (v, 0), and every later pair have
-    distance >= 1, ascend strictly by (dist, hub) and name a distinct hub in
-    range. Every hub is mapped to one shared int object per vertex; a
-    label's distances are its pairs' distance bytes. With ``vertices``, only
-    their labels are decoded and checked: every other entry is None, and IDs
-    outside range(n) decode nothing. ``total_pairs`` and ``checksum()`` (the
-    file's CRC) describe the whole file either way.
+    The framing and its checksum are checked first, then the header's
+    edge-list CRC field and the counts column: no label is empty, and the
+    counts add up to the pairs that follow. The raw-ID table is always
+    decoded. Each decoded label must start with (v, 0), and every later
+    pair have distance >= 1, ascend strictly by (dist, hub) and name a
+    distinct hub in range. Every hub is mapped to one shared int object per
+    vertex; a label's distances are its pairs' distance bytes. With
+    ``vertices``, only their labels are decoded and checked, and those of
+    the vertices whose raw IDs are ``raw_vertices``: every other entry is
+    None, and IDs outside range(n) or the table decode nothing.
+    ``total_pairs`` and ``checksum()`` (the file's CRC) describe the whole
+    file either way.
     """
-    (n,), data, crc = _unseal(source.read(), _MAGIC, _VERSION, "label", _COUNT)
+    (n, edge_list_crc), data, crc = _unseal(source.read(), _MAGIC, _VERSION, "label", _HEAD)
+    if edge_list_crc > _UNBOUND:
+        raise FormatError(f"edge-list CRC field {edge_list_crc} is not a CRC-32")
     size = len(data)
     # Bound n by the bytes present before allocating anything per vertex.
-    if n * _MIN_LABEL_SIZE > size:
+    if n * _MIN_VERTEX_SIZE > size:
         raise FormatError(f"truncated stream: {n} labels cannot fit in {size} bytes")
-    counts = struct.unpack_from(f"<{n}I", data)
+    counts_at = _RAW_ID.size * n
+    counts = struct.unpack_from(f"<{n}I", data, counts_at)
     if 0 in counts:
         raise FormatError(f"label of vertex {counts.index(0)} is empty")
     # ends[v] is where vertex v's pairs start, ends[v + 1] where they end
-    ends = list(accumulate(map(_PAIR.size.__mul__, counts), initial=_U32.size * n))
+    ends = list(accumulate(map(_PAIR.size.__mul__, counts), initial=counts_at + _U32.size * n))
     if ends[-1] != size:
         raise FormatError(f"counts sum to {sum(counts)} pairs but {size - ends[0]} bytes follow")
+    labels = LabelSet([], [])
+    labels.raw_ids = _u64_view(data[:counts_at])
+    labels.edge_list_crc = None if edge_list_crc == _UNBOUND else edge_list_crc
+    labels.total_pairs, labels._crc = sum(counts), crc
+    if vertices is None:
+        wanted = range(n)
+    else:
+        wanted = set(vertices)
+        raws = set(raw_vertices)
+        if raws:
+            dense = labels._dense_ids()
+            wanted.update(dense[r] for r in raws if r in dense)
+        wanted.intersection_update(range(n))
     shared = list(range(n))
     owner = [-1] * n  # owner[h] is the last vertex whose label named hub h
     hubs: list = [None] * n
     dists: list = [None] * n
-    for v in range(n) if vertices is None else set(vertices).intersection(range(n)):
+    for v in wanted:
         start, end = ends[v], ends[v + 1]
         pairs = _PAIR.iter_unpack(data[start:end])
         if next(pairs) != (v, 0):
@@ -270,6 +351,5 @@ def load_labels(source: IO[bytes], vertices: Iterable[int] | None = None) -> Lab
         hubs[v] = hv
         # the distances are each pair's last byte
         dists[v] = data[start + _PAIR.size - 1 : end : _PAIR.size]
-    labels = LabelSet([], [])
-    labels.hubs, labels.dists, labels.total_pairs, labels._crc = hubs, dists, sum(counts), crc
+    labels.hubs, labels.dists = hubs, dists
     return labels

@@ -2,9 +2,11 @@
 
 import io
 import os
+import pathlib
 import random
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -12,7 +14,7 @@ import hubrknn
 import hubrknn.cli
 from hubrknn.cli import main
 
-from fixtures import TREE14_TEXT
+from fixtures import TREE14_EDGES, TREE14_TEXT
 from graphgen import preferential_attachment_graph
 
 
@@ -254,7 +256,9 @@ def test_index_with_labels_changed_outside_the_objects_is_data_error(workspace, 
     dists = list(labels.dists)
     dists[v] = dists[v][:-1] + bytes([dists[v][-1] + 1])  # still distance-major
     with open(workspace["labels"], "wb") as f:
-        hubrknn.save_labels(hubrknn.LabelSet(labels.hubs, dists), f)
+        hubrknn.save_labels(
+            hubrknn.LabelSet(labels.hubs, dists, labels.raw_ids, labels.edge_list_crc), f
+        )
     capsys.readouterr()
     code = main(
         [
@@ -460,13 +464,24 @@ def test_partial_decode_answers_as_a_full_decode(workspace, capsys, monkeypatch)
                            (0, "4\t1\n", "")]
 
 
+def _binding_error(label_text, graph_text):
+    """stderr of a command given labels built from ``label_text`` and a
+    --graph holding ``graph_text``."""
+    named, has = (zlib.crc32(text.encode()) for text in (label_text, graph_text))
+    return (
+        f"hubrknn: label file was built from another edge list: it names edge-list CRC "
+        f"{named:08x}, --graph has {has:08x}; rebuild it with build\n"
+    )
+
+
 @pytest.mark.parametrize("path_length", [20, 10])
 def test_label_file_of_another_vertex_count_is_data_error(workspace, capsys, path_length):
-    """Labels of a longer or a shorter graph fail by the file's vertex count,
-    also where the query vertex or an object lies beyond it."""
+    """Labels of a longer or a shorter graph fail by their edge-list CRC,
+    also where the query vertex or an object lies beyond them."""
     _pipeline(workspace)
     other = workspace["tmp"] / "path.txt"
-    other.write_text("".join(f"{v} {v + 1}\n" for v in range(path_length - 1)))
+    text = "".join(f"{v} {v + 1}\n" for v in range(path_length - 1))
+    other.write_text(text)
     assert main(["build", "--graph", str(other), "--out", workspace["labels"]]) == 0
     preprocess = [
         "preprocess",
@@ -479,7 +494,7 @@ def test_label_file_of_another_vertex_count_is_data_error(workspace, capsys, pat
     for argv in [*_lookups(workspace, 13), preprocess]:
         code, out, err = _run(capsys, argv)
         assert code == 2 and out == ""
-        assert err == f"hubrknn: label file covers {path_length} vertices but the graph has 14\n"
+        assert err == _binding_error(text, TREE14_TEXT)
 
 
 def _pa_workspace(tmp_path):
@@ -515,3 +530,123 @@ def test_preprocess_writes_the_index_of_the_fully_loaded_labels(workspace, capsy
     hubrknn.save_index(hubrknn.offline_preprocess(labels, objects, k), expected)
     with open(ws["index"], "rb") as f:
         assert f.read() == expected.getvalue()
+
+
+def _every_reader(ws, vertex):
+    """The argv of each command that reads labels alongside --graph."""
+    files = ["--graph", ws["graph"], "--labels", ws["labels"]]
+    return [
+        *_lookups(ws, vertex),
+        ["query", *files, "--index", ws["index"], "--vertex", str(vertex), "--oracle"],
+        ["preprocess", *files, "--objects", ws["objects"], "--k", "1",
+         "--out", str(ws["tmp"] / "again.index")],
+        ["stats", *files],
+        ["stats", *files, "--index", ws["index"]],
+    ]
+
+
+FOREIGN_TREE14 = "".join(f"{v} {v + 1}\n" for v in range(13))  # a path on the same 14 IDs
+
+
+@pytest.mark.parametrize("kind", ["reordered", "foreign"])
+def test_labels_of_another_edge_list_are_data_error(workspace, capsys, kind):
+    """Labels built from TREE14 refuse a --graph of the same 14 vertices
+    whose text differs: its lines reversed (another raw-to-dense mapping of
+    the same graph) or another graph. No command answers."""
+    _pipeline(workspace)
+    if kind == "reordered":
+        text = "".join(reversed(TREE14_TEXT.splitlines(keepends=True)))
+    else:
+        text = FOREIGN_TREE14
+    pathlib.Path(workspace["graph"]).write_text(text)
+    for vertex in (0, 7, 13):
+        for argv in _every_reader(workspace, vertex):
+            code, out, err = _run(capsys, argv)
+            assert (code, out, err) == (2, "", _binding_error(TREE14_TEXT, text)), argv
+
+
+def test_labels_without_an_edge_list_are_data_error(workspace, capsys):
+    """Labels of a graph never parsed from text save and load, and every
+    command refuses them."""
+    _pipeline(workspace)
+    labels = hubrknn.build_pll_labels(hubrknn.Graph.from_edges(TREE14_EDGES))
+    assert labels.edge_list_crc is None
+    with open(workspace["labels"], "wb") as f:
+        hubrknn.save_labels(labels, f)
+    with open(workspace["labels"], "rb") as f:
+        assert hubrknn.load_labels(f) == labels
+    crc = zlib.crc32(TREE14_TEXT.encode())
+    for argv in _every_reader(workspace, 0):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "hubrknn: label file was built from another edge list: it names edge-list CRC "
+            f"none, --graph has {crc:08x}; rebuild it with build\n"
+        )
+
+
+def test_query_knn_and_preprocess_never_parse_the_graph(workspace, capsys, monkeypatch):
+    """They read --graph only for its CRC and answer as before."""
+    _pipeline(workspace)
+    index = pathlib.Path(workspace["index"]).read_bytes()
+    expected = [_run(capsys, argv) for argv in _lookups(workspace, 9)]
+    assert expected == [(0, "", ""), (0, "4\tinf\n10\tinf\n12\tinf\n", ""), (0, "4\t3\n", "")]
+
+    def refuse(*args):
+        raise AssertionError("the graph was parsed")
+
+    monkeypatch.setattr(hubrknn.cli, "parse_edge_list", refuse)
+    monkeypatch.setattr(hubrknn.cli, "largest_connected_component", refuse)
+    os.remove(workspace["index"])
+    preprocess = [
+        "preprocess", "--graph", workspace["graph"], "--labels", workspace["labels"],
+        "--objects", workspace["objects"], "--k", "1", "--out", workspace["index"],
+    ]
+    assert _run(capsys, preprocess)[0] == 0
+    assert pathlib.Path(workspace["index"]).read_bytes() == index
+    assert [_run(capsys, argv) for argv in _lookups(workspace, 9)] == expected
+
+
+def _library_labels(graph_path, label_path):
+    """Labels built as the benchmark builds them, file object to file object."""
+    with open(graph_path, "r", encoding="utf-8") as f:
+        graph = hubrknn.largest_connected_component(hubrknn.parse_edge_list(f))
+    labels = hubrknn.build_pll_labels(graph, hubrknn.degree_ordering(graph))
+    with open(label_path, "wb") as f:
+        hubrknn.save_labels(labels, f)
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+def test_library_built_labels_answer_through_the_cli(workspace, capsys, line_end):
+    """parse_edge_list on an open file records the CRC the CLI reads from
+    the same file, comments and CRLF line ends included; the label file is
+    the one build writes."""
+    text = "# a comment\n% another\n\n" + TREE14_TEXT + "# trailing\n"
+    pathlib.Path(workspace["graph"]).write_bytes(text.replace("\n", line_end).encode())
+    _library_labels(workspace["graph"], workspace["labels"])
+    library = pathlib.Path(workspace["labels"]).read_bytes()
+    _pipeline(workspace)
+    assert pathlib.Path(workspace["labels"]).read_bytes() == library
+    assert [_run(capsys, argv) for argv in _lookups(workspace, 0)] == [
+        (0, "4\t1\n12\t3\n", ""), (0, "4\t1\n10\tinf\n12\t3\n", ""), (0, "4\t1\n", "")
+    ]
+
+
+def test_raw_ids_up_to_u64_max_answer_and_wider_ones_fail_at_build(workspace, capsys):
+    """Raw IDs are u64 in the label file: 2**64 - 1 round-trips to stdout,
+    2**64 fails the build with a data error that names it."""
+    top = 2**64 - 1
+    big = {4: top, 10: top - 1, 0: 2**63}  # two objects and the query vertex
+    text = "".join(f"{big.get(u, u)} {big.get(v, v)}\n" for u, v in TREE14_EDGES)
+    pathlib.Path(workspace["graph"]).write_text(text)
+    pathlib.Path(workspace["objects"]).write_text(f"{top}\n{top - 1}\n12\n")
+    _pipeline(workspace)
+    assert [_run(capsys, argv) for argv in _lookups(workspace, 2**63)] == [
+        (0, f"{top}\t1\n12\t3\n", ""), (0, f"{top}\t1\n{top - 1}\tinf\n12\t3\n", ""),
+        (0, f"{top}\t1\n", ""),
+    ]
+    pathlib.Path(workspace["graph"]).write_text(text + f"12 {2**64}\n")
+    build = ["build", "--graph", workspace["graph"], "--out", workspace["labels"]]
+    code, out, err = _run(capsys, build)
+    assert (code, out) == (2, "")
+    assert err == f"hubrknn: raw vertex ID {2**64} does not fit the label file's u64\n"

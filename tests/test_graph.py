@@ -1,5 +1,6 @@
 import io
 import time
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,8 @@ from hubrknn import (
     largest_connected_component,
     parse_edge_list,
 )
+import hubrknn.graph
+from hubrknn.graph import text_crc
 
 from graphgen import random_connected_graph
 
@@ -122,6 +125,40 @@ def test_roundtrip_preserves_sparse_raw_ids():
     again = parse_edge_list(sink.getvalue())
     assert again == g
     assert again.raw_ids == [100, 7, 999999999999, 3]
+
+
+def test_parse_records_the_texts_crc(tmp_path):
+    """A parsed graph, and its LCC, keep the CRC-32 of the text as read: a
+    file with CRLF line ends reads, and records, as its LF text does."""
+    text = "# c\n1 2\n2 3\n8 9\n"
+    crc = zlib.crc32(text.encode())
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    with open(path, encoding="utf-8") as f:
+        from_file = parse_edge_list(f)
+    for graph in (parse_edge_list(text), from_file):
+        assert graph.edge_list_crc == text_crc(text) == crc
+        assert largest_connected_component(graph).edge_list_crc == crc
+    assert parse_edge_list("1 2\n2 3\n8 9\n") == from_file  # equality ignores the CRC
+    assert Graph.from_edges([(1, 2)]).edge_list_crc is None
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 16])
+def test_parse_reads_a_stream_chunk_by_chunk(tmp_path, monkeypatch, chunk):
+    """Lines that straddle chunks parse whole, the CRC is the whole text's,
+    and a ParseError names the line number the file gives the line."""
+    monkeypatch.setattr(hubrknn.graph, "_CHUNK", chunk)
+    text = "# é café\r\n" + "".join(f"{v} {v + 1}\r\n% ü\n" for v in range(40)) + "7 9"
+    path = tmp_path / "chunks.txt"
+    path.write_bytes(text.encode())
+    with open(path, encoding="utf-8") as f:
+        graph = parse_edge_list(f)
+    as_read = text.replace("\r\n", "\n")
+    assert graph == parse_edge_list(as_read)
+    assert graph.edge_list_crc == zlib.crc32(as_read.encode())
+    path.write_bytes((text + "\n0 1 2\n").encode())
+    with open(path, encoding="utf-8") as f, pytest.raises(ParseError, match="^line 83: "):
+        parse_edge_list(f)
 
 
 def test_lcc_identity_on_connected_input():

@@ -20,11 +20,13 @@ from hubrknn import (
     build_pll_labels,
     degree_ordering,
     hl_distance,
+    largest_connected_component,
     load_labels,
+    parse_edge_list,
     save_labels,
 )
 
-from fixtures import TREE14_LABELS, TREE14_TOTAL_PAIRS, label_pairs
+from fixtures import TREE14_LABELS, TREE14_TEXT, TREE14_TOTAL_PAIRS, label_pairs
 from graphgen import preferential_attachment_graph, random_connected_graph
 
 
@@ -369,11 +371,18 @@ def _resealed(data):
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def _sealed_v4(n, body):
+    """A v4 label file of ``n`` vertices, no edge list, ``body`` after the
+    header, its CRC intact."""
+    data = b"RHUB\x04" + struct.pack("<QQ", n, 1 << 32) + body
+    return data + struct.pack("<I", zlib.crc32(data))
+
+
 def test_load_rejects_hostile_vertex_count():
     """A header claiming 2**40 vertices, checksum intact, allocates nothing
-    per vertex, not even the counts column."""
-    data = b"RHUB\x03" + struct.pack("<Q", 2**40) + struct.pack("<IIB", 1, 0, 0)
-    data += struct.pack("<I", zlib.crc32(data))
+    per vertex, not even the raw-ID table or the counts column. Each vertex
+    needs 17 bytes: its raw ID, its count and its own pair."""
+    data = _sealed_v4(2**40, struct.pack("<QIIB", 0, 1, 0, 0))
 
     def attempt():
         with pytest.raises(FormatError) as err:
@@ -382,6 +391,9 @@ def test_load_rejects_hostile_vertex_count():
 
     _, _, peak = _traced(attempt)
     assert peak < 1 << 20
+    # 40 bytes hold the count and own pair of 3 vertices (27), not their raw IDs too (51)
+    with pytest.raises(FormatError, match="^truncated stream: 3 labels cannot fit in 40 bytes$"):
+        load_labels(io.BytesIO(_sealed_v4(3, bytes(40))))
 
 
 def test_load_rejects_corrupted_magic(tree14_labels):
@@ -395,19 +407,28 @@ def test_load_rejects_corrupted_magic(tree14_labels):
 SUBSETS = [pytest.param(None, id="all"), pytest.param((4, 11), id="subset")]
 
 
+@pytest.fixture(scope="module")
+def bound_tree14_labels():
+    """TREE14's labels built from its edge-list text, so their file names it."""
+    return build_pll_labels(parse_edge_list(TREE14_TEXT))
+
+
 @pytest.mark.parametrize("vertices", SUBSETS)
-def test_load_rejects_truncation(tree14_labels, vertices):
-    data = _saved(tree14_labels)
+def test_load_rejects_truncation(bound_tree14_labels, vertices):
+    data = _saved(bound_tree14_labels)
     for size in range(len(data)):  # cuts inside and between labels alike
         with pytest.raises(FormatError):
             load_labels(io.BytesIO(data[:size]), vertices)
 
 
 @pytest.mark.parametrize("vertices", SUBSETS)
-def test_load_rejects_every_single_byte_change(tree14_labels, vertices):
-    """Every byte of the file, set to each of its 255 other values, fails."""
-    data = _saved(tree14_labels)
-    assert len(data) == 13 + 4 * 14 + 5 * TREE14_TOTAL_PAIRS + 4
+def test_load_rejects_every_single_byte_change(bound_tree14_labels, vertices):
+    """Every byte of the file, set to each of its 255 other values, fails;
+    the header's edge-list CRC and the raw-ID table included."""
+    data = _saved(bound_tree14_labels)
+    assert len(data) == 21 + 8 * 14 + 4 * 14 + 5 * TREE14_TOTAL_PAIRS + 4
+    (edge_list_crc,) = struct.unpack_from("<Q", data, 13)
+    assert edge_list_crc == zlib.crc32(TREE14_TEXT.encode())
     bad = bytearray(data)
     for pos, old in enumerate(data):
         for new in range(256):
@@ -420,12 +441,13 @@ def test_load_rejects_every_single_byte_change(tree14_labels, vertices):
         bad[pos] = old
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_load_rejects_old_label_version(tree14_labels, version):
     # version 1 stored labels in hub order with no checksum, version 2 each
-    # label's count in front of its pairs
+    # label's count in front of its pairs, version 3 no edge-list CRC and
+    # no raw-ID table
     data = bytearray(_saved(tree14_labels))
-    assert data[4] == 3
+    assert data[4] == 4
     data[4] = version
     with pytest.raises(FormatError, match=f"unsupported label-file version {version}"):
         load_labels(io.BytesIO(bytes(data)))
@@ -512,8 +534,9 @@ def test_partial_load_decodes_only_the_given_vertices(tree14_labels, name):
     assert none.hubs == [None] * full.vertex_count
 
 
-# the TREE14 label file's counts column starts after the magic, the version and n
-COUNTS_AT = 4 + 1 + 8
+# the TREE14 label file's counts column starts after the magic, the version,
+# n, the edge-list CRC and the raw-ID table
+COUNTS_AT = 4 + 1 + 8 + 8 + 8 * 14
 
 
 def test_load_checks_the_counts_column_first(tree14_labels):
@@ -590,3 +613,66 @@ def test_disconnected_pair_reports_infinity():
     g = Graph.from_edges([(0, 1), (2, 3)])
     labels = build_pll_labels(g)
     assert hl_distance(labels, 0, 3) == INFINITY
+
+
+def test_raw_ids_and_edge_list_crc_round_trip():
+    """Built labels carry their graph's raw IDs, u64 up to 2**64 - 1, and
+    edge-list CRC through the file, in a full and a partial load; labels of
+    a graph never parsed from text, or built by hand, carry None and their
+    dense IDs."""
+    top = 2**64 - 1
+    text = f"7 {top}\n{top} 0\n# the LCC drops 5 and 6\n5 6\n"
+    graph = largest_connected_component(parse_edge_list(text))
+    built = build_pll_labels(graph)
+    assert list(built.raw_ids) == [7, top, 0]
+    assert built.edge_list_crc == zlib.crc32(text.encode())
+    data = _saved(built)
+    for loaded in (load_labels(io.BytesIO(data)), load_labels(io.BytesIO(data), [])):
+        assert list(loaded.raw_ids) == [7, top, 0]
+        assert loaded.edge_list_crc == built.edge_list_crc
+        assert [loaded.dense_id(r) for r in (7, top, 0)] == [0, 1, 2]
+        with pytest.raises(ConfigError, match="^vertex 5 is not in the graph$"):
+            loaded.dense_id(5)
+    for labels in (build_pll_labels(Graph.from_edges([(9, 3), (3, 4)])),
+                   LabelSet([[0], [1]], [[0], [0]])):
+        loaded = load_labels(io.BytesIO(_saved(labels)))
+        assert list(loaded.raw_ids) == list(labels.raw_ids)
+        assert loaded.edge_list_crc is labels.edge_list_crc is None
+    assert list(LabelSet([[0], [1]], [[0], [0]]).raw_ids) == [0, 1]
+    with pytest.raises(ConfigError, match="^1 raw IDs for 2 labels$"):
+        LabelSet([[0], [1]], [[0], [0]], [5])
+
+
+def test_build_rejects_a_raw_id_wider_than_u64():
+    graph = parse_edge_list(f"1 {2**64}\n1 2\n")
+    message = f"^raw vertex ID {2**64} does not fit the label file's u64$"
+    with pytest.raises(FormatError, match=message):
+        build_pll_labels(graph)
+
+
+def test_partial_load_decodes_the_labels_of_raw_vertices():
+    """``raw_vertices`` are looked up in the file's table: 30 and 10 are
+    vertices 2 and 0; 99 is in no table and decodes nothing."""
+    labels = build_pll_labels(parse_edge_list("10 20\n20 30\n30 40\n"))
+    data = _saved(labels)
+    part = load_labels(io.BytesIO(data), [3], [30, 10, 99])
+    assert [v for v, hv in enumerate(part.hubs) if hv is not None] == [0, 2, 3]
+    assert load_labels(io.BytesIO(data), [], [99]).hubs == [None] * 4
+
+
+def test_load_checks_the_header_and_raw_id_table_behind_the_crc(bound_tree14_labels):
+    """With the CRC recomputed: an edge-list CRC field that no CRC-32 takes
+    fails the load, and a raw-ID table that names an ID twice fails the
+    first lookup through it."""
+    data = _saved(bound_tree14_labels)
+    bad = bytearray(data)
+    struct.pack_into("<Q", bad, 13, 2**32 + 1)
+    with pytest.raises(FormatError, match=f"^edge-list CRC field {2**32 + 1} is not a CRC-32$"):
+        load_labels(io.BytesIO(_resealed(bad)))
+    bad = bytearray(data)
+    struct.pack_into("<Q", bad, 21 + 8 * 13, 4)  # vertex 13's raw ID is vertex 4's
+    loaded = load_labels(io.BytesIO(_resealed(bad)))
+    with pytest.raises(FormatError, match="^the raw-ID table names a raw ID twice$"):
+        loaded.dense_id(4)
+    with pytest.raises(FormatError, match="^the raw-ID table names a raw ID twice$"):
+        load_labels(io.BytesIO(_resealed(bad)), [], [4])

@@ -35,12 +35,13 @@ def test_package_imports_only_stdlib():
             )
 
 
-def test_only_labels_imports_zlib():
-    """The sealed file framing, and with it the CRC, stays in labels.py."""
+def test_only_labels_and_graph_import_zlib():
+    """The sealed file framing, and with it the CRC, stays in labels.py;
+    graph.py takes the CRC-32 of the edge-list text it reads."""
     importers = [
         path.name for path in SOURCES for _, name in _absolute_imports(path) if name == "zlib"
     ]
-    assert importers == ["labels.py"]
+    assert importers == ["graph.py", "labels.py"]
 
 
 def test_cli_import_leaves_bench_unloaded():
@@ -50,7 +51,7 @@ def test_cli_import_leaves_bench_unloaded():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (
         "import sys, hubrknn.cli; "
-        "print(sorted({'hubrknn.bench', 'csv', 'logging'} & set(sys.modules)))"
+        "print(sorted({'hubrknn.bench', 'csv', 'hashlib', 'logging'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
