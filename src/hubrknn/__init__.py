@@ -12,6 +12,7 @@ from .graph import (
     degree_ordering,
     largest_connected_component,
     parse_edge_list,
+    parse_object_file,
 )
 from .labels import (
     INFINITY,
@@ -35,7 +36,6 @@ from .offline import (
     index_stats,
     load_index,
     offline_preprocess,
-    parse_object_file,
     save_index,
     to_many_pairs,
 )

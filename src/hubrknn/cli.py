@@ -23,7 +23,13 @@ import sys
 import time
 
 from .errors import ConfigError, FormatError, ParseError
-from .graph import Graph, degree_ordering, largest_connected_component, parse_edge_list, text_crc
+from .graph import (
+    Graph,
+    largest_connected_component,
+    parse_edge_list,
+    parse_object_file,
+    text_crc,
+)
 from .labels import (
     _PAIR,
     INFINITY,
@@ -39,7 +45,6 @@ from .offline import (
     index_stats,
     load_index,
     offline_preprocess,
-    parse_object_file,
     save_index,
 )
 from .online import knn_query, rknn_query
@@ -58,7 +63,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="hubrknn", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="hubrknn", description=__doc__.partition("\n")[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
 
     p = sub.add_parser("build", help="construct hub labels")
@@ -109,16 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (see --help)")
-    except UsageError as exc:
-        print(f"hubrknn: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         return _dispatch(args)
     except UsageError as exc:
         print(f"hubrknn: {exc}", file=sys.stderr)
@@ -193,7 +192,7 @@ def _load_indexed(args, edge_list_crc: int) -> tuple[OfflineIndex, int]:
 def _cmd_build(args) -> int:
     graph = _load_graph(args.graph)
     t0 = time.perf_counter()
-    labels = build_pll_labels(graph, degree_ordering(graph))
+    labels = build_pll_labels(graph)
     elapsed = time.perf_counter() - t0
     with open(args.out, "wb") as f:
         save_labels(labels, f)

@@ -1,27 +1,54 @@
-"""Undirected graph parsing and normalization.
+"""Raw input: edge lists, object files, and the raw-to-dense vertex ID map.
 
 Input graphs are plain text edge lists (one edge per line, ``#``/``%``
-comments), the format used by most public network datasets. Vertex IDs in a
-file ("raw" IDs) may be arbitrary non-negative integers; they are remapped to
-dense 0-based IDs in order of first appearance, and the mapping is kept on
-the Graph so results can be reported in the caller's original IDs. A parsed
-Graph also keeps the CRC-32 of the text it was parsed from, which a label
-file stores to name the edge list it was built from.
+comments), the format used by most public network datasets; object files
+hold one raw vertex ID per line. A ``str`` parses exactly as a text stream
+holding it: lines end at ``\n`` only. Vertex IDs in a file ("raw" IDs) may
+be arbitrary non-negative integers; they are remapped to dense 0-based IDs
+in order of first appearance, and the mapping is kept on the Graph so
+results can be reported in the caller's original IDs. A parsed Graph also
+keeps the CRC-32 of the text it was parsed from, which a label file stores
+to name the edge list it was built from.
 """
 
 from __future__ import annotations
 
+import io
 import zlib
 from collections import deque
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, FormatError, ParseError
 
 COMMENT_PREFIXES = ("#", "%")
-_CHUNK = 1 << 16  # characters of an edge-list stream read at a time
+_CHUNK = 1 << 16  # characters of a text stream read at a time
 
 
-class Graph:
+class RawIdMap:
+    """``raw_ids[v]`` is the raw input ID of dense vertex ``v``; ``dense_id``
+    maps back through a dict made on first use."""
+
+    __slots__ = ("raw_ids", "_dense")
+
+    def __init__(self, raw_ids: Sequence[int]):
+        self.raw_ids = raw_ids
+        self._dense: dict[int, int] | None = None
+
+    def dense_id(self, raw: int) -> int:
+        """Map a raw input ID to its dense ID; ConfigError if absent,
+        FormatError if ``raw_ids`` repeats an ID."""
+        if self._dense is None:
+            dense = dict(zip(self.raw_ids, range(len(self.raw_ids))))
+            if len(dense) != len(self.raw_ids):
+                raise FormatError("the raw-ID table names a raw ID twice")
+            self._dense = dense
+        try:
+            return self._dense[raw]
+        except KeyError:
+            raise ConfigError(f"vertex {raw} is not in the graph") from None
+
+
+class Graph(RawIdMap):
     """Immutable, undirected, unweighted graph over dense vertex IDs.
 
     ``adjacency[v]`` is a sorted list of neighbors with no self-loops and no
@@ -31,19 +58,16 @@ class Graph:
     it. Instances are safe to share between threads once built.
     """
 
-    __slots__ = (
-        "vertex_count", "edge_count", "adjacency", "raw_ids", "edge_list_crc", "_raw_to_dense"
-    )
+    __slots__ = ("vertex_count", "edge_count", "adjacency", "edge_list_crc")
 
     def __init__(
         self, adjacency: list[list[int]], raw_ids: list[int], edge_list_crc: int | None = None
     ):
+        super().__init__(raw_ids)
         self.vertex_count = len(adjacency)
         self.adjacency = adjacency
         self.edge_count = sum(len(nbrs) for nbrs in adjacency) // 2
-        self.raw_ids = raw_ids
         self.edge_list_crc = edge_list_crc
-        self._raw_to_dense = {raw: v for v, raw in enumerate(raw_ids)}
 
     @classmethod
     def from_edges(cls, pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -76,13 +100,6 @@ class Graph:
     def avg_degree(self) -> float:
         return 2.0 * self.edge_count / self.vertex_count
 
-    def dense_id(self, raw: int) -> int:
-        """Map a raw input ID to its dense ID; ConfigError if absent."""
-        try:
-            return self._raw_to_dense[raw]
-        except KeyError:
-            raise ConfigError(f"vertex {raw} is not in the graph") from None
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -94,15 +111,30 @@ class Graph:
         return f"Graph(vertices={self.vertex_count}, edges={self.edge_count})"
 
 
-def _data_lines(
-    source: str | IO[str] | Iterable[str], comments: tuple[str, ...]
-) -> Iterator[tuple[int, str]]:
-    """(line number, stripped line) of each line not blank or a comment."""
-    lines = source.splitlines() if isinstance(source, str) else source
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith(comments):
-            yield lineno, stripped
+class _DataLines:
+    """(line number, stripped line) of each line of a text stream, or of a
+    ``str`` read as one, that is not blank or a comment. Lines end at "\\n"
+    only; the stream is read in chunks, so no more than one chunk's lines
+    are held at a time. ``crc`` takes in the ``text_crc`` of the text read."""
+
+    def __init__(self, source: str | IO[str], comments: tuple[str, ...]):
+        self.stream = io.StringIO(source) if isinstance(source, str) else source
+        self.comments = comments
+        self.crc = 0
+
+    def _lines(self) -> Iterator[str]:
+        rest = ""
+        while chunk := self.stream.read(_CHUNK):
+            self.crc = text_crc(chunk, self.crc)
+            *done, rest = (rest + chunk).split("\n")
+            yield from done
+        yield rest
+
+    def __iter__(self) -> Iterator[tuple[int, str]]:
+        for lineno, line in enumerate(self._lines(), start=1):
+            stripped = line.strip()
+            if stripped and not stripped.startswith(self.comments):
+                yield lineno, stripped
 
 
 def text_crc(text: str, crc: int = 0) -> int:
@@ -119,26 +151,10 @@ def parse_edge_list(source: str | IO[str]) -> Graph:
     whitespace-separated non-negative integer IDs. Raises ParseError with the
     offending line number on malformed input.
     """
-    crc = 0
-
-    def lines() -> Iterator[str]:
-        """The lines of ``source``, as iterating it gives them, while ``crc``
-        takes in the text read; a stream is read in chunks, so no more than
-        one chunk's lines are held at a time."""
-        nonlocal crc
-        if isinstance(source, str):
-            crc = text_crc(source)
-            yield from source.splitlines()
-            return
-        rest = ""
-        while chunk := source.read(_CHUNK):
-            crc = text_crc(chunk, crc)
-            *done, rest = (rest + chunk).split("\n")
-            yield from done
-        yield rest
+    lines = _DataLines(source, COMMENT_PREFIXES)
 
     def pairs() -> Iterator[tuple[int, int]]:
-        for lineno, stripped in _data_lines(lines(), COMMENT_PREFIXES):
+        for lineno, stripped in lines:
             tokens = stripped.split()
             if len(tokens) != 2:
                 raise ParseError(
@@ -155,8 +171,22 @@ def parse_edge_list(source: str | IO[str]) -> Graph:
             yield u, v
 
     graph = Graph.from_edges(pairs())
-    graph.edge_list_crc = crc
+    graph.edge_list_crc = lines.crc
     return graph
+
+
+def parse_object_file(source: str | IO[str]) -> list[int]:
+    """Raw vertex IDs, one per line of a text or text stream; '#' starts a
+    comment."""
+    out: list[int] = []
+    for lineno, stripped in _DataLines(source, ("#",)):
+        try:
+            out.append(int(stripped))
+        except ValueError:
+            raise ParseError(
+                f"line {lineno}: expected a vertex ID, got {stripped!r}"
+            ) from None
+    return out
 
 
 def largest_connected_component(graph: Graph) -> Graph:

@@ -22,7 +22,7 @@ from itertools import accumulate
 from typing import IO, Iterable, Sequence
 
 from .errors import ConfigError, FormatError
-from .graph import Graph, degree_ordering
+from .graph import Graph, RawIdMap, degree_ordering
 
 # Sentinel strictly greater than any representable hop distance.
 INFINITY = 1 << 30
@@ -82,7 +82,7 @@ def _u64_view(data: bytes) -> memoryview:
     return memoryview(data).cast("Q")
 
 
-class LabelSet:
+class LabelSet(RawIdMap):
     """Per-vertex hub labels: a hub list and a distance byte string each,
     with the raw IDs and the edge-list CRC of the graph they label.
 
@@ -103,7 +103,7 @@ class LabelSet:
     label, for every vertex not decoded; ``total_pairs`` counts them all.
     """
 
-    __slots__ = ("hubs", "dists", "total_pairs", "raw_ids", "edge_list_crc", "_crc", "_dense")
+    __slots__ = ("hubs", "dists", "total_pairs", "edge_list_crc", "_crc")
 
     def __init__(
         self,
@@ -112,15 +112,14 @@ class LabelSet:
         raw_ids: Sequence[int] | None = None,
         edge_list_crc: int | None = None,
     ):
+        super().__init__(_raw_id_table(range(len(hubs)) if raw_ids is None else raw_ids))
+        if len(self.raw_ids) != len(hubs):
+            raise ConfigError(f"{len(self.raw_ids)} raw IDs for {len(hubs)} labels")
         self.hubs = hubs
         self.dists = [bytes(d) for d in dists]  # no copy of a bytes argument
         self.total_pairs = sum(map(len, hubs))
-        self.raw_ids = _raw_id_table(range(len(hubs)) if raw_ids is None else raw_ids)
-        if len(self.raw_ids) != len(hubs):
-            raise ConfigError(f"{len(self.raw_ids)} raw IDs for {len(hubs)} labels")
         self.edge_list_crc = edge_list_crc
         self._crc: int | None = None
-        self._dense: dict[int, int] | None = None
 
     def checksum(self) -> int:
         """The CRC-32 this set's label file ends with, encoded at most once."""
@@ -131,23 +130,6 @@ class LabelSet:
     @property
     def vertex_count(self) -> int:
         return len(self.hubs)
-
-    def dense_id(self, raw: int) -> int:
-        """Map a raw input ID to its dense ID; ConfigError if absent."""
-        try:
-            return self._dense_ids()[raw]
-        except KeyError:
-            raise ConfigError(f"vertex {raw} is not in the graph") from None
-
-    def _dense_ids(self) -> dict[int, int]:
-        """raw ID -> dense ID, made on first use; FormatError if the table
-        repeats a raw ID."""
-        if self._dense is None:
-            dense = dict(zip(self.raw_ids, range(len(self.raw_ids))))
-            if len(dense) != len(self.raw_ids):
-                raise FormatError("the raw-ID table names a raw ID twice")
-            self._dense = dense
-        return self._dense
 
     def avg_label_size(self) -> float:
         return self.total_pairs / self.vertex_count
@@ -247,7 +229,7 @@ def hl_distance(labels: LabelSet, s: int, t: int) -> int:
     """
     n = labels.vertex_count
     if not (0 <= s < n and 0 <= t < n):
-        raise ValueError(f"vertex pair ({s}, {t}) out of range for {n} vertices")
+        raise ConfigError(f"vertex pair ({s}, {t}) out of range for {n} vertices")
     to_s = dict(zip(labels.hubs[s], labels.dists[s]))
     best = INFINITY
     for h, d in zip(labels.hubs[t], labels.dists[t]):
@@ -316,10 +298,11 @@ def load_labels(
         wanted = range(n)
     else:
         wanted = set(vertices)
-        raws = set(raw_vertices)
-        if raws:
-            dense = labels._dense_ids()
-            wanted.update(dense[r] for r in raws if r in dense)
+        for raw in raw_vertices:
+            try:
+                wanted.add(labels.dense_id(raw))
+            except ConfigError:  # a raw ID not in the table decodes nothing
+                pass
         wanted.intersection_update(range(n))
     shared = list(range(n))
     owner = [-1] * n  # owner[h] is the last vertex whose label named hub h

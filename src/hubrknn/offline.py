@@ -37,10 +37,9 @@ from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
-from typing import IO, Iterable
+from typing import IO
 
-from .errors import ConfigError, FormatError, ParseError
-from .graph import _data_lines
+from .errors import ConfigError, FormatError
 from .labels import _PAIR, _U32, INFINITY, LabelSet, _seal, _unseal, hl_distance
 
 _MAGIC = b"RHIX"
@@ -327,19 +326,6 @@ def index_stats(index: OfflineIndex) -> dict[str, float]:
         # three structures an index holds in memory; not the index file's size.
         "model_bytes": _PAIR.size * (knn_backward_pairs + knn_result_pairs + rknn_pairs),
     }
-
-
-def parse_object_file(source: str | IO[str] | Iterable[str]) -> list[int]:
-    """Raw vertex IDs, one per line; '#' starts a comment."""
-    out: list[int] = []
-    for lineno, stripped in _data_lines(source, ("#",)):
-        try:
-            out.append(int(stripped))
-        except ValueError:
-            raise ParseError(
-                f"line {lineno}: expected a vertex ID, got {stripped!r}"
-            ) from None
-    return out
 
 
 def save_index(index: OfflineIndex, sink: IO[bytes]) -> None:

@@ -43,7 +43,7 @@ def rknn_query(index: OfflineIndex, labels: LabelSet, q: int) -> RknnAnswer:
         raise ConfigError("label set is not the one this index was built or loaded with")
     n = labels.vertex_count
     if not 0 <= q < n:
-        raise ValueError(f"query vertex {q} out of range for {n} vertices")
+        raise ConfigError(f"query vertex {q} out of range for {n} vertices")
 
     out = [INFINITY] * len(index.objects)
     worst = index.worst
@@ -78,7 +78,7 @@ def knn_query(
         raise ConfigError("label set is not the one these kNN backward labels were built from")
     n = labels.vertex_count
     if not 0 <= q < n:
-        raise ValueError(f"query vertex {q} out of range for {n} vertices")
+        raise ConfigError(f"query vertex {q} out of range for {n} vertices")
     if not 1 <= k <= knn_backward.k:
         raise ConfigError(
             f"k={k} outside [1, {knn_backward.k}] supported by these backward labels"

@@ -305,6 +305,13 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+def test_usage_error_in_a_command_exits_1(workspace, capsys):
+    """A usage error found after parsing, while a command runs, is handled as
+    one found by the parser."""
+    assert main(["stats", "--graph", workspace["graph"], "--index", workspace["index"]]) == 1
+    assert capsys.readouterr().err == "hubrknn: --index requires --labels\n"
+
+
 def test_module_entry_point_runs_cli():
     src = os.path.dirname(os.path.dirname(hubrknn.__file__))
     proc = subprocess.run(

@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 from hubrknn import (
     INFINITY,
+    ConfigError,
+    FormatError,
     Graph,
+    LabelSet,
     ParseError,
     bfs_distances,
     degree_ordering,
     largest_connected_component,
     parse_edge_list,
+    parse_object_file,
 )
 import hubrknn.graph
 from hubrknn.graph import text_crc
@@ -159,6 +163,57 @@ def test_parse_reads_a_stream_chunk_by_chunk(tmp_path, monkeypatch, chunk):
     path.write_bytes((text + "\n0 1 2\n").encode())
     with open(path, encoding="utf-8") as f, pytest.raises(ParseError, match="^line 83: "):
         parse_edge_list(f)
+
+
+def _parsed(parse, source):
+    """What ``parse`` makes of ``source``: its result and, for a graph, the
+    recorded CRC; or the ParseError message, which names the line."""
+    try:
+        result = parse(source)
+    except ParseError as exc:
+        return "ParseError", str(exc)
+    return result, getattr(result, "edge_list_crc", None)
+
+
+# Characters that str.splitlines() breaks a line at but a text stream does not.
+_NOT_NEWLINES = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("char", _NOT_NEWLINES, ids=[f"{ord(c):x}" for c in _NOT_NEWLINES])
+def test_a_text_parses_as_a_stream_holding_it(end, char):
+    """A ``str`` splits into lines only at "\\n", as a text stream does: the
+    same graph and CRC, or the same ParseError with the same line number,
+    from both; a character inside a line is whitespace, or part of a token."""
+    edge_texts = [f"1{char}2{end}2 3{end}", f"# a{char}b{end}1 2{end}3{end}"]
+    object_texts = [f"4{char}5{end}", f"# a{char}b{end}4{end}"]
+    for parse, texts in ((parse_edge_list, edge_texts), (parse_object_file, object_texts)):
+        for text in texts:
+            assert _parsed(parse, text) == _parsed(parse, io.StringIO(text))
+    for source in (edge_texts[0], io.StringIO(edge_texts[0])):
+        assert parse_edge_list(source) == Graph.from_edges([(1, 2), (2, 3)])
+    assert _parsed(parse_edge_list, edge_texts[1]) == (
+        "ParseError", "line 3: expected two vertex IDs, found 1 tokens"
+    )
+    assert _parsed(parse_object_file, object_texts[1]) == ([4], None)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda raw_ids: Graph([[]] * len(raw_ids), raw_ids),
+     lambda raw_ids: LabelSet([[v] for v in range(len(raw_ids))], [[0]] * len(raw_ids), raw_ids)],
+    ids=["graph", "labelset"],
+)
+def test_graph_and_labels_map_raw_ids_alike(make):
+    """One ``dense_id`` over ``raw_ids``: a known ID maps to its position,
+    an absent one is a ConfigError, and a table naming an ID twice is a
+    FormatError."""
+    mapped = make([10, 2**40, 30])
+    assert [mapped.dense_id(r) for r in (30, 10, 2**40)] == [2, 0, 1]
+    with pytest.raises(ConfigError, match="^vertex 7 is not in the graph$"):
+        mapped.dense_id(7)
+    with pytest.raises(FormatError, match="^the raw-ID table names a raw ID twice$"):
+        make([5, 6, 5]).dense_id(6)
 
 
 def test_lcc_identity_on_connected_input():

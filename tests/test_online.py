@@ -40,7 +40,7 @@ def test_query_on_object_vertex_is_member_at_zero(tree14_labels, tree14_objects)
 
 def test_rknn_rejects_out_of_range_vertex(tree14_labels, tree14_objects):
     index = offline_preprocess(tree14_labels, tree14_objects, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^query vertex 14 out of range for 14 vertices$"):
         rknn_query(index, tree14_labels, 14)
 
 
@@ -155,6 +155,12 @@ def test_knn_query_caps_k(tree14_labels, tree14_objects):
         knn_query(knnlab, tree14_labels, 0, 2)
     with pytest.raises(ConfigError):
         knn_query(knnlab, tree14_labels, 0, 0)
+
+
+def test_knn_rejects_out_of_range_vertex(tree14_labels, tree14_objects):
+    index = offline_preprocess(tree14_labels, tree14_objects, 1)
+    with pytest.raises(ConfigError, match="^query vertex -1 out of range for 14 vertices$"):
+        knn_query(index.knn_backward, tree14_labels, -1, 1)
 
 
 def test_knn_rejects_mismatched_labels(tree14_labels, tree14_objects):

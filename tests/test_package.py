@@ -51,7 +51,8 @@ def test_cli_import_leaves_bench_unloaded():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (
         "import sys, hubrknn.cli; "
-        "print(sorted({'hubrknn.bench', 'csv', 'hashlib', 'logging'} & set(sys.modules)))"
+        "print(sorted({'hubrknn.bench', 'csv', 'hashlib', 'logging', 'statistics'}"
+        " & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
