@@ -39,7 +39,7 @@ from .offline import (
     save_index,
     to_many_pairs,
 )
-from .online import RknnAnswer, knn_query, rknn_query
+from .online import RknnAnswer, knn_query, object_distances, rknn_query
 from .oracle import DistanceRow, bfs_distances, oracle_rknn
 
 __version__ = "0.1.0"

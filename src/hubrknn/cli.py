@@ -11,7 +11,9 @@ text it was built from, so ``query``, ``knn`` and ``preprocess`` read
 ``--graph`` only to check that CRC, and map IDs through the table without
 parsing it. ``build``, ``bench``, ``stats`` and ``query --oracle`` parse the
 graph; every command that reads labels checks the same binding and fails
-with a data error on labels built from another edge list.
+with a data error on labels built from another edge list. ``query`` and
+``knn`` answer once per process, so they answer through the objects' labels
+(``object_distances``) and build no backward list.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import time
 
 from .errors import ConfigError, FormatError, ParseError
 from .graph import (
+    _CHUNK,
     Graph,
     largest_connected_component,
     parse_edge_list,
@@ -47,7 +50,7 @@ from .offline import (
     offline_preprocess,
     save_index,
 )
-from .online import knn_query, rknn_query
+from .online import object_distances
 from .oracle import oracle_rknn
 
 
@@ -157,9 +160,13 @@ def _load_graph(path: str) -> Graph:
 
 
 def _edge_list_crc(path: str) -> int:
-    """The ``text_crc`` of --graph, read as ``parse_edge_list`` reads it."""
+    """The ``text_crc`` of --graph, read as ``parse_edge_list`` reads it: in
+    chunks of ``_CHUNK`` characters, so no more than one is held at a time."""
+    crc = 0
     with open(path, "r", encoding="utf-8") as f:
-        return text_crc(f.read())
+        while chunk := f.read(_CHUNK):
+            crc = text_crc(chunk, crc)
+    return crc
 
 
 def _load_labels_bound(path: str, edge_list_crc: int, vertices=None, raw_vertices=()) -> LabelSet:
@@ -229,7 +236,7 @@ def _cmd_query(args) -> int:
         distances = [members.get(i, INFINITY) for i in range(len(index.objects))]
     else:
         index, q = _load_indexed(args, _edge_list_crc(args.graph))
-        distances = rknn_query(index, index.labels, q).distances
+        distances = object_distances(index, q, index.worst)
 
     raw_ids = index.labels.raw_ids
     for i, dist in enumerate(distances):
@@ -244,8 +251,11 @@ def _cmd_query(args) -> int:
 def _cmd_knn(args) -> int:
     index, q = _load_indexed(args, _edge_list_crc(args.graph))
     k = index.k if args.k is None else args.k
+    if not 1 <= k <= index.k:
+        raise ConfigError(f"k={k} outside [1, {index.k}] supported by these backward labels")
+    distances = object_distances(index, q)
     raw_ids = index.labels.raw_ids
-    for idx, dist in knn_query(index.knn_backward, index.labels, q, k):
+    for dist, idx in sorted((d, i) for i, d in enumerate(distances) if d < INFINITY)[:k]:
         raw = raw_ids[index.objects.vertices[idx]]
         print(f"{raw}\t{dist}")
     return 0

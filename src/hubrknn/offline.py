@@ -23,10 +23,11 @@ the offline work scales with the objects' label pairs, not with the vertex
 count.
 
 An ``OfflineIndex`` is made from the labels, the objects and their kNN rows
-(substage 2); its constructor runs substage 3, and substage 1 runs on first
-use unless ``offline_preprocess`` hands over its own lists. The index file
-stores only the objects and the rows. It is sealed like a label file and
-names its labels by the checksum their label file ends with.
+(substage 2). ``offline_preprocess`` hands it the lists of substages 1 and
+3; a loaded index builds each on first use, so a one-shot answer that reads
+only the objects' labels (``online.object_distances``) builds neither. The
+index file stores only the objects and the rows. It is sealed like a label
+file and names its labels by the checksum their label file ends with.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import struct
 import time
 from bisect import insort
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
 from typing import IO
@@ -47,23 +47,28 @@ _VERSION = 5
 _HEADER = struct.Struct("<III")  # the labels' checksum, k, object count
 
 
-@dataclass(frozen=True)
 class ObjectSet:
     """Distinct object vertices; list position is the canonical object index."""
 
-    vertices: tuple[int, ...]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+    def __init__(self, vertices: tuple[int, ...]):
+        if len(set(vertices)) != len(vertices):
             raise ConfigError("object set contains duplicate vertices")
-        if any(v < 0 for v in self.vertices):
+        if any(v < 0 for v in vertices):
             raise ConfigError("object set contains negative vertex IDs")
+        self.vertices = vertices
+
+    def __eq__(self, other: object) -> bool:
+        return self.vertices == other.vertices if type(other) is ObjectSet else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.vertices)
 
     def __len__(self) -> int:
         return len(self.vertices)
 
 
-@dataclass(slots=True, repr=False)
 class KnnBackwardLabels:
     """Per-hub lists of the k+1 nearest (objectIndex, dist) pairs.
 
@@ -71,32 +76,53 @@ class KnnBackwardLabels:
     ``knn_query`` accepts with them; equality compares ``k`` and the lists.
     """
 
-    k: int
-    lists: list[list[tuple[int, int]]]  # hub -> [(idx, dist)] ascending by (dist, idx)
-    labels: LabelSet = field(compare=False)
+    __slots__ = ("k", "lists", "labels")
+
+    def __init__(self, k: int, lists: list[list[tuple[int, int]]], labels: LabelSet):
+        self.k = k
+        self.lists = lists  # hub -> [(idx, dist)] ascending by (dist, idx)
+        self.labels = labels
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not KnnBackwardLabels:
+            return NotImplemented
+        return (self.k, self.lists) == (other.k, other.lists)
 
     def total_pairs(self) -> int:
         return sum(len(lst) for lst in self.lists)
 
 
-@dataclass(slots=True, repr=False)
 class RknnBackwardLabels:
-    """Per-hub (objectIndex, dist) pairs surviving the k-th-neighbor filter."""
+    """Per-hub (objectIndex, dist) pairs surviving the k-th-neighbor filter;
+    equality compares the lists."""
 
-    # hub -> [(idx, dist)] ascending by (dist - worst[idx], idx), where
-    # worst[idx] is object idx's k-th-neighbor distance
-    lists: list[list[tuple[int, int]]]
-    total_pairs: int = field(init=False, compare=False)
+    __slots__ = ("lists", "total_pairs")
 
-    def __post_init__(self):
-        self.total_pairs = sum(map(len, self.lists))
+    def __init__(self, lists: list[list[tuple[int, int]]]):
+        # hub -> [(idx, dist)] ascending by (dist - worst[idx], idx), where
+        # worst[idx] is object idx's k-th-neighbor distance
+        self.lists = lists
+        self.total_pairs = sum(map(len, lists))
+
+    def __eq__(self, other: object) -> bool:
+        return self.lists == other.lists if type(other) is RknnBackwardLabels else NotImplemented
 
 
-@dataclass
 class OfflineTimings:
-    knn_backward_s: float = 0.0
-    batch_knn_s: float = 0.0
-    rknn_labels_s: float = 0.0
+    __slots__ = ("knn_backward_s", "batch_knn_s", "rknn_labels_s")
+
+    def __init__(self, knn_backward_s: float = 0.0, batch_knn_s: float = 0.0,
+                 rknn_labels_s: float = 0.0):
+        self.knn_backward_s = knn_backward_s
+        self.batch_knn_s = batch_knn_s
+        self.rknn_labels_s = rknn_labels_s
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not OfflineTimings:
+            return NotImplemented
+        return (self.knn_backward_s, self.batch_knn_s, self.rknn_labels_s) == (
+            other.knn_backward_s, other.batch_knn_s, other.rknn_labels_s
+        )
 
     @property
     def total_s(self) -> float:
@@ -109,8 +135,9 @@ class OfflineIndex:
     ``rows[i]`` holds object i's k nearest other objects as (objectIndex,
     dist), ascending by distance, and ``worst[i]`` the last one's distance.
     Built (``offline_preprocess``) and loaded (``load_index``) indexes come
-    from this one constructor, which runs substage 3. A loaded index builds
-    ``knn_backward`` from the labels on first access.
+    from this one constructor, which builds no per-hub list: a loaded index
+    builds ``rknn_backward`` (substage 3) and ``knn_backward`` (substage 1)
+    from the labels on first access.
     """
 
     def __init__(self, objects: ObjectSet, rows: list[list[tuple[int, int]]], labels: LabelSet):
@@ -120,8 +147,11 @@ class OfflineIndex:
         self.k = len(rows[0])
         _check_objects(labels, objects, self.k)
         self.worst = [row[-1][1] for row in rows]
-        self.rknn_backward = build_rknn_backward_labels(labels, objects, self.worst)
         self.timings = OfflineTimings()
+
+    @cached_property
+    def rknn_backward(self) -> RknnBackwardLabels:
+        return build_rknn_backward_labels(self.labels, self.objects, self.worst)
 
     @cached_property
     def knn_backward(self) -> KnnBackwardLabels:
@@ -288,13 +318,14 @@ def build_rknn_backward_labels(
 
 
 def offline_preprocess(labels: LabelSet, objects: ObjectSet, k: int) -> OfflineIndex:
-    """Run the three substages in order; the index constructor is substage 3."""
+    """Run the three substages in order, so the index holds every list."""
     t0 = time.perf_counter()
     knn_backward = build_knn_backward_labels(labels, objects, k)
     t1 = time.perf_counter()
     rows = batch_knn(labels, objects, knn_backward)
     t2 = time.perf_counter()
     index = OfflineIndex(objects, rows, labels)
+    index.rknn_backward = build_rknn_backward_labels(labels, objects, index.worst)
     t3 = time.perf_counter()
     index.timings = OfflineTimings(t1 - t0, t2 - t1, t3 - t2)
     index.knn_backward = knn_backward  # substage 1's lists, not rebuilt
@@ -363,12 +394,11 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
     checksum it names is ``labels.checksum()``; the objects' range and
     distinctness; each kNN row's range and distance order, and that its
     last entry, the k-th-neighbor distance the queries read, equals the
-    label distance between its two objects. Only then does the
-    ``OfflineIndex`` constructor rebuild substage 3 from the labels, the
-    objects and the rows, so ``labels`` needs only the objects' labels
-    decoded. Mismatched, corrupt or truncated inputs fail
-    with FormatError. The index is bound to this ``labels`` object, which
-    ``rknn_query`` must be passed.
+    label distance between its two objects. No per-hub list is built:
+    the index builds them from the labels on first access, so ``labels``
+    needs only the objects' labels decoded. Mismatched, corrupt or
+    truncated inputs fail with FormatError. The index is bound to this
+    ``labels`` object, which ``rknn_query`` must be passed.
     """
     named, k, vertices, rows_data = _read_index_header(source.read())
     if named != labels.checksum():

@@ -6,18 +6,18 @@ the candidate distance is within that object's k-th-neighbor distance, with
 ties counting as members. Each hub's list is ordered by slack (pair distance
 minus the object's k-th-neighbor distance), so the sweep of a list stops at
 the first pair that does not qualify: every later pair fails too.
+
+A process that answers once (the CLI) walks the objects' own labels instead
+(``object_distances``): building the backward lists costs far more.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import ConfigError
 from .labels import INFINITY, LabelSet
 from .offline import KnnBackwardLabels, OfflineIndex, _knn_row
 
 
-@dataclass
 class RknnAnswer:
     """Distances from the query vertex to every object; INFINITY = non-member.
 
@@ -26,12 +26,50 @@ class RknnAnswer:
     number of pairs examined: the sweep of a list stops early.
     """
 
-    distances: list[int]
-    pairs_scanned: int
+    __slots__ = ("distances", "pairs_scanned")
+
+    def __init__(self, distances: list[int], pairs_scanned: int):
+        self.distances = distances
+        self.pairs_scanned = pairs_scanned
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not RknnAnswer:
+            return NotImplemented
+        return (self.distances, self.pairs_scanned) == (other.distances, other.pairs_scanned)
 
     def members(self) -> list[tuple[int, int]]:
         """(objectIndex, dist) for every finite entry, in index order."""
         return [(i, d) for i, d in enumerate(self.distances) if d < INFINITY]
+
+
+def _check_vertex(labels: LabelSet, q: int) -> None:
+    n = labels.vertex_count
+    if not 0 <= q < n:
+        raise ConfigError(f"query vertex {q} out of range for {n} vertices")
+
+
+def object_distances(index: OfflineIndex, q: int, bound: list[int] | None = None) -> list[int]:
+    """q's distance to every object, or INFINITY past ``bound[i]``, from one
+    dict of q's label and the objects' labels; builds no backward list.
+
+    Bounded by ``index.worst`` this is ``rknn_query(...).distances``;
+    unbounded, its k smallest finite (dist, idx) are ``knn_query``'s row.
+    """
+    labels = index.labels
+    _check_vertex(labels, q)
+    to_q = dict(zip(labels.hubs[q], labels.dists[q]))
+    out = []
+    for i, p in enumerate(index.objects.vertices):
+        b = INFINITY if bound is None else bound[i]
+        best = b + 1
+        for h, d in zip(labels.hubs[p], labels.dists[p]):
+            if d >= best:
+                break  # p's label ascends by distance: no later hub does better
+            via = to_q.get(h, INFINITY) + d
+            if via < best:
+                best = via
+        out.append(best if best <= b else INFINITY)
+    return out
 
 
 def rknn_query(index: OfflineIndex, labels: LabelSet, q: int) -> RknnAnswer:
@@ -41,9 +79,7 @@ def rknn_query(index: OfflineIndex, labels: LabelSet, q: int) -> RknnAnswer:
     """
     if labels is not index.labels:
         raise ConfigError("label set is not the one this index was built or loaded with")
-    n = labels.vertex_count
-    if not 0 <= q < n:
-        raise ConfigError(f"query vertex {q} out of range for {n} vertices")
+    _check_vertex(labels, q)
 
     out = [INFINITY] * len(index.objects)
     worst = index.worst
@@ -76,9 +112,7 @@ def knn_query(
     """
     if labels is not knn_backward.labels:
         raise ConfigError("label set is not the one these kNN backward labels were built from")
-    n = labels.vertex_count
-    if not 0 <= q < n:
-        raise ConfigError(f"query vertex {q} out of range for {n} vertices")
+    _check_vertex(labels, q)
     if not 1 <= k <= knn_backward.k:
         raise ConfigError(
             f"k={k} outside [1, {knn_backward.k}] supported by these backward labels"

@@ -9,16 +9,23 @@ balls.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .graph import Graph
 from .labels import INFINITY
 from .offline import ObjectSet
 
 
-@dataclass(frozen=True)
 class DistanceRow:
-    dist: tuple[int, ...]  # INFINITY for unreachable vertices
+    __slots__ = ("dist",)
+
+    def __init__(self, dist: tuple[int, ...]):
+        self.dist = dist  # INFINITY for unreachable vertices
+
+    def __eq__(self, other: object) -> bool:
+        return self.dist == other.dist if type(other) is DistanceRow else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.dist)
 
 
 def bfs_distances(graph: Graph, source: int) -> DistanceRow:

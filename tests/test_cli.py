@@ -13,6 +13,7 @@ import pytest
 import hubrknn
 import hubrknn.cli
 from hubrknn.cli import main
+from hubrknn.graph import _CHUNK
 
 from fixtures import TREE14_EDGES, TREE14_TEXT
 from graphgen import preferential_attachment_graph
@@ -612,6 +613,60 @@ def test_query_knn_and_preprocess_never_parse_the_graph(workspace, capsys, monke
     assert _run(capsys, preprocess)[0] == 0
     assert pathlib.Path(workspace["index"]).read_bytes() == index
     assert [_run(capsys, argv) for argv in _lookups(workspace, 9)] == expected
+
+
+def test_query_and_knn_build_no_backward_list(workspace, capsys, monkeypatch):
+    """A loaded index holds no per-hub list. query, query --all and knn
+    answer as before with both list builders refusing; stats --index and
+    index_stats build and count the lists on demand."""
+    _pipeline(workspace)
+    expected = [_run(capsys, argv) for v in range(14) for argv in _lookups(workspace, v)]
+    assert expected[:3] == [(0, "4\t1\n12\t3\n", ""), (0, "4\t1\n10\tinf\n12\t3\n", ""),
+                            (0, "4\t1\n", "")]
+    with open(workspace["labels"], "rb") as f:
+        labels = hubrknn.load_labels(f)
+    with open(workspace["index"], "rb") as f:
+        index = hubrknn.load_index(f, labels)
+    assert not {"rknn_backward", "knn_backward"} & set(vars(index))
+
+    def refuse(*args):
+        raise AssertionError("a backward list was built")
+
+    monkeypatch.setattr(hubrknn.offline, "build_rknn_backward_labels", refuse)
+    monkeypatch.setattr(hubrknn.offline, "build_knn_backward_labels", refuse)
+    assert [_run(capsys, argv) for v in range(14) for argv in _lookups(workspace, v)] == expected
+    stats = [
+        "stats", "--graph", workspace["graph"], "--labels", workspace["labels"],
+        "--index", workspace["index"],
+    ]
+    with pytest.raises(AssertionError, match="a backward list was built"):
+        main(stats)
+    monkeypatch.undo()
+    code, out, _ = _run(capsys, stats)
+    assert code == 0 and "knn_backward_pairs\t8\n" in out and "rknn_pairs\t8\n" in out
+    counts = hubrknn.index_stats(index)
+    assert (counts["knn_backward_pairs"], counts["rknn_pairs"]) == (8, 8)
+    assert {"rknn_backward", "knn_backward"} <= set(vars(index))
+
+
+@pytest.mark.parametrize("kind", ["lf", "crlf", "crlf-across-chunks"])
+def test_edge_list_crc_is_the_crc_the_parse_records(tmp_path, kind):
+    """The CLI CRCs --graph chunk by chunk, as parse_edge_list reads it; the
+    long file has a CRLF whose "\r" ends the first chunk."""
+    text = {
+        "lf": TREE14_TEXT,
+        "crlf": TREE14_TEXT.replace("\n", "\r\n"),
+        "crlf-across-chunks": "#" + "x" * (_CHUNK - 2) + "\r\n"
+        + "".join(f"{v} {v + 1}\r\n" for v in range(_CHUNK // 8)),
+    }[kind]
+    if kind == "crlf-across-chunks":
+        assert text.index("\r") == _CHUNK - 1 and len(text) > 2 * _CHUNK
+    path = tmp_path / "graph.txt"
+    path.write_bytes(text.encode())
+    with open(path, "r", encoding="utf-8") as f:
+        parsed = hubrknn.parse_edge_list(f).edge_list_crc
+    assert hubrknn.cli._edge_list_crc(str(path)) == parsed
+    assert parsed == zlib.crc32(text.replace("\r\n", "\n").encode())
 
 
 def _library_labels(graph_path, label_path):

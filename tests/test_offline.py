@@ -8,11 +8,14 @@ import pytest
 
 from hubrknn import (
     ConfigError,
+    DistanceRow,
     FormatError,
     Graph,
     KnnBackwardLabels,
     LabelSet,
     ObjectSet,
+    OfflineTimings,
+    RknnAnswer,
     batch_knn,
     bfs_distances,
     build_knn_backward_labels,
@@ -290,6 +293,30 @@ def test_offline_values_compare_by_content_and_stay_unhashable(tree14, tree14_ob
         assert type(value).__hash__ is None
         with pytest.raises(TypeError):
             hash(value)
+
+
+def test_value_types_compare_and_hash_by_their_fields():
+    """ObjectSet and DistanceRow compare and hash by their one field;
+    OfflineTimings and RknnAnswer compare by every field and are unhashable.
+    None of them equals another type holding the same values."""
+    a, b = ObjectSet((4, 10, 12)), ObjectSet((4, 10, 12))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != ObjectSet((10, 4, 12)) and a != (4, 10, 12)
+    row = DistanceRow((0, 1, INFINITY))
+    assert row == DistanceRow((0, 1, INFINITY)) and hash(row) == hash(DistanceRow((0, 1, INFINITY)))
+    assert row != DistanceRow((0, 2, INFINITY)) and row != (0, 1, INFINITY)
+    assert OfflineTimings(1.0, 2.0, 3.0) == OfflineTimings(1.0, 2.0, 3.0)
+    assert OfflineTimings(1.0, 2.0, 3.0) != OfflineTimings(1.0, 2.0, 0.0)
+    assert OfflineTimings() == OfflineTimings(0.0, 0.0, 0.0) and OfflineTimings().total_s == 0.0
+    assert RknnAnswer([1, INFINITY], 3) == RknnAnswer([1, INFINITY], 3)
+    assert RknnAnswer([1, INFINITY], 3) != RknnAnswer([1, INFINITY], 4)
+    assert RknnAnswer([1, INFINITY], 3) != RknnAnswer([2, INFINITY], 3)
+    for value in (OfflineTimings(), RknnAnswer([], 0)):
+        with pytest.raises(TypeError):
+            hash(value)
+    for vertices, message in (((1, 1), "duplicate vertices"), ((1, -1), "negative vertex IDs")):
+        with pytest.raises(ConfigError, match=f"^object set contains {message}$"):
+            ObjectSet(vertices)
 
 
 def test_epsilon_bounds(tree14_labels, tree14_objects):

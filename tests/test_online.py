@@ -13,6 +13,7 @@ from hubrknn import (
     build_pll_labels,
     knn_query,
     load_index,
+    object_distances,
     offline_preprocess,
     oracle_rknn,
     rknn_query,
@@ -209,3 +210,44 @@ def test_knn_matches_oracle_distances(instances, k):
             row = bfs_distances(g, q).dist
             truth = sorted((row[p], j) for j, p in enumerate(objects.vertices))
             assert got == [(j, d) for d, j in truth[:k]]
+
+
+# --- one-shot answers through the objects' labels ---
+
+
+def _assert_one_shot_matches_the_sweeps(index, queries):
+    """At each q, object_distances bounded by ``worst`` is the RkNN sweep's
+    answer, and its k smallest finite (dist, idx) entries are the kNN row."""
+    labels, k = index.labels, index.k
+    for q in queries:
+        assert object_distances(index, q, index.worst) == rknn_query(index, labels, q).distances
+        distances = object_distances(index, q)
+        row = sorted((d, i) for i, d in enumerate(distances) if d < INFINITY)[:k]
+        assert [(i, d) for d, i in row] == knn_query(index.knn_backward, labels, q, k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_object_distances_match_the_sweeps_on_tree14(tree14_labels, tree14_objects, k):
+    index = offline_preprocess(tree14_labels, tree14_objects, k)
+    _assert_one_shot_matches_the_sweeps(index, range(14))
+
+
+@pytest.fixture(scope="module")
+def pa300_labels():
+    return build_pll_labels(preferential_attachment_graph(300, 4, seed=5))
+
+
+@pytest.mark.parametrize("density", [0.05, 0.2, 0.6])
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_object_distances_match_the_sweeps_on_pa300(pa300_labels, density, k):
+    rng = random.Random(int(density * 100) * 31 + k)
+    vertices = tuple(rng.sample(range(300), int(300 * density)))
+    index = offline_preprocess(pa300_labels, ObjectSet(vertices), k)
+    others = rng.sample(sorted(set(range(300)) - set(vertices)), 40)
+    _assert_one_shot_matches_the_sweeps(index, [*vertices, *others])
+
+
+def test_object_distances_reject_out_of_range_vertex(tree14_labels, tree14_objects):
+    index = offline_preprocess(tree14_labels, tree14_objects, 1)
+    with pytest.raises(ConfigError, match="^query vertex 14 out of range for 14 vertices$"):
+        object_distances(index, 14)

@@ -46,13 +46,14 @@ def test_only_labels_and_graph_import_zlib():
 
 def test_cli_import_leaves_bench_unloaded():
     """Only the bench subcommand imports bench, with csv, hashlib, logging and
-    statistics."""
+    statistics; no module on the CLI path imports dataclasses, which pulls in
+    inspect."""
     src = str(pathlib.Path(hubrknn.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (
         "import sys, hubrknn.cli; "
-        "print(sorted({'hubrknn.bench', 'csv', 'hashlib', 'logging', 'statistics'}"
-        " & set(sys.modules)))"
+        "print(sorted({'hubrknn.bench', 'csv', 'hashlib', 'logging', 'statistics',"
+        " 'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
