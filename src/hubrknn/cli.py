@@ -24,10 +24,10 @@ import os
 import sys
 import time
 
-from .errors import ConfigError, FormatError, ParseError
+from .errors import FormatError
 from .graph import (
-    _CHUNK,
     Graph,
+    _chunks,
     largest_connected_component,
     parse_edge_list,
     parse_object_file,
@@ -50,7 +50,7 @@ from .offline import (
     offline_preprocess,
     save_index,
 )
-from .online import object_distances
+from .online import _check_k, object_distances
 from .oracle import oracle_rknn
 
 
@@ -70,12 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
 
     p = sub.add_parser("build", help="construct hub labels")
+    p.set_defaults(handler=_cmd_build)
     p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument("--out", required=True, help="output label file")
 
     p = sub.add_parser(
         "preprocess", help="build the RkNN index for an object set"
     )
+    p.set_defaults(handler=_cmd_preprocess)
     p.add_argument("--graph", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--objects", required=True, help="file with one raw vertex ID per line")
@@ -83,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output index file")
 
     p = sub.add_parser("query", help="reverse-kNN query")
+    p.set_defaults(handler=_cmd_query)
     p.add_argument("--graph", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--index", required=True)
@@ -91,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="answer by brute-force BFS instead")
 
     p = sub.add_parser("knn", help="k nearest objects to a vertex")
+    p.set_defaults(handler=_cmd_knn)
     p.add_argument("--graph", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--index", required=True)
@@ -98,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="default: the index's k")
 
     p = sub.add_parser("bench", help="run a parameter sweep, emit CSV")
+    p.set_defaults(handler=_cmd_bench)
     p.add_argument("--graph", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--densities", default="0.001,0.01,0.1")
@@ -109,6 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV path, or - for stdout")
 
     p = sub.add_parser("stats", help="graph / label / index statistics")
+    p.set_defaults(handler=_cmd_stats)
     p.add_argument("--graph", required=True)
     p.add_argument("--labels")
     p.add_argument("--index")
@@ -121,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (see --help)")
-        return _dispatch(args)
+        return args.handler(args)
     except UsageError as exc:
         print(f"hubrknn: {exc}", file=sys.stderr)
         return 1
@@ -132,25 +138,13 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except (ParseError, FormatError, ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError, FormatError, ConfigError included
         print(f"hubrknn: {exc}", file=sys.stderr)
         return 2
 
 
 def run() -> None:
     raise SystemExit(main())
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    handler = {
-        "build": _cmd_build,
-        "preprocess": _cmd_preprocess,
-        "query": _cmd_query,
-        "knn": _cmd_knn,
-        "bench": _cmd_bench,
-        "stats": _cmd_stats,
-    }[args.command]
-    return handler(args)
 
 
 def _load_graph(path: str) -> Graph:
@@ -160,11 +154,11 @@ def _load_graph(path: str) -> Graph:
 
 
 def _edge_list_crc(path: str) -> int:
-    """The ``text_crc`` of --graph, read as ``parse_edge_list`` reads it: in
-    chunks of ``_CHUNK`` characters, so no more than one is held at a time."""
+    """The ``text_crc`` of --graph, read as ``parse_edge_list`` reads it
+    (``_chunks``), so no more than one chunk is held at a time."""
     crc = 0
     with open(path, "r", encoding="utf-8") as f:
-        while chunk := f.read(_CHUNK):
+        for chunk in _chunks(f):
             crc = text_crc(chunk, crc)
     return crc
 
@@ -251,8 +245,7 @@ def _cmd_query(args) -> int:
 def _cmd_knn(args) -> int:
     index, q = _load_indexed(args, _edge_list_crc(args.graph))
     k = index.k if args.k is None else args.k
-    if not 1 <= k <= index.k:
-        raise ConfigError(f"k={k} outside [1, {index.k}] supported by these backward labels")
+    _check_k(k, index.k)
     distances = object_distances(index, q)
     raw_ids = index.labels.raw_ids
     for dist, idx in sorted((d, i) for i, d in enumerate(distances) if d < INFINITY)[:k]:

@@ -124,7 +124,7 @@ class _DataLines:
 
     def _lines(self) -> Iterator[str]:
         rest = ""
-        while chunk := self.stream.read(_CHUNK):
+        for chunk in _chunks(self.stream):
             self.crc = text_crc(chunk, self.crc)
             *done, rest = (rest + chunk).split("\n")
             yield from done
@@ -135,6 +135,16 @@ class _DataLines:
             stripped = line.strip()
             if stripped and not stripped.startswith(self.comments):
                 yield lineno, stripped
+
+
+def _chunks(stream: IO[str]) -> Iterator[str]:
+    """The text of ``stream``, ``_CHUNK`` characters at a time; ParseError
+    when its bytes are not UTF-8."""
+    try:
+        while chunk := stream.read(_CHUNK):
+            yield chunk
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} (0x{exc.object[exc.start]:02x})") from None
 
 
 def text_crc(text: str, crc: int = 0) -> int:

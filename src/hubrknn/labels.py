@@ -225,16 +225,21 @@ def build_pll_labels(graph: Graph, ordering: tuple[int, ...] | None = None) -> L
 def hl_distance(labels: LabelSet, s: int, t: int) -> int:
     """Minimum of dist(s,h) + dist(h,t) over common hubs; INFINITY if none.
 
-    Each of t's hubs is looked up in s's label.
+    One ``_label_walk`` of t's label, as ``online.object_distances`` makes.
     """
     n = labels.vertex_count
     if not (0 <= s < n and 0 <= t < n):
         raise ConfigError(f"vertex pair ({s}, {t}) out of range for {n} vertices")
     to_s = dict(zip(labels.hubs[s], labels.dists[s]))
-    best = INFINITY
-    for h, d in zip(labels.hubs[t], labels.dists[t]):
+    return _label_walk(to_s, labels.hubs[t], labels.dists[t], INFINITY)
+
+
+def _label_walk(to_s: dict[int, int], hubs: list[int], dists: bytes, best: int) -> int:
+    """The least ``to_s[h] + d`` over one label's pairs (h, d) if below
+    ``best``, else ``best``; ``to_s`` is the other label as a dict."""
+    for h, d in zip(hubs, dists):
         if d >= best:
-            break  # t's label ascends by distance: no later hub does better
+            break  # the label ascends by distance: no later hub does better
         via = to_s.get(h, INFINITY) + d
         if via < best:
             best = via

@@ -14,7 +14,7 @@ A process that answers once (the CLI) walks the objects' own labels instead
 from __future__ import annotations
 
 from .errors import ConfigError
-from .labels import INFINITY, LabelSet
+from .labels import INFINITY, LabelSet, _label_walk
 from .offline import KnnBackwardLabels, OfflineIndex, _knn_row
 
 
@@ -48,12 +48,20 @@ def _check_vertex(labels: LabelSet, q: int) -> None:
         raise ConfigError(f"query vertex {q} out of range for {n} vertices")
 
 
+def _check_k(k: int, supported: int) -> None:
+    """k must be 1 to ``supported``, the k the index was built for."""
+    if not 1 <= k <= supported:
+        raise ConfigError(f"k={k} outside [1, {supported}] supported by these backward labels")
+
+
 def object_distances(index: OfflineIndex, q: int, bound: list[int] | None = None) -> list[int]:
     """q's distance to every object, or INFINITY past ``bound[i]``, from one
     dict of q's label and the objects' labels; builds no backward list.
 
+    Each object's label gets ``hl_distance``'s walk from ``bound[i] + 1``.
     Bounded by ``index.worst`` this is ``rknn_query(...).distances``;
-    unbounded, its k smallest finite (dist, idx) are ``knn_query``'s row.
+    unbounded, it is ``hl_distance`` to each object, and its k smallest
+    finite (dist, idx) are ``knn_query``'s row.
     """
     labels = index.labels
     _check_vertex(labels, q)
@@ -61,13 +69,7 @@ def object_distances(index: OfflineIndex, q: int, bound: list[int] | None = None
     out = []
     for i, p in enumerate(index.objects.vertices):
         b = INFINITY if bound is None else bound[i]
-        best = b + 1
-        for h, d in zip(labels.hubs[p], labels.dists[p]):
-            if d >= best:
-                break  # p's label ascends by distance: no later hub does better
-            via = to_q.get(h, INFINITY) + d
-            if via < best:
-                best = via
+        best = _label_walk(to_q, labels.hubs[p], labels.dists[p], b + 1)
         out.append(best if best <= b else INFINITY)
     return out
 
@@ -113,8 +115,5 @@ def knn_query(
     if labels is not knn_backward.labels:
         raise ConfigError("label set is not the one these kNN backward labels were built from")
     _check_vertex(labels, q)
-    if not 1 <= k <= knn_backward.k:
-        raise ConfigError(
-            f"k={k} outside [1, {knn_backward.k}] supported by these backward labels"
-        )
+    _check_k(k, knn_backward.k)
     return _knn_row(labels, q, -1, k, knn_backward.lists)

@@ -363,6 +363,25 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_utf8_input_is_data_error(workspace, capsys):
+    """An edge list or object file that is not UTF-8 ends in one line on
+    stderr and exit 2, for the commands that parse it and the one that
+    only CRCs it."""
+    _pipeline(workspace)
+    bad = str(workspace["tmp"] / "bad.txt")
+    pathlib.Path(bad).write_bytes(b"4\n1\xff\n")
+    files = ["--labels", workspace["labels"]]
+    for argv in (
+        ["build", "--graph", bad, "--out", str(workspace["tmp"] / "bad.labels")],
+        ["preprocess", "--graph", workspace["graph"], *files, "--objects", bad,
+         "--k", "1", "--out", str(workspace["tmp"] / "bad.index")],
+        ["query", "--graph", bad, *files, "--index", workspace["index"], "--vertex", "0"],
+    ):
+        assert _run(capsys, argv) == (
+            2, "", "hubrknn: not UTF-8 text: invalid start byte (0xff)\n"
+        ), argv[0]
+
+
 def test_preprocess_rejects_small_k_objects(workspace, capsys):
     assert main(["build", "--graph", workspace["graph"], "--out", workspace["labels"]]) == 0
     code = main(

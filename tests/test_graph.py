@@ -1,4 +1,5 @@
 import io
+import re
 import time
 import zlib
 
@@ -163,6 +164,23 @@ def test_parse_reads_a_stream_chunk_by_chunk(tmp_path, monkeypatch, chunk):
     path.write_bytes((text + "\n0 1 2\n").encode())
     with open(path, encoding="utf-8") as f, pytest.raises(ParseError, match="^line 83: "):
         parse_edge_list(f)
+
+
+@pytest.mark.parametrize("parse", [parse_edge_list, parse_object_file])
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        (b"# \xff\n1 2\n", "invalid start byte (0xff)"),
+        (b"1 2\n# caf\xc3(\n", "invalid continuation byte (0xc3)"),
+        (b"1 2\n# \xe2\x82", "unexpected end of data (0xe2)"),
+    ],
+    ids=["start", "continuation", "end"],
+)
+def test_non_utf8_text_is_a_parse_error(parse, data, reason):
+    """Both parsers read a byte stream that is not UTF-8 as malformed text."""
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"^not UTF-8 text: {re.escape(reason)}$"):
+        parse(stream)
 
 
 def _parsed(parse, source):

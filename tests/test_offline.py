@@ -6,6 +6,7 @@ from functools import partial
 
 import pytest
 
+import hubrknn.offline
 from hubrknn import (
     ConfigError,
     DistanceRow,
@@ -29,6 +30,7 @@ from hubrknn import (
     load_labels,
     offline_preprocess,
     parse_object_file,
+    rknn_query,
     save_index,
     save_labels,
     to_many_pairs,
@@ -262,6 +264,29 @@ def test_offline_preprocess_assembles_all_tables(tree14_labels, tree14_objects):
     assert index.worst == [row[-1][1] for row in TREE14_KNN_RESULTS_K1]
     assert as_hub_dict(index.rknn_backward.lists) == TREE14_RKNN_BACKWARD_K1
     assert index.timings.total_s >= 0
+
+
+def test_offline_preprocess_builds_substage_3_once(tree14_labels, tree14_objects, monkeypatch):
+    """offline_preprocess builds the RkNN lists once, in its timed span, and
+    the built index's queries reuse them; a loaded index builds them at its
+    first query."""
+    calls = []
+    build = hubrknn.offline.build_rknn_backward_labels
+    monkeypatch.setattr(
+        hubrknn.offline, "build_rknn_backward_labels", lambda *a: calls.append(a) or build(*a)
+    )
+    index = offline_preprocess(tree14_labels, tree14_objects, 1)
+    assert len(calls) == 1
+    assert index.timings.rknn_labels_s > 0
+    answer = rknn_query(index, tree14_labels, 0)
+    assert len(calls) == 1
+    sink = io.BytesIO()
+    save_index(index, sink)
+    loaded = load_index(io.BytesIO(sink.getvalue()), tree14_labels)
+    assert len(calls) == 1
+    assert rknn_query(loaded, tree14_labels, 0) == answer
+    rknn_query(loaded, tree14_labels, 5)
+    assert len(calls) == 2
 
 
 def test_offline_preprocess_idempotent(tree14_labels, tree14_objects):

@@ -11,6 +11,7 @@ from hubrknn import (
     bfs_distances,
     build_knn_backward_labels,
     build_pll_labels,
+    hl_distance,
     knn_query,
     load_index,
     object_distances,
@@ -217,11 +218,13 @@ def test_knn_matches_oracle_distances(instances, k):
 
 def _assert_one_shot_matches_the_sweeps(index, queries):
     """At each q, object_distances bounded by ``worst`` is the RkNN sweep's
-    answer, and its k smallest finite (dist, idx) entries are the kNN row."""
+    answer; unbounded it is hl_distance to every object, and its k smallest
+    finite (dist, idx) entries are the kNN row."""
     labels, k = index.labels, index.k
     for q in queries:
         assert object_distances(index, q, index.worst) == rknn_query(index, labels, q).distances
         distances = object_distances(index, q)
+        assert distances == [hl_distance(labels, q, p) for p in index.objects.vertices]
         row = sorted((d, i) for i, d in enumerate(distances) if d < INFINITY)[:k]
         assert [(i, d) for d, i in row] == knn_query(index.knn_backward, labels, q, k)
 

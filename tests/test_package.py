@@ -35,6 +35,30 @@ def test_package_imports_only_stdlib():
             )
 
 
+def test_every_import_is_read():
+    """Each name a module imports is read in it: the project has no linter,
+    so this is its unused-import check. ``__init__`` re-exports, and
+    ``__future__`` imports bind nothing."""
+    unread = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.name}:{node.lineno} {name}")
+    assert unread == []
+
+
 def test_only_labels_and_graph_import_zlib():
     """The sealed file framing, and with it the CRC, stays in labels.py;
     graph.py takes the CRC-32 of the edge-list text it reads."""
