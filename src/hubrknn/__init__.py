@@ -29,9 +29,6 @@ from .offline import (
     OfflineIndex,
     OfflineTimings,
     RknnBackwardLabels,
-    batch_knn,
-    build_knn_backward_labels,
-    build_rknn_backward_labels,
     epsilon,
     index_stats,
     load_index,

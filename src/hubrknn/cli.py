@@ -24,7 +24,7 @@ import os
 import sys
 import time
 
-from .errors import FormatError
+from .errors import FormatError, ParseError
 from .graph import (
     Graph,
     _chunks,
@@ -147,8 +147,24 @@ def run() -> None:
     raise SystemExit(main())
 
 
+class _Input:
+    """``with _Input(path):`` re-raises a ParseError or FormatError raised
+    inside with ``path: `` in front, so a data error names the file it came
+    from; the library's own messages do not know the path."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, (ParseError, FormatError)):
+            raise kind(f"{self.path}: {exc}") from None
+
+
 def _load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as f:
+    with _Input(path), open(path, "r", encoding="utf-8") as f:
         graph = parse_edge_list(f)
     return largest_connected_component(graph)
 
@@ -157,7 +173,7 @@ def _edge_list_crc(path: str) -> int:
     """The ``text_crc`` of --graph, read as ``parse_edge_list`` reads it
     (``_chunks``), so no more than one chunk is held at a time."""
     crc = 0
-    with open(path, "r", encoding="utf-8") as f:
+    with _Input(path), open(path, "r", encoding="utf-8") as f:
         for chunk in _chunks(f):
             crc = text_crc(chunk, crc)
     return crc
@@ -167,7 +183,7 @@ def _load_labels_bound(path: str, edge_list_crc: int, vertices=None, raw_vertice
     """The labels of --labels (all of them, or those of ``vertices`` and of
     the raw IDs ``raw_vertices``), checked to be built from the edge list
     whose CRC is ``edge_list_crc``."""
-    with open(path, "rb") as f:
+    with _Input(path), open(path, "rb") as f:
         labels = load_labels(f, vertices, raw_vertices)
     if labels.edge_list_crc != edge_list_crc:
         named = "none" if labels.edge_list_crc is None else f"{labels.edge_list_crc:08x}"
@@ -182,12 +198,13 @@ def _load_indexed(args, edge_list_crc: int) -> tuple[OfflineIndex, int]:
     """The index of --labels/--index, bound to the edge list whose CRC is
     ``edge_list_crc``, and the dense --vertex; only the labels of the
     objects and of --vertex are decoded, the ones a query reads."""
-    with open(args.index, "rb") as f:
+    with _Input(args.index), open(args.index, "rb") as f:
         data = f.read()
-    objects = _read_index_header(data)[2]
+        objects = _read_index_header(data)[2]
     labels = _load_labels_bound(args.labels, edge_list_crc, objects, (args.vertex,))
     q = labels.dense_id(args.vertex)
-    return load_index(io.BytesIO(data), labels), q
+    with _Input(args.index):
+        return load_index(io.BytesIO(data), labels), q
 
 
 def _cmd_build(args) -> int:
@@ -206,7 +223,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     edge_list_crc = _edge_list_crc(args.graph)
-    with open(args.objects, "r", encoding="utf-8") as f:
+    with _Input(args.objects), open(args.objects, "r", encoding="utf-8") as f:
         raw_objects = parse_object_file(f)
     labels = _load_labels_bound(args.labels, edge_list_crc, (), raw_objects)
     objects = ObjectSet(tuple(map(labels.dense_id, raw_objects)))
@@ -297,7 +314,7 @@ def _cmd_stats(args) -> int:
     graph = _load_graph(args.graph)
     labels = _load_labels_bound(args.labels, graph.edge_list_crc) if args.labels else None
     if args.index:
-        with open(args.index, "rb") as f:
+        with _Input(args.index), open(args.index, "rb") as f:
             index = load_index(f, labels)
     print(f"vertices\t{graph.vertex_count}")
     print(f"edges\t{graph.edge_count}")

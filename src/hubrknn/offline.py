@@ -22,12 +22,14 @@ making one empty list per hub and a few C-level passes over those lists,
 the offline work scales with the objects' label pairs, not with the vertex
 count.
 
-An ``OfflineIndex`` is made from the labels, the objects and their kNN rows
-(substage 2). ``offline_preprocess`` hands it substage 1's lists and reads
-its substage 3; a loaded index builds each on first use, so a one-shot
-answer that reads only the objects' labels (``online.object_distances``)
-builds neither. The index file stores only the objects and the rows, sealed
-like a label file, and names its labels by their label file's checksum.
+``OfflineIndex(objects, labels, k)`` checks its inputs once and holds each
+substage as a lazy attribute (``knn_backward``, ``rows``, ``rknn_backward``),
+built from the labels on first access. ``offline_preprocess`` reads the
+three in order and times them; ``load_index`` hands the index the kNN rows
+it read, so a one-shot answer that reads only the objects' labels
+(``online.object_distances``) builds no per-hub list. The index file stores
+only the objects and the rows, sealed like a label file, and names its
+labels by their label file's checksum.
 """
 
 from __future__ import annotations
@@ -117,13 +119,6 @@ class OfflineTimings:
         self.batch_knn_s = batch_knn_s
         self.rknn_labels_s = rknn_labels_s
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not OfflineTimings:
-            return NotImplemented
-        return (self.knn_backward_s, self.batch_knn_s, self.rknn_labels_s) == (
-            other.knn_backward_s, other.batch_knn_s, other.rknn_labels_s
-        )
-
     @property
     def total_s(self) -> float:
         return self.knn_backward_s + self.batch_knn_s + self.rknn_labels_s
@@ -132,43 +127,68 @@ class OfflineTimings:
 class OfflineIndex:
     """Everything the online phase needs for one object set and one k.
 
-    ``rows[i]`` holds object i's k nearest other objects as (objectIndex,
-    dist), ascending by distance, and ``worst[i]`` the last one's distance.
-    Built (``offline_preprocess``) and loaded (``load_index``) indexes come
-    from this one constructor, which builds no per-hub list: a loaded index
-    builds ``rknn_backward`` (substage 3) and ``knn_backward`` (substage 1)
-    from the labels on first access.
+    The constructor checks k, the object count and the objects' vertex range
+    and builds nothing; each substage is a lazy attribute, built from
+    ``labels`` on first access:
+
+    - ``knn_backward`` (substage 1);
+    - ``rows`` (substage 2): ``rows[i]`` holds object i's k nearest other
+      objects as (objectIndex, dist), ascending by distance, and
+      ``worst[i]`` the last one's distance;
+    - ``rknn_backward`` (substage 3).
     """
 
-    def __init__(self, objects: ObjectSet, rows: list[list[tuple[int, int]]], labels: LabelSet):
+    def __init__(self, objects: ObjectSet, labels: LabelSet, k: int):
+        if k < 1:
+            raise ConfigError(f"k must be >= 1, got {k}")
+        if len(objects) < k + 1:
+            raise ConfigError(f"need at least k+1 = {k + 1} objects, got {len(objects)}")
+        n = labels.vertex_count
+        for v in objects.vertices:
+            if v >= n:
+                raise ConfigError(f"object vertex {v} out of range for {n} vertices")
         self.objects = objects
-        self.rows = rows
         self.labels = labels
-        self.k = len(rows[0])
-        _check_objects(labels, objects, self.k)
-        self.worst = [row[-1][1] for row in rows]
+        self.k = k
         self.timings = OfflineTimings()
 
     @cached_property
-    def rknn_backward(self) -> RknnBackwardLabels:
-        return build_rknn_backward_labels(self.labels, self.objects, self.worst)
+    def knn_backward(self) -> KnnBackwardLabels:
+        """Substage 1: k+1 nearest object pairs per hub, ties by object index."""
+        m = len(self.objects)
+        lists = _by_hub(self.labels, self.objects, [INFINITY] * m, [0] * m, self.k + 1)
+        return KnnBackwardLabels(self.k, lists, self.labels)
 
     @cached_property
-    def knn_backward(self) -> KnnBackwardLabels:
-        return build_knn_backward_labels(self.labels, self.objects, self.k)
+    def rows(self) -> list[list[tuple[int, int]]]:
+        """Substage 2 (batch kNN): one ``_knn_row`` per object, skipping itself."""
+        labels, k, lists = self.labels, self.k, self.knn_backward.lists
 
+        def row(i: int, p: int) -> list[tuple[int, int]]:
+            result = _knn_row(labels, p, i, k, lists)
+            if len(result) < k:
+                raise ConfigError(
+                    f"object {i} reaches only {len(result)} of {k} required neighbors"
+                )
+            return result
 
-def _check_objects(labels: LabelSet, objects: ObjectSet, k: int) -> None:
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    if len(objects) < k + 1:
-        raise ConfigError(
-            f"need at least k+1 = {k + 1} objects, got {len(objects)}"
-        )
-    n = labels.vertex_count
-    for v in objects.vertices:
-        if v >= n:
-            raise ConfigError(f"object vertex {v} out of range for {n} vertices")
+        return [row(i, p) for i, p in enumerate(self.objects.vertices)]
+
+    @cached_property
+    def worst(self) -> list[int]:
+        return [row[-1][1] for row in self.rows]
+
+    @cached_property
+    def rknn_backward(self) -> RknnBackwardLabels:
+        """Substage 3: the objects' label pairs regrouped by hub, filtered by
+        ``worst``, each object's k-th-neighbor distance.
+
+        Each hub's list is ordered by slack ``dist - worst[idx]``, ties by
+        index. A query reaching the hub at distance d can use a pair iff its
+        slack is <= -d, so the online sweep stops at the first pair that fails.
+        """
+        worst = self.worst
+        return RknnBackwardLabels(_by_hub(self.labels, self.objects, worst, [-w for w in worst]))
 
 
 def _by_hub(
@@ -215,20 +235,6 @@ def _by_hub(
     for h in touched:
         lists[h] = list(map(pair.__getitem__, lists[h]))
     return lists
-
-
-def build_knn_backward_labels(
-    labels: LabelSet, objects: ObjectSet, k: int
-) -> KnnBackwardLabels:
-    """Substage 1: k+1 nearest object pairs per hub, ties by object index.
-
-    The by-hub regrouping of all object pairs is built in full, then each
-    hub's list is sorted and cut to k+1.
-    """
-    _check_objects(labels, objects, k)
-    m = len(objects)
-    lists = _by_hub(labels, objects, [INFINITY] * m, [0] * m, k + 1)
-    return KnnBackwardLabels(k, lists, labels)
 
 
 def _knn_row(
@@ -279,57 +285,18 @@ def _knn_row(
     return [(i, d) for d, i in best]
 
 
-def batch_knn(
-    labels: LabelSet,
-    objects: ObjectSet,
-    knn_backward: KnnBackwardLabels,
-) -> list[list[tuple[int, int]]]:
-    """Substage 2: every object's k nearest other objects as (objectIndex,
-    dist), ascending by distance; k from the lists."""
-    k = knn_backward.k
-    _check_objects(labels, objects, k)
-    vertices = objects.vertices
-    lists = knn_backward.lists
-
-    def row(i: int) -> list[tuple[int, int]]:
-        result = _knn_row(labels, vertices[i], i, k, lists)
-        if len(result) < k:
-            raise ConfigError(
-                f"object {i} reaches only {len(result)} of {k} required neighbors"
-            )
-        return result
-
-    return [row(i) for i in range(len(vertices))]
-
-
-def build_rknn_backward_labels(
-    labels: LabelSet,
-    objects: ObjectSet,
-    worst: list[int],
-) -> RknnBackwardLabels:
-    """Substage 3: regroup object labels by hub, filtered by ``worst``, each
-    object's k-th-neighbor distance.
-
-    Each hub's list is ordered by slack ``dist - worst[idx]``, ties by
-    index. A query reaching the hub at distance d can use a pair iff its
-    slack is <= -d, so the online sweep stops at the first pair that fails.
-    """
-    return RknnBackwardLabels(_by_hub(labels, objects, worst, [-w for w in worst]))
-
-
 def offline_preprocess(labels: LabelSet, objects: ObjectSet, k: int) -> OfflineIndex:
-    """Run the three substages in order, so the index holds every list;
-    substage 3 is the index's own ``rknn_backward``, read in its timed span."""
+    """The index of ``objects``, its three substages built in order and timed
+    in ``index.timings``."""
+    index = OfflineIndex(objects, labels, k)
     t0 = time.perf_counter()
-    knn_backward = build_knn_backward_labels(labels, objects, k)
+    index.knn_backward
     t1 = time.perf_counter()
-    rows = batch_knn(labels, objects, knn_backward)
+    index.rows
     t2 = time.perf_counter()
-    index = OfflineIndex(objects, rows, labels)
-    index.rknn_backward  # builds and caches substage 3
+    index.rknn_backward
     t3 = time.perf_counter()
     index.timings = OfflineTimings(t1 - t0, t2 - t1, t3 - t2)
-    index.knn_backward = knn_backward  # substage 1's lists, not rebuilt
     return index
 
 
@@ -348,12 +315,13 @@ def index_stats(index: OfflineIndex) -> dict[str, float]:
     knn_backward_pairs = index.knn_backward.total_pairs()
     knn_result_pairs = index.k * len(index.objects)
     rknn_pairs = index.rknn_backward.total_pairs
+    to_many = to_many_pairs(index.labels, index.objects)
     return {
         "knn_backward_pairs": knn_backward_pairs,
         "knn_result_pairs": knn_result_pairs,
         "rknn_pairs": rknn_pairs,
-        "to_many_pairs": to_many_pairs(index.labels, index.objects),
-        "epsilon": epsilon(index),
+        "to_many_pairs": to_many,
+        "epsilon": rknn_pairs / to_many,  # epsilon(index), from the counts above
         # The 5-bytes-per-pair model (object index u32, distance u8) over the
         # three structures an index holds in memory; not the index file's size.
         "model_bytes": _PAIR.size * (knn_backward_pairs + knn_result_pairs + rknn_pairs),
@@ -392,11 +360,11 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
     """Read an index file and verify it belongs to the given labels.
 
     Checks, in order: the file (``_read_index_header``); that the label
-    checksum it names is ``labels.checksum()``; the objects' range and
-    distinctness; each kNN row's range and distance order, and that its
-    last entry, the k-th-neighbor distance the queries read, equals the
-    label distance between its two objects. No per-hub list is built:
-    the index builds them from the labels on first access, so ``labels``
+    checksum it names is ``labels.checksum()``; the objects' distinctness
+    and range; each kNN row's range and distance order, and that its last
+    entry, the k-th-neighbor distance the queries read, equals the label
+    distance between its two objects. The index gets the checked rows and
+    builds its per-hub lists from the labels on first access, so ``labels``
     needs only the objects' labels decoded. Mismatched, corrupt or
     truncated inputs fail with FormatError. The index is bound to this
     ``labels`` object, which ``rknn_query`` must be passed.
@@ -407,16 +375,16 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
             f"index was built from other labels: it names label checksum {named:08x}, "
             f"these labels have {labels.checksum():08x}"
         )
-    n = labels.vertex_count
-    obj_count = len(vertices)
-    for v in vertices:
-        if v >= n:
-            raise FormatError(f"index object vertex {v} out of range for {n} vertices")
     try:
         objects = ObjectSet(vertices)
     except ConfigError as exc:
         raise FormatError(str(exc)) from None
+    try:
+        index = OfflineIndex(objects, labels, k)  # the header checked k
+    except ConfigError as exc:
+        raise FormatError(f"index {exc}") from None  # a vertex out of range
 
+    obj_count = len(vertices)
     pairs = list(_PAIR.iter_unpack(rows_data))
     rows = [pairs[i * k : (i + 1) * k] for i in range(obj_count)]
     for i, row in enumerate(rows):
@@ -433,5 +401,5 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
                 f"kNN result row {i} does not match labels: object {idx} "
                 f"is not at distance {d}"
             )
-
-    return OfflineIndex(objects, rows, labels)
+    index.rows = rows
+    return index

@@ -18,11 +18,9 @@ from hubrknn import (
     INFINITY,
     FormatError,
     ObjectSet,
-    batch_knn,
+    OfflineIndex,
     bfs_distances,
-    build_knn_backward_labels,
     build_pll_labels,
-    build_rknn_backward_labels,
     degree_ordering,
     hl_distance,
     load_index,
@@ -116,13 +114,11 @@ def test_criterion_1_golden_labels(tree14):
 
 def test_criterion_2_golden_offline(tree14_labels, tree14_objects):
     with verdict(2, "golden fixture offline substages (exact tables)"):
-        knnlab = build_knn_backward_labels(tree14_labels, tree14_objects, 1)
-        assert as_hub_dict(knnlab.lists) == TREE14_KNN_BACKWARD_K1
-        rows = batch_knn(tree14_labels, tree14_objects, knnlab)
-        assert rows == TREE14_KNN_RESULTS_K1
-        worst = [row[-1][1] for row in rows]
-        rknn = build_rknn_backward_labels(tree14_labels, tree14_objects, worst)
-        assert as_hub_dict(rknn.lists) == TREE14_RKNN_BACKWARD_K1
+        index = OfflineIndex(tree14_objects, tree14_labels, 1)
+        assert as_hub_dict(index.knn_backward.lists) == TREE14_KNN_BACKWARD_K1
+        assert index.rows == TREE14_KNN_RESULTS_K1
+        assert index.worst == [row[-1][1] for row in TREE14_KNN_RESULTS_K1]
+        assert as_hub_dict(index.rknn_backward.lists) == TREE14_RKNN_BACKWARD_K1
 
 
 def test_criterion_3_golden_online(tree14_labels, tree14_objects):
@@ -179,8 +175,7 @@ def test_criterion_5_knn_consistency(desk_instances):
                 for k in (1, 2, 4, 8):
                     if len(objects) < k + 1:
                         continue
-                    knnlab = build_knn_backward_labels(labels, objects, k)
-                    knn_rows = batch_knn(labels, objects, knnlab)
+                    knn_rows = OfflineIndex(objects, labels, k).rows
                     for i, row in enumerate(rows):
                         truth = sorted(
                             row[p]

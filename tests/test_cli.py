@@ -202,9 +202,10 @@ def test_mismatched_index_is_data_error(workspace, tmp_path, capsys):
 
 def test_corrupted_labels_file_is_data_error(workspace, capsys):
     _pipeline(workspace)
-    data = bytearray(open(workspace["labels"], "rb").read())
+    labels = pathlib.Path(workspace["labels"])
+    data = bytearray(labels.read_bytes())
     data[0] ^= 0xFF
-    open(workspace["labels"], "wb").write(bytes(data))
+    labels.write_bytes(bytes(data))
     code = main(
         [
             "query",
@@ -220,9 +221,9 @@ def test_corrupted_labels_file_is_data_error(workspace, capsys):
 def _query_with_version(workspace, capsys, path, version):
     """Exit code and stderr of a query after the file's version byte is set."""
     _pipeline(workspace)
-    data = bytearray(open(path, "rb").read())
+    data = bytearray(pathlib.Path(path).read_bytes())
     data[4] = version
-    open(path, "wb").write(bytes(data))
+    pathlib.Path(path).write_bytes(bytes(data))
     capsys.readouterr()
     code = main(
         [
@@ -241,7 +242,7 @@ def test_old_version_index_file_is_data_error(workspace, capsys, version):
     # v1 and v2 store RkNN sections; v3 and v4 checksum the objects' labels
     code, err = _query_with_version(workspace, capsys, workspace["index"], version)
     assert code == 2
-    assert f"hubrknn: unsupported index-file version {version}" in err
+    assert f"hubrknn: {workspace['index']}: unsupported index-file version {version}" in err
     assert "Traceback" not in err
 
 
@@ -272,7 +273,7 @@ def test_index_with_labels_changed_outside_the_objects_is_data_error(workspace, 
     )
     err = capsys.readouterr().err
     assert code == 2
-    assert "hubrknn: index was built from other labels" in err
+    assert f"hubrknn: {workspace['index']}: index was built from other labels" in err
     assert "Traceback" not in err
 
 
@@ -280,7 +281,7 @@ def test_old_version_label_file_is_data_error(workspace, capsys):
     # v1 stores labels in hub order with no checksum
     code, err = _query_with_version(workspace, capsys, workspace["labels"], 1)
     assert code == 2
-    assert "hubrknn: unsupported label-file version 1" in err
+    assert f"hubrknn: {workspace['labels']}: unsupported label-file version 1" in err
     assert "Traceback" not in err
 
 
@@ -378,8 +379,62 @@ def test_non_utf8_input_is_data_error(workspace, capsys):
         ["query", "--graph", bad, *files, "--index", workspace["index"], "--vertex", "0"],
     ):
         assert _run(capsys, argv) == (
-            2, "", "hubrknn: not UTF-8 text: invalid start byte (0xff)\n"
+            2, "", f"hubrknn: {bad}: not UTF-8 text: invalid start byte (0xff)\n"
         ), argv[0]
+
+
+def _not_utf8(path):
+    path.write_bytes(b"4\n1\xff\n")
+    return "not UTF-8 text: invalid start byte (0xff)"
+
+
+def _malformed_line(path):
+    path.write_text("4\nbogus\n12\n")
+    return "line 2: "
+
+
+def _truncated(path):
+    path.write_bytes(path.read_bytes()[:-1])
+    return "checksum mismatch: the file is corrupt or truncated"
+
+
+BAD_INPUTS = [
+    (command, option, fault)
+    for command, options in (
+        ("preprocess", ("--graph", "--labels", "--objects")),
+        ("query", ("--graph", "--labels", "--index")),
+        ("knn", ("--graph", "--labels", "--index")),
+    )
+    for option in options
+    for fault in {
+        "--graph": (_not_utf8,),
+        "--objects": (_not_utf8, _malformed_line),
+        "--labels": (_truncated,),
+        "--index": (_truncated,),
+    }[option]
+]
+
+
+@pytest.mark.parametrize(
+    "command, option, fault", BAD_INPUTS,
+    ids=[f"{c}{o}-{f.__name__.strip('_')}" for c, o, f in BAD_INPUTS],
+)
+def test_data_error_names_its_input(workspace, capsys, command, option, fault):
+    """A bad input file ends in exit 2 and one stderr line that names that
+    file, in front of the library's own message."""
+    _pipeline(workspace)
+    path = pathlib.Path(workspace[option[2:]])
+    message = fault(path)
+    inputs = ["--graph", workspace["graph"], "--labels", workspace["labels"]]
+    if command == "preprocess":
+        argv = ["preprocess", *inputs, "--objects", workspace["objects"], "--k", "1",
+                "--out", str(workspace["tmp"] / "out.index")]
+    else:
+        argv = [command, *inputs, "--index", workspace["index"], "--vertex", "0"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"hubrknn: {path}: ") and message in err
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_preprocess_rejects_small_k_objects(workspace, capsys):
@@ -636,8 +691,9 @@ def test_query_knn_and_preprocess_never_parse_the_graph(workspace, capsys, monke
 
 def test_query_and_knn_build_no_backward_list(workspace, capsys, monkeypatch):
     """A loaded index holds no per-hub list. query, query --all and knn
-    answer as before with both list builders refusing; stats --index and
-    index_stats build and count the lists on demand."""
+    answer as before with the by-hub regrouping (substages 1 and 3) and the
+    kNN row sweep (substage 2) refusing; stats --index and index_stats build
+    and count the lists on demand."""
     _pipeline(workspace)
     expected = [_run(capsys, argv) for v in range(14) for argv in _lookups(workspace, v)]
     assert expected[:3] == [(0, "4\t1\n12\t3\n", ""), (0, "4\t1\n10\tinf\n12\t3\n", ""),
@@ -651,8 +707,8 @@ def test_query_and_knn_build_no_backward_list(workspace, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("a backward list was built")
 
-    monkeypatch.setattr(hubrknn.offline, "build_rknn_backward_labels", refuse)
-    monkeypatch.setattr(hubrknn.offline, "build_knn_backward_labels", refuse)
+    monkeypatch.setattr(hubrknn.offline, "_by_hub", refuse)
+    monkeypatch.setattr(hubrknn.offline, "_knn_row", refuse)
     assert [_run(capsys, argv) for v in range(14) for argv in _lookups(workspace, v)] == expected
     stats = [
         "stats", "--graph", workspace["graph"], "--labels", workspace["labels"],

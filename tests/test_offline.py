@@ -15,13 +15,10 @@ from hubrknn import (
     KnnBackwardLabels,
     LabelSet,
     ObjectSet,
-    OfflineTimings,
+    OfflineIndex,
     RknnAnswer,
-    batch_knn,
     bfs_distances,
-    build_knn_backward_labels,
     build_pll_labels,
-    build_rknn_backward_labels,
     epsilon,
     hl_distance,
     index_stats,
@@ -121,13 +118,39 @@ def make_pa_instance(seed, objects=40):
 
 
 def test_knn_backward_fixture_golden(tree14_labels, tree14_objects):
-    knnlab = build_knn_backward_labels(tree14_labels, tree14_objects, 1)
+    knnlab = OfflineIndex(tree14_objects, tree14_labels, 1).knn_backward
     assert as_hub_dict(knnlab.lists) == TREE14_KNN_BACKWARD_K1
 
 
 def test_knn_backward_requires_enough_objects(tree14_labels):
     with pytest.raises(ConfigError):
-        build_knn_backward_labels(tree14_labels, ObjectSet((4,)), 1)
+        OfflineIndex(ObjectSet((4,)), tree14_labels, 1)
+
+
+@pytest.mark.parametrize(
+    "vertices, k, message",
+    [
+        ((0, 1, 2), 0, "k must be >= 1, got 0"),
+        ((0, 1, 2), 3, "need at least k+1 = 4 objects, got 3"),
+        ((0, 1, 4), 1, "object vertex 4 out of range for 4 vertices"),
+    ],
+)
+def test_offline_index_checks_its_inputs_when_made(vertices, k, message):
+    labels = build_pll_labels(Graph.from_edges([(0, 1), (2, 3)]))
+    with pytest.raises(ConfigError) as err:
+        OfflineIndex(ObjectSet(vertices), labels, k)
+    assert str(err.value) == message
+
+
+def test_offline_index_rows_need_k_reachable_objects():
+    """Substage 2 fails, when first read, on an object that reaches fewer
+    than k others: here 0 and 1 reach each other but not 2."""
+    labels = build_pll_labels(Graph.from_edges([(0, 1), (2, 3)]))
+    index = OfflineIndex(ObjectSet((0, 1, 2)), labels, 2)
+    with pytest.raises(ConfigError, match="^object 0 reaches only 1 of 2 required neighbors$"):
+        index.rows
+    with pytest.raises(ConfigError, match="^object 0 reaches only 1 of 2 required neighbors$"):
+        offline_preprocess(labels, ObjectSet((0, 1, 2)), 2)
 
 
 def test_duplicate_objects_rejected():
@@ -138,7 +161,7 @@ def test_duplicate_objects_rejected():
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_knn_backward_matches_naive_scan(k):
     _, labels, obj = make_instance(seed=3)
-    knnlab = build_knn_backward_labels(labels, obj, k)
+    knnlab = OfflineIndex(obj, labels, k).knn_backward
     by_hub = {}
     for i, p in enumerate(obj.vertices):
         for h, d in zip(labels.hubs[p], labels.dists[p]):
@@ -152,8 +175,7 @@ def test_knn_backward_matches_naive_scan(k):
 
 
 def test_batch_knn_fixture_golden(tree14_labels, tree14_objects):
-    knnlab = build_knn_backward_labels(tree14_labels, tree14_objects, 1)
-    assert batch_knn(tree14_labels, tree14_objects, knnlab) == TREE14_KNN_RESULTS_K1
+    assert OfflineIndex(tree14_objects, tree14_labels, 1).rows == TREE14_KNN_RESULTS_K1
 
 
 def test_adjacent_pair_mutual_nn():
@@ -172,8 +194,7 @@ def test_adjacent_pair_mutual_nn():
 )
 def test_batch_knn_matches_bfs_oracle(instance, k):
     g, labels, obj = instance(seed=k)
-    knnlab = build_knn_backward_labels(labels, obj, k)
-    rows = batch_knn(labels, obj, knnlab)
+    rows = OfflineIndex(obj, labels, k).rows
     for i, p in enumerate(obj.vertices):
         row = bfs_distances(g, p).dist
         truth = sorted((row[q], j) for j, q in enumerate(obj.vertices) if j != i)
@@ -197,7 +218,7 @@ class RecordingLists(list):
 @pytest.mark.parametrize("k", [1, 4, 8])
 def test_knn_row_sweeps_by_label_distance_and_stops_early(k):
     _, labels, obj = make_pa_instance(seed=5)
-    knnlab = build_knn_backward_labels(labels, obj, k)
+    knnlab = OfflineIndex(obj, labels, k).knn_backward
     sources = [(p, i) for i, p in enumerate(obj.vertices)]
     sources += [(v, -1) for v in range(0, labels.vertex_count, 7)]
     stopped = 0
@@ -218,10 +239,9 @@ def test_knn_row_sweeps_by_label_distance_and_stops_early(k):
 
 
 def test_rknn_backward_fixture_golden(tree14_labels, tree14_objects):
-    knnlab = build_knn_backward_labels(tree14_labels, tree14_objects, 1)
-    rows = batch_knn(tree14_labels, tree14_objects, knnlab)
-    worst = [row[-1][1] for row in rows]
-    rknn = build_rknn_backward_labels(tree14_labels, tree14_objects, worst)
+    index = OfflineIndex(tree14_objects, tree14_labels, 1)
+    assert index.worst == [row[-1][1] for row in index.rows]
+    rknn = index.rknn_backward
     assert as_hub_dict(rknn.lists) == TREE14_RKNN_BACKWARD_K1
     assert rknn.total_pairs == TREE14_RKNN_TOTAL_PAIRS
     # the filtered pair: object 1 (vertex 10) at hub 0 with distance 2
@@ -229,16 +249,18 @@ def test_rknn_backward_fixture_golden(tree14_labels, tree14_objects):
 
 
 def test_rknn_backward_vacuous_filter_keeps_everything(tree14_labels, tree14_objects):
-    rknn = build_rknn_backward_labels(tree14_labels, tree14_objects, [10_000] * 3)
+    index = OfflineIndex(tree14_objects, tree14_labels, 1)
+    index.worst = [10_000] * 3  # substage 3 filters by the worst it finds
+    rknn = index.rknn_backward
     assert rknn.total_pairs == to_many_pairs(tree14_labels, tree14_objects)
 
 
 def test_rknn_backward_matches_naive_filter():
     _, labels, obj = make_instance(seed=21)
     k = 2
-    knnlab = build_knn_backward_labels(labels, obj, k)
-    worst = [row[-1][1] for row in batch_knn(labels, obj, knnlab)]
-    rknn = build_rknn_backward_labels(labels, obj, worst)
+    index = OfflineIndex(obj, labels, k)
+    worst = [row[-1][1] for row in index.rows]
+    rknn = index.rknn_backward
     expected = set()
     for i, p in enumerate(obj.vertices):
         for h, d in zip(labels.hubs[p], labels.dists[p]):
@@ -267,26 +289,35 @@ def test_offline_preprocess_assembles_all_tables(tree14_labels, tree14_objects):
 
 
 def test_offline_preprocess_builds_substage_3_once(tree14_labels, tree14_objects, monkeypatch):
-    """offline_preprocess builds the RkNN lists once, in its timed span, and
-    the built index's queries reuse them; a loaded index builds them at its
-    first query."""
-    calls = []
-    build = hubrknn.offline.build_rknn_backward_labels
-    monkeypatch.setattr(
-        hubrknn.offline, "build_rknn_backward_labels", lambda *a: calls.append(a) or build(*a)
-    )
+    """offline_preprocess regroups by hub twice (substages 1 and 3) and
+    sweeps one kNN row per object, in its timed spans, and the built
+    index's queries reuse them; load_index does neither, and a loaded index
+    builds its RkNN lists at its first query."""
+    calls = {"_by_hub": 0, "_knn_row": 0}
+
+    def counted(name):
+        build = getattr(hubrknn.offline, name)
+
+        def call(*args):
+            calls[name] += 1
+            return build(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(hubrknn.offline, name, counted(name))
     index = offline_preprocess(tree14_labels, tree14_objects, 1)
-    assert len(calls) == 1
+    assert calls == {"_by_hub": 2, "_knn_row": 3}
     assert index.timings.rknn_labels_s > 0
     answer = rknn_query(index, tree14_labels, 0)
-    assert len(calls) == 1
+    assert calls == {"_by_hub": 2, "_knn_row": 3}
     sink = io.BytesIO()
     save_index(index, sink)
     loaded = load_index(io.BytesIO(sink.getvalue()), tree14_labels)
-    assert len(calls) == 1
+    assert calls == {"_by_hub": 2, "_knn_row": 3}
     assert rknn_query(loaded, tree14_labels, 0) == answer
     rknn_query(loaded, tree14_labels, 5)
-    assert len(calls) == 2
+    assert calls == {"_by_hub": 3, "_knn_row": 3}
 
 
 def test_offline_preprocess_idempotent(tree14_labels, tree14_objects):
@@ -322,7 +353,7 @@ def test_offline_values_compare_by_content_and_stay_unhashable(tree14, tree14_ob
 
 def test_value_types_compare_and_hash_by_their_fields():
     """ObjectSet and DistanceRow compare and hash by their one field;
-    OfflineTimings and RknnAnswer compare by every field and are unhashable.
+    RknnAnswer compares by every field and is unhashable.
     None of them equals another type holding the same values."""
     a, b = ObjectSet((4, 10, 12)), ObjectSet((4, 10, 12))
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
@@ -330,15 +361,11 @@ def test_value_types_compare_and_hash_by_their_fields():
     row = DistanceRow((0, 1, INFINITY))
     assert row == DistanceRow((0, 1, INFINITY)) and hash(row) == hash(DistanceRow((0, 1, INFINITY)))
     assert row != DistanceRow((0, 2, INFINITY)) and row != (0, 1, INFINITY)
-    assert OfflineTimings(1.0, 2.0, 3.0) == OfflineTimings(1.0, 2.0, 3.0)
-    assert OfflineTimings(1.0, 2.0, 3.0) != OfflineTimings(1.0, 2.0, 0.0)
-    assert OfflineTimings() == OfflineTimings(0.0, 0.0, 0.0) and OfflineTimings().total_s == 0.0
     assert RknnAnswer([1, INFINITY], 3) == RknnAnswer([1, INFINITY], 3)
     assert RknnAnswer([1, INFINITY], 3) != RknnAnswer([1, INFINITY], 4)
     assert RknnAnswer([1, INFINITY], 3) != RknnAnswer([2, INFINITY], 3)
-    for value in (OfflineTimings(), RknnAnswer([], 0)):
-        with pytest.raises(TypeError):
-            hash(value)
+    with pytest.raises(TypeError):
+        hash(RknnAnswer([], 0))
     for vertices, message in (((1, 1), "duplicate vertices"), ((1, -1), "negative vertex IDs")):
         with pytest.raises(ConfigError, match=f"^object set contains {message}$"):
             ObjectSet(vertices)

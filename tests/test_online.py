@@ -8,8 +8,8 @@ from hubrknn import (
     ConfigError,
     LabelSet,
     ObjectSet,
+    OfflineIndex,
     bfs_distances,
-    build_knn_backward_labels,
     build_pll_labels,
     hl_distance,
     knn_query,
@@ -140,19 +140,19 @@ def test_rknn_scan_count_matches_touched_lists(tree14_labels, tree14_objects):
 
 
 def test_knn_fixture_vertex9(tree14_labels, tree14_objects):
-    knnlab = build_knn_backward_labels(tree14_labels, tree14_objects, 1)
+    knnlab = OfflineIndex(tree14_objects, tree14_labels, 1).knn_backward
     # vertex 9 hangs off vertex 3; its nearest object is 4, three hops away
     assert knn_query(knnlab, tree14_labels, 9, 1) == [(0, 3)]
 
 
 def test_knn_query_at_object_vertex(tree14_labels, tree14_objects):
-    knnlab = build_knn_backward_labels(tree14_labels, tree14_objects, 1)
+    knnlab = OfflineIndex(tree14_objects, tree14_labels, 1).knn_backward
     for i, p in enumerate(tree14_objects.vertices):
         assert knn_query(knnlab, tree14_labels, p, 1) == [(i, 0)]
 
 
 def test_knn_query_caps_k(tree14_labels, tree14_objects):
-    knnlab = build_knn_backward_labels(tree14_labels, tree14_objects, 1)
+    knnlab = OfflineIndex(tree14_objects, tree14_labels, 1).knn_backward
     with pytest.raises(ConfigError):
         knn_query(knnlab, tree14_labels, 0, 2)
     with pytest.raises(ConfigError):
@@ -166,7 +166,7 @@ def test_knn_rejects_out_of_range_vertex(tree14_labels, tree14_objects):
 
 
 def test_knn_rejects_mismatched_labels(tree14_labels, tree14_objects):
-    knnlab = build_knn_backward_labels(tree14_labels, tree14_objects, 1)
+    knnlab = OfflineIndex(tree14_objects, tree14_labels, 1).knn_backward
     assert knnlab.labels is tree14_labels
     # same hubs, vertex count and pair count; every non-zero distance + 1
     shifted = LabelSet(
@@ -204,7 +204,7 @@ def test_knn_matches_oracle_distances(instances, k):
         n = g.vertex_count
         rng = random.Random(seed * 7 + k)
         objects = ObjectSet(tuple(sorted(rng.sample(range(n), max(k + 2, n // 6)))))
-        knnlab = build_knn_backward_labels(labels, objects, k)
+        knnlab = OfflineIndex(objects, labels, k).knn_backward
         for _ in range(12):
             q = rng.randrange(n)
             got = knn_query(knnlab, labels, q, k)
