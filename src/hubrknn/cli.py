@@ -183,14 +183,15 @@ def _load_labels_bound(path: str, edge_list_crc: int, vertices=None, raw_vertice
     """The labels of --labels (all of them, or those of ``vertices`` and of
     the raw IDs ``raw_vertices``), checked to be built from the edge list
     whose CRC is ``edge_list_crc``."""
-    with _Input(path), open(path, "rb") as f:
-        labels = load_labels(f, vertices, raw_vertices)
-    if labels.edge_list_crc != edge_list_crc:
-        named = "none" if labels.edge_list_crc is None else f"{labels.edge_list_crc:08x}"
-        raise FormatError(
-            f"label file was built from another edge list: it names edge-list CRC {named}, "
-            f"--graph has {edge_list_crc:08x}; rebuild it with build"
-        )
+    with _Input(path):
+        with open(path, "rb") as f:
+            labels = load_labels(f, vertices, raw_vertices)
+        if labels.edge_list_crc != edge_list_crc:
+            named = "none" if labels.edge_list_crc is None else f"{labels.edge_list_crc:08x}"
+            raise FormatError(
+                f"label file was built from another edge list: it names edge-list CRC {named}, "
+                f"--graph has {edge_list_crc:08x}; rebuild it with build"
+            )
     return labels
 
 

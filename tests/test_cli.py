@@ -401,9 +401,12 @@ def _truncated(path):
 BAD_INPUTS = [
     (command, option, fault)
     for command, options in (
+        ("build", ("--graph",)),
         ("preprocess", ("--graph", "--labels", "--objects")),
         ("query", ("--graph", "--labels", "--index")),
         ("knn", ("--graph", "--labels", "--index")),
+        ("stats", ("--graph", "--labels", "--index")),
+        ("bench", ("--graph", "--labels")),
     )
     for option in options
     for fault in {
@@ -426,11 +429,15 @@ def test_data_error_names_its_input(workspace, capsys, command, option, fault):
     path = pathlib.Path(workspace[option[2:]])
     message = fault(path)
     inputs = ["--graph", workspace["graph"], "--labels", workspace["labels"]]
-    if command == "preprocess":
-        argv = ["preprocess", *inputs, "--objects", workspace["objects"], "--k", "1",
-                "--out", str(workspace["tmp"] / "out.index")]
-    else:
-        argv = [command, *inputs, "--index", workspace["index"], "--vertex", "0"]
+    out_file = str(workspace["tmp"] / "out")
+    argv = {
+        "build": ["build", "--graph", workspace["graph"], "--out", out_file],
+        "preprocess": ["preprocess", *inputs, "--objects", workspace["objects"], "--k", "1",
+                       "--out", out_file],
+        "stats": ["stats", *inputs, "--index", workspace["index"]],
+        "bench": ["bench", *inputs, "--densities", "0.3", "--ks", "1", "--sets", "1",
+                  "--queries", "1", "--out", "-"],
+    }.get(command, [command, *inputs, "--index", workspace["index"], "--vertex", "0"])
     code, out, err = _run(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"hubrknn: {path}: ") and message in err
@@ -546,12 +553,13 @@ def test_partial_decode_answers_as_a_full_decode(workspace, capsys, monkeypatch)
                            (0, "4\t1\n", "")]
 
 
-def _binding_error(label_text, graph_text):
-    """stderr of a command given labels built from ``label_text`` and a
-    --graph holding ``graph_text``."""
+def _binding_error(labels_path, label_text, graph_text):
+    """stderr of a command given the labels at ``labels_path``, built from
+    ``label_text``, and a --graph holding ``graph_text``."""
     named, has = (zlib.crc32(text.encode()) for text in (label_text, graph_text))
     return (
-        f"hubrknn: label file was built from another edge list: it names edge-list CRC "
+        f"hubrknn: {labels_path}: label file was built from another edge list: "
+        f"it names edge-list CRC "
         f"{named:08x}, --graph has {has:08x}; rebuild it with build\n"
     )
 
@@ -576,7 +584,7 @@ def test_label_file_of_another_vertex_count_is_data_error(workspace, capsys, pat
     for argv in [*_lookups(workspace, 13), preprocess]:
         code, out, err = _run(capsys, argv)
         assert code == 2 and out == ""
-        assert err == _binding_error(text, TREE14_TEXT)
+        assert err == _binding_error(workspace["labels"], text, TREE14_TEXT)
 
 
 def _pa_workspace(tmp_path):
@@ -644,7 +652,9 @@ def test_labels_of_another_edge_list_are_data_error(workspace, capsys, kind):
     for vertex in (0, 7, 13):
         for argv in _every_reader(workspace, vertex):
             code, out, err = _run(capsys, argv)
-            assert (code, out, err) == (2, "", _binding_error(TREE14_TEXT, text)), argv
+            assert (code, out, err) == (
+                2, "", _binding_error(workspace["labels"], TREE14_TEXT, text)
+            ), argv
 
 
 def test_labels_without_an_edge_list_are_data_error(workspace, capsys):
@@ -662,8 +672,8 @@ def test_labels_without_an_edge_list_are_data_error(workspace, capsys):
         code, out, err = _run(capsys, argv)
         assert (code, out) == (2, "")
         assert err == (
-            "hubrknn: label file was built from another edge list: it names edge-list CRC "
-            f"none, --graph has {crc:08x}; rebuild it with build\n"
+            f"hubrknn: {workspace['labels']}: label file was built from another edge list: "
+            f"it names edge-list CRC none, --graph has {crc:08x}; rebuild it with build\n"
         )
 
 
