@@ -24,7 +24,7 @@ import os
 import sys
 import time
 
-from .errors import FormatError, ParseError
+from .errors import ConfigError, FormatError, ParseError
 from .graph import (
     Graph,
     _chunks,
@@ -148,18 +148,21 @@ def run() -> None:
 
 
 class _Input:
-    """``with _Input(path):`` re-raises a ParseError or FormatError raised
-    inside with ``path: `` in front, so a data error names the file it came
-    from; the library's own messages do not know the path."""
+    """``with _Input(path):`` re-raises an OSError, or an error of ``kinds``,
+    raised inside with ``path: `` in front, so a data error names the file it
+    came from; the library's own messages do not know the path."""
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, kinds: tuple = (ParseError, FormatError)):
         self.path = path
+        self.kinds = kinds
 
     def __enter__(self) -> None:
         pass
 
     def __exit__(self, kind, exc, tb) -> None:
-        if isinstance(exc, (ParseError, FormatError)):
+        if isinstance(exc, OSError):  # "No such file or directory", not its repr
+            raise kind(f"{self.path}: {exc.strerror or exc}") from None
+        if isinstance(exc, self.kinds):
             raise kind(f"{self.path}: {exc}") from None
 
 
@@ -179,18 +182,18 @@ def _edge_list_crc(path: str) -> int:
     return crc
 
 
-def _load_labels_bound(path: str, edge_list_crc: int, vertices=None, raw_vertices=()) -> LabelSet:
+def _load_labels_bound(args, edge_list_crc: int, vertices=None, raw_vertices=()) -> LabelSet:
     """The labels of --labels (all of them, or those of ``vertices`` and of
-    the raw IDs ``raw_vertices``), checked to be built from the edge list
-    whose CRC is ``edge_list_crc``."""
-    with _Input(path):
-        with open(path, "rb") as f:
+    the raw IDs ``raw_vertices``), checked to be built from --graph, whose
+    CRC is ``edge_list_crc``."""
+    with _Input(args.labels):
+        with open(args.labels, "rb") as f:
             labels = load_labels(f, vertices, raw_vertices)
         if labels.edge_list_crc != edge_list_crc:
             named = "none" if labels.edge_list_crc is None else f"{labels.edge_list_crc:08x}"
             raise FormatError(
                 f"label file was built from another edge list: it names edge-list CRC {named}, "
-                f"--graph has {edge_list_crc:08x}; rebuild it with build"
+                f"{args.graph} has {edge_list_crc:08x}; rebuild it with build"
             )
     return labels
 
@@ -202,7 +205,7 @@ def _load_indexed(args, edge_list_crc: int) -> tuple[OfflineIndex, int]:
     with _Input(args.index), open(args.index, "rb") as f:
         data = f.read()
         objects = _read_index_header(data)[2]
-    labels = _load_labels_bound(args.labels, edge_list_crc, objects, (args.vertex,))
+    labels = _load_labels_bound(args, edge_list_crc, objects, (args.vertex,))
     q = labels.dense_id(args.vertex)
     with _Input(args.index):
         return load_index(io.BytesIO(data), labels), q
@@ -226,8 +229,9 @@ def _cmd_preprocess(args) -> int:
     edge_list_crc = _edge_list_crc(args.graph)
     with _Input(args.objects), open(args.objects, "r", encoding="utf-8") as f:
         raw_objects = parse_object_file(f)
-    labels = _load_labels_bound(args.labels, edge_list_crc, (), raw_objects)
-    objects = ObjectSet(tuple(map(labels.dense_id, raw_objects)))
+    labels = _load_labels_bound(args, edge_list_crc, (), raw_objects)
+    with _Input(args.objects, (ConfigError,)):  # a repeated ID or one not in the graph
+        objects = ObjectSet(tuple(map(labels.dense_id, raw_objects)))
     index = offline_preprocess(labels, objects, args.k)
     with open(args.out, "wb") as f:
         save_index(index, f)
@@ -292,7 +296,7 @@ def _cmd_bench(args) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
 
     graph = _load_graph(args.graph)
-    labels = _load_labels_bound(args.labels, graph.edge_list_crc)
+    labels = _load_labels_bound(args, graph.edge_list_crc)
     config = SweepConfig(
         densities=_parse_list(args.densities, float),
         ks=_parse_list(args.ks, int),
@@ -313,7 +317,7 @@ def _cmd_stats(args) -> int:
     if args.index and not args.labels:
         raise UsageError("--index requires --labels")
     graph = _load_graph(args.graph)
-    labels = _load_labels_bound(args.labels, graph.edge_list_crc) if args.labels else None
+    labels = _load_labels_bound(args, graph.edge_list_crc) if args.labels else None
     if args.index:
         with _Input(args.index), open(args.index, "rb") as f:
             index = load_index(f, labels)

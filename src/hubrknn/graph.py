@@ -187,7 +187,7 @@ def parse_edge_list(source: str | IO[str]) -> Graph:
 
 def parse_object_file(source: str | IO[str]) -> list[int]:
     """Raw vertex IDs, one per line of a text or text stream; '#' starts a
-    comment."""
+    comment. A source holding none is a ParseError."""
     out: list[int] = []
     for lineno, stripped in _DataLines(source, ("#",)):
         try:
@@ -196,6 +196,8 @@ def parse_object_file(source: str | IO[str]) -> list[int]:
             raise ParseError(
                 f"line {lineno}: expected a vertex ID, got {stripped!r}"
             ) from None
+    if not out:
+        raise ParseError("empty object set: input contains no vertices")
     return out
 
 

@@ -25,11 +25,11 @@ count.
 ``OfflineIndex(objects, labels, k)`` checks its inputs once and holds each
 substage as a lazy attribute (``knn_backward``, ``rows``, ``rknn_backward``),
 built from the labels on first access. ``offline_preprocess`` reads the
-three in order and times them; ``load_index`` hands the index the kNN rows
-it read, so a one-shot answer that reads only the objects' labels
-(``online.object_distances``) builds no per-hub list. The index file stores
-only the objects and the rows, sealed like a label file, and names its
-labels by their label file's checksum.
+three in order and times them. The index file stores only the objects and
+each one's k-th nearest neighbor (``kth``), the one kNN-row entry queries
+read, sealed like a label file and naming its labels by their checksum;
+``load_index`` hands the index the ``kth`` it read, so a one-shot answer
+(``online.object_distances``) builds no kNN row and no per-hub list.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import ConfigError, FormatError
 from .labels import _PAIR, _U32, INFINITY, LabelSet, _seal, _unseal, hl_distance
 
 _MAGIC = b"RHIX"
-_VERSION = 5
+_VERSION = 6
 _HEADER = struct.Struct("<III")  # the labels' checksum, k, object count
 
 
@@ -133,9 +133,12 @@ class OfflineIndex:
 
     - ``knn_backward`` (substage 1);
     - ``rows`` (substage 2): ``rows[i]`` holds object i's k nearest other
-      objects as (objectIndex, dist), ascending by distance, and
-      ``worst[i]`` the last one's distance;
+      objects as (objectIndex, dist), ascending by distance; ``kth[i]`` is
+      the last of them and ``worst[i]`` its distance;
     - ``rknn_backward`` (substage 3).
+
+    ``load_index`` is the only code that assigns one of them: it sets
+    ``kth`` before anything reads it.
     """
 
     def __init__(self, objects: ObjectSet, labels: LabelSet, k: int):
@@ -175,8 +178,13 @@ class OfflineIndex:
         return [row(i, p) for i, p in enumerate(self.objects.vertices)]
 
     @cached_property
+    def kth(self) -> list[tuple[int, int]]:
+        """Each object's k-th nearest other object, as (objectIndex, dist)."""
+        return [row[-1] for row in self.rows]
+
+    @cached_property
     def worst(self) -> list[int]:
-        return [row[-1][1] for row in self.rows]
+        return [d for _, d in self.kth]
 
     @cached_property
     def rknn_backward(self) -> RknnBackwardLabels:
@@ -329,31 +337,30 @@ def index_stats(index: OfflineIndex) -> dict[str, float]:
 
 
 def save_index(index: OfflineIndex, sink: IO[bytes]) -> None:
-    """Serialize the objects and the kNN rows, sealed, in one write."""
+    """Serialize the objects and their ``kth`` entries, sealed, in one write."""
     vertices = index.objects.vertices
-    pack = _PAIR.pack
     body = b"".join([
         _HEADER.pack(index.labels.checksum(), index.k, len(vertices)),
         struct.pack(f"<{len(vertices)}I", *vertices),
-        b"".join(pack(idx, d) for row in index.rows for idx, d in row),
+        *(_PAIR.pack(idx, d) for idx, d in index.kth),
     ])
     sink.write(_seal(_MAGIC, _VERSION, body))
 
 
 def _read_index_header(data: bytes) -> tuple[int, int, tuple[int, ...], bytes]:
-    """The label checksum, k and objects an index file names, and its kNN
-    rows' bytes. Checks the framing, the header and the exact body length
-    (naming a truncation or trailing bytes)."""
+    """The label checksum, k and objects an index file names, and the bytes
+    of their ``kth`` entries. Checks the framing, the header and the exact
+    body length (naming a truncation or trailing bytes)."""
     (named, k, obj_count), body, _ = _unseal(data, _MAGIC, _VERSION, "index", _HEADER)
     if k < 1 or obj_count < k + 1:
         raise FormatError(f"index header has k={k} but only {obj_count} objects")
-    rows_at = _U32.size * obj_count
-    end = rows_at + obj_count * k * _PAIR.size
+    kth_at = _U32.size * obj_count
+    end = kth_at + obj_count * _PAIR.size
     if len(body) < end:
         raise FormatError("truncated stream")
     if len(body) > end:
         raise FormatError("trailing bytes after the last kNN row")
-    return named, k, struct.unpack_from(f"<{obj_count}I", body), body[rows_at:]
+    return named, k, struct.unpack_from(f"<{obj_count}I", body), body[kth_at:]
 
 
 def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
@@ -361,15 +368,15 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
 
     Checks, in order: the file (``_read_index_header``); that the label
     checksum it names is ``labels.checksum()``; the objects' distinctness
-    and range; each kNN row's range and distance order, and that its last
-    entry, the k-th-neighbor distance the queries read, equals the label
-    distance between its two objects. The index gets the checked rows and
-    builds its per-hub lists from the labels on first access, so ``labels``
-    needs only the objects' labels decoded. Mismatched, corrupt or
-    truncated inputs fail with FormatError. The index is bound to this
-    ``labels`` object, which ``rknn_query`` must be passed.
+    and range; and for each object its stored k-th neighbor: an index in
+    range other than its own, at exactly the label distance between the
+    two objects. The index gets the checked ``kth`` and builds its kNN rows
+    and per-hub lists from the labels on first access, so ``labels`` needs
+    only the objects' labels decoded. Mismatched, corrupt or truncated
+    inputs fail with FormatError. The index is bound to this ``labels``
+    object, which ``rknn_query`` must be passed.
     """
-    named, k, vertices, rows_data = _read_index_header(source.read())
+    named, k, vertices, kth_data = _read_index_header(source.read())
     if named != labels.checksum():
         raise FormatError(
             f"index was built from other labels: it names label checksum {named:08x}, "
@@ -384,22 +391,14 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
     except ConfigError as exc:
         raise FormatError(f"index {exc}") from None  # a vertex out of range
 
-    obj_count = len(vertices)
-    pairs = list(_PAIR.iter_unpack(rows_data))
-    rows = [pairs[i * k : (i + 1) * k] for i in range(obj_count)]
-    for i, row in enumerate(rows):
-        prev = -1
-        for idx, d in row:
-            if idx >= obj_count or idx == i:
-                raise FormatError(f"kNN result row {i} references index {idx}")
-            if d < prev:
-                raise FormatError(f"kNN result row {i} is not distance-sorted")
-            prev = d
-        idx, d = row[-1]
+    kth = list(_PAIR.iter_unpack(kth_data))
+    for i, (idx, d) in enumerate(kth):
+        if idx >= len(vertices) or idx == i:
+            raise FormatError(f"kNN result row {i} references index {idx}")
         if hl_distance(labels, vertices[i], vertices[idx]) != d:
             raise FormatError(
                 f"kNN result row {i} does not match labels: object {idx} "
                 f"is not at distance {d}"
             )
-    index.rows = rows
+    index.kth = kth
     return index

@@ -237,9 +237,10 @@ def _query_with_version(workspace, capsys, path, version):
     return code, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_old_version_index_file_is_data_error(workspace, capsys, version):
-    # v1 and v2 store RkNN sections; v3 and v4 checksum the objects' labels
+    # v1 and v2 store RkNN sections; v3 and v4 checksum the objects' labels;
+    # v5 stores every kNN row entry
     code, err = _query_with_version(workspace, capsys, workspace["index"], version)
     assert code == 2
     assert f"hubrknn: {workspace['index']}: unsupported index-file version {version}" in err
@@ -398,6 +399,35 @@ def _truncated(path):
     return "checksum mismatch: the file is corrupt or truncated"
 
 
+def _missing(path):
+    path.unlink()
+    return "No such file or directory"
+
+
+def _empty(path):
+    """An empty text file holds no vertex, an empty binary file no magic. A
+    command that only CRCs --graph finds another edge list (CRC 0)."""
+    path.write_bytes(b"")
+    return "input contains no vertices" if path.suffix == ".txt" else "file magic b''"
+
+
+def _repeated_id(path):
+    path.write_text("4\n10\n4\n")
+    return "object set contains duplicate vertices"
+
+
+def _unknown_id(path):
+    path.write_text("4\n99\n")
+    return "vertex 99 is not in the graph"
+
+
+def _foreign_edge_list(path):
+    path.write_text(FOREIGN_TREE14)
+    return "label file was built from another edge list"
+
+
+CRC_ONLY = ("preprocess", "query", "knn")  # commands that read --graph only for its CRC
+
 BAD_INPUTS = [
     (command, option, fault)
     for command, options in (
@@ -410,10 +440,11 @@ BAD_INPUTS = [
     )
     for option in options
     for fault in {
-        "--graph": (_not_utf8,),
-        "--objects": (_not_utf8, _malformed_line),
-        "--labels": (_truncated,),
-        "--index": (_truncated,),
+        "--graph": (_missing, _empty, _not_utf8)
+        + ((_foreign_edge_list,) if command != "build" else ()),
+        "--objects": (_missing, _empty, _not_utf8, _malformed_line, _repeated_id, _unknown_id),
+        "--labels": (_missing, _empty, _truncated),
+        "--index": (_missing, _empty, _truncated),
     }[option]
 ]
 
@@ -424,7 +455,8 @@ BAD_INPUTS = [
 )
 def test_data_error_names_its_input(workspace, capsys, command, option, fault):
     """A bad input file ends in exit 2 and one stderr line that names that
-    file, in front of the library's own message."""
+    file, in front of the library's own message. A --graph the labels were
+    not built from is named in the label file's binding line."""
     _pipeline(workspace)
     path = pathlib.Path(workspace[option[2:]])
     message = fault(path)
@@ -440,8 +472,12 @@ def test_data_error_names_its_input(workspace, capsys, command, option, fault):
     }.get(command, [command, *inputs, "--index", workspace["index"], "--vertex", "0"])
     code, out, err = _run(capsys, argv)
     assert (code, out) == (2, "")
-    assert err.startswith(f"hubrknn: {path}: ") and message in err
-    assert err.count("\n") == 1 and err.endswith("\n")
+    if fault is _foreign_edge_list or (fault is _empty and option == "--graph"
+                                       and command in CRC_ONLY):
+        assert err == _binding_error(workspace["labels"], TREE14_TEXT, path.read_text(), path)
+    else:
+        assert err.startswith(f"hubrknn: {path}: ") and message in err
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_preprocess_rejects_small_k_objects(workspace, capsys):
@@ -553,14 +589,14 @@ def test_partial_decode_answers_as_a_full_decode(workspace, capsys, monkeypatch)
                            (0, "4\t1\n", "")]
 
 
-def _binding_error(labels_path, label_text, graph_text):
+def _binding_error(labels_path, label_text, graph_text, graph_path):
     """stderr of a command given the labels at ``labels_path``, built from
-    ``label_text``, and a --graph holding ``graph_text``."""
+    ``label_text``, and a --graph at ``graph_path`` holding ``graph_text``."""
     named, has = (zlib.crc32(text.encode()) for text in (label_text, graph_text))
     return (
         f"hubrknn: {labels_path}: label file was built from another edge list: "
         f"it names edge-list CRC "
-        f"{named:08x}, --graph has {has:08x}; rebuild it with build\n"
+        f"{named:08x}, {graph_path} has {has:08x}; rebuild it with build\n"
     )
 
 
@@ -584,7 +620,7 @@ def test_label_file_of_another_vertex_count_is_data_error(workspace, capsys, pat
     for argv in [*_lookups(workspace, 13), preprocess]:
         code, out, err = _run(capsys, argv)
         assert code == 2 and out == ""
-        assert err == _binding_error(workspace["labels"], text, TREE14_TEXT)
+        assert err == _binding_error(workspace["labels"], text, TREE14_TEXT, workspace["graph"])
 
 
 def _pa_workspace(tmp_path):
@@ -653,7 +689,7 @@ def test_labels_of_another_edge_list_are_data_error(workspace, capsys, kind):
         for argv in _every_reader(workspace, vertex):
             code, out, err = _run(capsys, argv)
             assert (code, out, err) == (
-                2, "", _binding_error(workspace["labels"], TREE14_TEXT, text)
+                2, "", _binding_error(workspace["labels"], TREE14_TEXT, text, workspace["graph"])
             ), argv
 
 
@@ -673,7 +709,8 @@ def test_labels_without_an_edge_list_are_data_error(workspace, capsys):
         assert (code, out) == (2, "")
         assert err == (
             f"hubrknn: {workspace['labels']}: label file was built from another edge list: "
-            f"it names edge-list CRC none, --graph has {crc:08x}; rebuild it with build\n"
+            f"it names edge-list CRC none, {workspace['graph']} has {crc:08x}; "
+            "rebuild it with build\n"
         )
 
 

@@ -82,14 +82,15 @@ def _index_bytes(index):
 
 
 def reference_save_index(index):
-    """The v5 index file written field by field, its checksum by zlib.crc32;
-    the labels are named by the last four bytes of their label file."""
+    """The v6 index file written field by field, its checksum by zlib.crc32;
+    the labels are named by the last four bytes of their label file, and
+    each object's kNN row by its last entry."""
     label_file = io.BytesIO()
     save_labels(index.labels, label_file)
-    fields = [b"RHIX", struct.pack("<B", 5), label_file.getvalue()[-4:]]
+    fields = [b"RHIX", struct.pack("<B", 6), label_file.getvalue()[-4:]]
     fields += [struct.pack("<I", index.k), struct.pack("<I", len(index.objects))]
     fields += [struct.pack("<I", v) for v in index.objects.vertices]
-    fields += [struct.pack("<IB", idx, d) for row in index.rows for idx, d in row]
+    fields += [struct.pack("<IB", *row[-1]) for row in index.rows]
     data = b"".join(fields)
     return data + struct.pack("<I", zlib.crc32(data))
 
@@ -396,9 +397,11 @@ def test_index_roundtrip(tree14_labels, tree14_objects):
         sink = io.BytesIO()
         save_index(index, sink)
         data = sink.getvalue()
+        assert len(data) == OBJECTS_AT + 9 * len(objects) + 4  # one k-th neighbor per object
         loaded = load_index(io.BytesIO(data), labels)
         assert loaded.k == k
         assert loaded.objects == objects
+        assert loaded.kth == index.kth
         assert loaded.rows == index.rows
         assert loaded.worst == index.worst
         assert loaded.rknn_backward == index.rknn_backward
@@ -417,6 +420,7 @@ def test_index_roundtrip(tree14_labels, tree14_objects):
         save_labels(labels, label_file)
         part = load_labels(io.BytesIO(label_file.getvalue()), objects.vertices)
         from_part = load_index(io.BytesIO(data), part)
+        assert from_part.kth == index.kth
         assert from_part.rows == index.rows
         assert from_part.rknn_backward == index.rknn_backward
         assert from_part.knn_backward == index.knn_backward
@@ -444,13 +448,13 @@ def test_index_load_rejects_foreign_labels(tree14_labels, tree14_objects):
         load_index(io.BytesIO(sink.getvalue()), other_labels)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_index_load_rejects_old_versions(tree14_labels, tree14_objects, version):
     data = bytearray(_index_bytes(offline_preprocess(tree14_labels, tree14_objects, 1)))
-    assert data[4] == 5
+    assert data[4] == 6
     # versions 1 and 2 store RkNN sections and no checksum; the checksums of
     # versions 3 and 4 carry on over the objects' labels, in hub order and
-    # in distance order
+    # in distance order; version 5 stores all k entries of every kNN row
     data[4] = version
     with pytest.raises(FormatError, match=f"version {version}"):
         load_index(io.BytesIO(bytes(data)), tree14_labels)
@@ -487,7 +491,7 @@ def test_index_load_names_truncation_and_trailing_bytes(tree14_labels, tree14_ob
 
 def test_index_load_rejects_wrong_knn_row_distance(tree14_labels, tree14_objects):
     data = bytearray(_index_bytes(offline_preprocess(tree14_labels, tree14_objects, 1)))
-    # object 2's row (k=1) is its last 5 bytes before the checksum
+    # object 2's stored k-th neighbor is the last 5 bytes before the checksum
     pos = OBJECTS_AT + 4 * 3 + 5 * 2 + 4
     assert data[pos] == 4
     data[pos] = 5
@@ -508,9 +512,8 @@ def _set_byte(at, value):
     return lambda data: data.__setitem__(at, value)
 
 
-# (k, change to the TREE14 index file, message). The k=1 rows are
-# [(1, 1)], [(0, 1)], [(0, 4)]; the k=2 rows [(1, 1), (2, 4)],
-# [(0, 1), (2, 5)], [(0, 4), (1, 5)].
+# (k, change to the TREE14 index file, message). The stored k-th neighbors
+# are (1, 1), (0, 1), (0, 4) for k=1 and (2, 4), (2, 5), (1, 5) for k=2.
 STRUCTURAL_CASES = {
     "k-zero": (1, _set_u32(9, 0), "index header has k=0 but only 3 objects"),
     "k-too-large": (1, _set_u32(9, 3), "index header has k=3 but only 3 objects"),
@@ -527,12 +530,9 @@ STRUCTURAL_CASES = {
     "row-names-itself": (
         1, _set_u32(OBJECTS_AT + 12 + 5, 1), "kNN result row 1 references index 1"
     ),
-    "row-out-of-order": (
-        2, _set_byte(OBJECTS_AT + 12 + 4, 9), "kNN result row 0 is not distance-sorted"
-    ),
     "last-entry-distance": (
         2,
-        _set_byte(OBJECTS_AT + 12 + 10 + 9, 6),
+        _set_byte(OBJECTS_AT + 12 + 5 + 4, 6),
         "kNN result row 1 does not match labels: object 2 is not at distance 6",
     ),
 }
@@ -576,17 +576,18 @@ def _tied_pa40():
     "instance, size",
     [
         pytest.param(partial(_tree14, 1), 48, id="tree14-k1"),
-        pytest.param(partial(_tree14, 2), 63, id="tree14-k2"),
+        pytest.param(partial(_tree14, 2), 48, id="tree14-k2"),
         pytest.param(_sparse_pa30, 48, id="sparse-pa30"),
         pytest.param(_tied_pa40, 57, id="tied-pa40"),
     ],
 )
 def test_index_load_rejects_every_single_byte_change(instance, size):
     """Every truncation and every single-byte change raises FormatError,
-    also in earlier kNN row entries (k=2) and in a last entry that ties."""
+    also for k=2 and in a k-th neighbor that ties. A file is the header,
+    then per object its vertex and its k-th neighbor, then the CRC."""
     labels, objects, k = instance()
     data = _index_bytes(offline_preprocess(labels, objects, k))
-    assert len(data) == size
+    assert len(data) == size == OBJECTS_AT + 9 * len(objects) + 4
     for pos in range(len(data)):
         with pytest.raises(FormatError):
             load_index(io.BytesIO(data[:pos]), labels)
@@ -713,3 +714,11 @@ def test_parse_object_file_rejects_garbage():
     with pytest.raises(ParseError) as err:
         parse_object_file("4\nbogus\n")
     assert "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["", "# objs\n\n"])
+def test_parse_object_file_rejects_an_empty_set(text):
+    from hubrknn import ParseError
+
+    with pytest.raises(ParseError, match="^empty object set: input contains no vertices$"):
+        parse_object_file(text)
