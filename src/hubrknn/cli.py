@@ -150,7 +150,8 @@ def run() -> None:
 class _Input:
     """``with _Input(path):`` re-raises an OSError, or an error of ``kinds``,
     raised inside with ``path: `` in front, so a data error names the file it
-    came from; the library's own messages do not know the path."""
+    came from, or the output file it could not write (``kinds=()``); the
+    library's own messages do not know the path."""
 
     def __init__(self, path: str, kinds: tuple = (ParseError, FormatError)):
         self.path = path
@@ -174,11 +175,16 @@ def _load_graph(path: str) -> Graph:
 
 def _edge_list_crc(path: str) -> int:
     """The ``text_crc`` of --graph, read as ``parse_edge_list`` reads it
-    (``_chunks``), so no more than one chunk is held at a time."""
+    (``_chunks``), so no more than one chunk is held at a time. A file of no
+    characters is the ParseError that ``parse_edge_list`` raises for it."""
     crc = 0
+    empty = True
     with _Input(path), open(path, "r", encoding="utf-8") as f:
         for chunk in _chunks(f):
             crc = text_crc(chunk, crc)
+            empty = False
+        if empty:
+            parse_edge_list("")  # the "empty graph" error that build prints
     return crc
 
 
@@ -216,7 +222,7 @@ def _cmd_build(args) -> int:
     t0 = time.perf_counter()
     labels = build_pll_labels(graph)
     elapsed = time.perf_counter() - t0
-    with open(args.out, "wb") as f:
+    with _Input(args.out, ()), open(args.out, "wb") as f:
         save_labels(labels, f)
     print(f"vertices\t{graph.vertex_count}")
     print(f"edges\t{graph.edge_count}")
@@ -230,10 +236,12 @@ def _cmd_preprocess(args) -> int:
     with _Input(args.objects), open(args.objects, "r", encoding="utf-8") as f:
         raw_objects = parse_object_file(f)
     labels = _load_labels_bound(args, edge_list_crc, (), raw_objects)
-    with _Input(args.objects, (ConfigError,)):  # a repeated ID or one not in the graph
+    if args.k < 1:  # not the object file's fault
+        raise ConfigError(f"k must be >= 1, got {args.k}")
+    with _Input(args.objects, (ConfigError,)):  # a repeated ID, one not in the graph, too few
         objects = ObjectSet(tuple(map(labels.dense_id, raw_objects)))
-    index = offline_preprocess(labels, objects, args.k)
-    with open(args.out, "wb") as f:
+        index = offline_preprocess(labels, objects, args.k)
+    with _Input(args.out, ()), open(args.out, "wb") as f:
         save_index(index, f)
     t = index.timings
     print(f"objects\t{len(objects)}")
@@ -308,7 +316,7 @@ def _cmd_bench(args) -> int:
     if args.out == "-":
         run_sweep(graph, labels, config, sink=sys.stdout, graph_name=args.graph)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
+        with _Input(args.out, ()), open(args.out, "w", encoding="utf-8", newline="") as f:
             run_sweep(graph, labels, config, sink=f, graph_name=args.graph)
     return 0
 

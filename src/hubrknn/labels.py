@@ -160,8 +160,18 @@ def build_pll_labels(graph: Graph, ordering: tuple[int, ...] | None = None) -> L
     d are ``reach[h][d - r]``, and one OR per root pair covers the level.
     Bits are numbered in reverse landmark order (the last landmark is bit
     0), which keeps the sets of late, small searches short. The labels
-    equal those of the per-vertex prune test. The ``reach`` sets live only
-    during the build, at three to six times the label file's size.
+    equal those of the per-vertex prune test.
+
+    Labels grow in columns: ``by_d[d][w]`` lists w's hubs at distance d in
+    root order, so a kept visit is one append. A root's prune certificates
+    are grouped the same way, ``certs[r]`` for its pairs at distance r, and
+    depth d reads only the groups with r <= d. At the end each column is
+    sorted as ints and the columns are concatenated: the (dist, hub) order.
+    The ``reach`` sets live only during the BFSs, at three to six times the
+    label file's size. The columns hold one list per vertex for each
+    distance that some label reaches, until the labels are assembled: on a
+    256-vertex path ordered from one end that is 65,536 lists, the build's
+    worst case for its memory peak.
     """
     order = degree_ordering(graph) if ordering is None else ordering
     n = graph.vertex_count
@@ -174,22 +184,22 @@ def build_pll_labels(graph: Graph, ordering: tuple[int, ...] | None = None) -> L
         bit_of[v] = n - 1 - i
     vertex_of = order[::-1]  # bit -> vertex
     neighbours = [sum(1 << bit_of[x] for x in graph.adjacency[v]) for v in vertex_of]
-    hubs: list[list[int]] = [[] for _ in range(n)]
-    dists: list[list[int]] = [[] for _ in range(n)]
+    by_d: list[list[list[int]]] = []  # by_d[d][w]: w's hubs at distance d, in root order
     reach: list[list[int]] = [[] for _ in range(n)]
 
     for root in order:
         # The root's label holds earlier landmarks only; their BFS is done.
-        certs = [(reach[h], dh, len(reach[h]) - 1) for h, dh in zip(hubs[root], dists[root])]
+        certs = [[(reach[h], len(reach[h]) - 1) for h in column[root]] for column in by_d]
         root_reach = reach[root]
         level = seen = 1 << bit_of[root]
         cumulative = 0
         d = 0
         while level:
             covered = 0
-            for sets, dh, last in certs:
-                if dh <= d:
-                    covered |= sets[min(d - dh, last)]
+            for dh in range(min(d + 1, len(certs))):
+                j = d - dh
+                for sets, last in certs[dh]:
+                    covered |= sets[j if j < last else last]
             keep = level & ~covered
             if keep and d > MAX_DIST:
                 raise FormatError(
@@ -197,28 +207,37 @@ def build_pll_labels(graph: Graph, ordering: tuple[int, ...] | None = None) -> L
                 )
             cumulative |= keep
             root_reach.append(cumulative)
+            if not keep:
+                break
+            if d == len(by_d):
+                by_d.append([[] for _ in range(n)])
+            column = by_d[d]
             nxt = 0
             bits = bin(keep)
             top = len(bits) - 1
             i = bits.find("1", 2)
             while i > 0:
                 b = top - i
-                w = vertex_of[b]
-                hubs[w].append(root)
-                dists[w].append(d)
+                column[vertex_of[b]].append(root)
                 nxt |= neighbours[b]
                 i = bits.find("1", i + 1)
             level = nxt & ~seen
             seen |= level
             d += 1
 
-    # Labels were appended in landmark order; the sweeps read them in
-    # (dist, hub) order. The hubs stay the shared ``root`` int objects.
-    for v in range(n):
-        pairs = sorted(zip(dists[v], hubs[v]))
-        hubs[v] = [h for _, h in pairs]
-        dists[v] = bytes(d for d, _ in pairs)
-
+    # The sweeps read labels in (dist, hub) order: each column's hubs are
+    # sorted as ints. The hubs stay the shared ``root`` int objects. The
+    # bitsets go first, so assembling the labels never holds them as well.
+    del reach, neighbours
+    hubs: list[list[int]] = [[] for _ in range(n)]
+    dists = [bytearray() for _ in range(n)]
+    for d, column in enumerate(by_d):
+        step = bytes((d,))
+        for hv, dv, hd in zip(hubs, dists, column):
+            if hd:
+                hd.sort()
+                hv += hd
+                dv += step * len(hd)
     return LabelSet(hubs, dists, raw_ids, graph.edge_list_crc)
 
 

@@ -406,7 +406,7 @@ def _missing(path):
 
 def _empty(path):
     """An empty text file holds no vertex, an empty binary file no magic. A
-    command that only CRCs --graph finds another edge list (CRC 0)."""
+    command that only CRCs --graph says so as the commands that parse it."""
     path.write_bytes(b"")
     return "input contains no vertices" if path.suffix == ".txt" else "file magic b''"
 
@@ -425,8 +425,6 @@ def _foreign_edge_list(path):
     path.write_text(FOREIGN_TREE14)
     return "label file was built from another edge list"
 
-
-CRC_ONLY = ("preprocess", "query", "knn")  # commands that read --graph only for its CRC
 
 BAD_INPUTS = [
     (command, option, fault)
@@ -449,6 +447,19 @@ BAD_INPUTS = [
 ]
 
 
+def _argv(ws, command, out_file):
+    """A run of ``command`` on the workspace's files that writes to ``out_file``."""
+    inputs = ["--graph", ws["graph"], "--labels", ws["labels"]]
+    return {
+        "build": ["build", "--graph", ws["graph"], "--out", out_file],
+        "preprocess": ["preprocess", *inputs, "--objects", ws["objects"], "--k", "1",
+                       "--out", out_file],
+        "stats": ["stats", *inputs, "--index", ws["index"]],
+        "bench": ["bench", *inputs, "--densities", "0.3", "--ks", "1", "--sets", "1",
+                  "--queries", "1", "--out", out_file],
+    }.get(command, [command, *inputs, "--index", ws["index"], "--vertex", "0"])
+
+
 @pytest.mark.parametrize(
     "command, option, fault", BAD_INPUTS,
     ids=[f"{c}{o}-{f.__name__.strip('_')}" for c, o, f in BAD_INPUTS],
@@ -460,24 +471,51 @@ def test_data_error_names_its_input(workspace, capsys, command, option, fault):
     _pipeline(workspace)
     path = pathlib.Path(workspace[option[2:]])
     message = fault(path)
-    inputs = ["--graph", workspace["graph"], "--labels", workspace["labels"]]
-    out_file = str(workspace["tmp"] / "out")
-    argv = {
-        "build": ["build", "--graph", workspace["graph"], "--out", out_file],
-        "preprocess": ["preprocess", *inputs, "--objects", workspace["objects"], "--k", "1",
-                       "--out", out_file],
-        "stats": ["stats", *inputs, "--index", workspace["index"]],
-        "bench": ["bench", *inputs, "--densities", "0.3", "--ks", "1", "--sets", "1",
-                  "--queries", "1", "--out", "-"],
-    }.get(command, [command, *inputs, "--index", workspace["index"], "--vertex", "0"])
-    code, out, err = _run(capsys, argv)
+    code, out, err = _run(capsys, _argv(workspace, command, str(workspace["tmp"] / "out")))
     assert (code, out) == (2, "")
-    if fault is _foreign_edge_list or (fault is _empty and option == "--graph"
-                                       and command in CRC_ONLY):
+    if fault is _foreign_edge_list:
         assert err == _binding_error(workspace["labels"], TREE14_TEXT, path.read_text(), path)
     else:
         assert err.startswith(f"hubrknn: {path}: ") and message in err
         assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("command", ["build", "preprocess", "bench"])
+def test_output_in_a_missing_directory_is_named(workspace, capsys, command):
+    """An output file that cannot be opened ends in exit 2 and one stderr
+    line that names it, as a missing input does."""
+    _pipeline(workspace)
+    out_file = str(workspace["tmp"] / "missing" / "out")
+    assert _run(capsys, _argv(workspace, command, out_file)) == (
+        2, "", f"hubrknn: {out_file}: No such file or directory\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "objects, k, blamed, message",
+    [
+        pytest.param("4\n", "1", True, "need at least k+1 = 2 objects, got 1",
+                     id="too-few-objects"),
+        pytest.param("4\n10\n12\n", "3", True, "need at least k+1 = 4 objects, got 3",
+                     id="too-few-for-k"),
+        pytest.param("4\n", "0", False, "k must be >= 1, got 0", id="k-zero"),
+        pytest.param("4\n10\n", "-2", False, "k must be >= 1, got -2", id="k-negative"),
+    ],
+)
+def test_preprocess_names_the_object_file_it_has_too_few_of(
+    workspace, capsys, objects, k, blamed, message
+):
+    """Fewer than k+1 objects is the object file's fault; a k below 1 is not."""
+    assert main(["build", "--graph", workspace["graph"], "--out", workspace["labels"]]) == 0
+    capsys.readouterr()
+    pathlib.Path(workspace["objects"]).write_text(objects)
+    argv = [
+        "preprocess", "--graph", workspace["graph"], "--labels", workspace["labels"],
+        "--objects", workspace["objects"], "--k", k, "--out", workspace["index"],
+    ]
+    named = f"{workspace['objects']}: " if blamed else ""
+    assert _run(capsys, argv) == (2, "", f"hubrknn: {named}{message}\n")
+    assert not os.path.exists(workspace["index"])
 
 
 def test_preprocess_rejects_small_k_objects(workspace, capsys):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import random
 import struct
@@ -144,6 +145,18 @@ def test_build_matches_reference_on_random_graphs(n, edge_count, seed):
     expected = reference_pll(g, ordering)
     assert all_pairs(labels) == all_pairs(expected)
     assert labels.total_pairs == expected.total_pairs
+
+
+def test_build_bytes_on_the_criterion_graph_are_pinned():
+    """PA 3000/12 (seed 1234), the benchmark's 3k graph, through the LCC and
+    degree order, saves to the bytes of the build that sorted (dist, hub)
+    tuples at its end."""
+    g = largest_connected_component(preferential_attachment_graph(3000, 12, 1234))
+    labels = build_pll_labels(g, degree_ordering(g))
+    assert (g.edge_count, labels.total_pairs) == (35_864, 298_389)
+    assert hashlib.sha256(_saved(labels)).hexdigest() == (
+        "ec165b8873ba2d8ffeaa34d4ed888dc2da5f6b0a673666711a8cbaf3a724e5db"
+    )
 
 
 def _assert_distance_major(labels):
