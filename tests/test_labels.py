@@ -147,14 +147,12 @@ def test_build_matches_reference_on_random_graphs(n, edge_count, seed):
     assert labels.total_pairs == expected.total_pairs
 
 
-def test_build_bytes_on_the_criterion_graph_are_pinned():
+def test_build_bytes_on_the_criterion_graph_are_pinned(pa3k, pa3k_labels):
     """PA 3000/12 (seed 1234), the benchmark's 3k graph, through the LCC and
     degree order, saves to the bytes of the build that sorted (dist, hub)
     tuples at its end."""
-    g = largest_connected_component(preferential_attachment_graph(3000, 12, 1234))
-    labels = build_pll_labels(g, degree_ordering(g))
-    assert (g.edge_count, labels.total_pairs) == (35_864, 298_389)
-    assert hashlib.sha256(_saved(labels)).hexdigest() == (
+    assert (pa3k.edge_count, pa3k_labels.total_pairs) == (35_864, 298_389)
+    assert hashlib.sha256(_saved(pa3k_labels)).hexdigest() == (
         "ec165b8873ba2d8ffeaa34d4ed888dc2da5f6b0a673666711a8cbaf3a724e5db"
     )
 
