@@ -23,13 +23,14 @@ the offline work scales with the objects' label pairs, not with the vertex
 count.
 
 ``OfflineIndex(objects, labels, k)`` checks its inputs once and holds each
-substage as a lazy attribute (``knn_backward``, ``rows``, ``rknn_backward``),
-built from the labels on first access. ``offline_preprocess`` reads the
-three in order and times them. The index file stores only the objects and
-each one's k-th nearest neighbor (``kth``), the one kNN-row entry queries
-read, sealed like a label file and naming its labels by their checksum;
-``load_index`` hands the index the ``kth`` it read, so a one-shot answer
-(``online.object_distances``) builds no kNN row and no per-hub list.
+substage as a lazy, read-only attribute (``knn_backward``, ``rows``,
+``rknn_backward`` with its per-hub ``lim``), built from the labels on first
+access. ``offline_preprocess`` reads the three in order and times them. The
+index file stores only the objects and each one's k-th nearest neighbor
+(``kth``), the one kNN-row entry queries read, sealed like a label file and
+naming its labels by their checksum; ``load_index`` hands the index the
+``kth`` it read, so a one-shot answer (``online.object_distances``) builds
+no kNN row and no per-hub list.
 """
 
 from __future__ import annotations
@@ -95,15 +96,16 @@ class KnnBackwardLabels:
 
 
 class RknnBackwardLabels:
-    """Per-hub (objectIndex, dist) pairs surviving the k-th-neighbor filter;
-    equality compares the lists."""
+    """Per-hub (objectIndex, dist) pairs surviving the k-th-neighbor filter,
+    and each hub's ``lim``; equality compares the lists."""
 
-    __slots__ = ("lists", "total_pairs")
+    __slots__ = ("lists", "lim", "total_pairs")
 
-    def __init__(self, lists: list[list[tuple[int, int]]]):
+    def __init__(self, lists: list[list[tuple[int, int]]], lim: list[int]):
         # hub -> [(idx, dist)] ascending by (dist - worst[idx], idx), where
         # worst[idx] is object idx's k-th-neighbor distance
         self.lists = lists
+        self.lim = lim  # hub -> worst[i0] - d0 of its first pair (i0, d0); -1 if none
         self.total_pairs = sum(map(len, lists))
 
     def __eq__(self, other: object) -> bool:
@@ -135,13 +137,15 @@ class OfflineIndex:
     - ``rows`` (substage 2): ``rows[i]`` holds object i's k nearest other
       objects as (objectIndex, dist), ascending by distance; ``kth[i]`` is
       the last of them and ``worst[i]`` its distance;
-    - ``rknn_backward`` (substage 3).
+    - ``rknn_backward`` and ``lim`` (substage 3).
 
-    ``load_index`` is the only code that assigns one of them: it sets
-    ``kth`` before anything reads it.
+    A ``kth`` given to the constructor (``load_index`` gives the one it read
+    and checked) stands in for the rows'. The lazy attributes are read-only:
+    assigning one raises AttributeError, so none can go stale behind another.
     """
 
-    def __init__(self, objects: ObjectSet, labels: LabelSet, k: int):
+    def __init__(self, objects: ObjectSet, labels: LabelSet, k: int,
+                 kth: list[tuple[int, int]] | None = None):
         if k < 1:
             raise ConfigError(f"k must be >= 1, got {k}")
         if len(objects) < k + 1:
@@ -154,12 +158,19 @@ class OfflineIndex:
         self.labels = labels
         self.k = k
         self.timings = OfflineTimings()
+        if kth is not None:
+            vars(self)["kth"] = kth
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if isinstance(getattr(OfflineIndex, name, None), cached_property):
+            raise AttributeError(f"OfflineIndex.{name} is read-only")
+        object.__setattr__(self, name, value)
 
     @cached_property
     def knn_backward(self) -> KnnBackwardLabels:
         """Substage 1: k+1 nearest object pairs per hub, ties by object index."""
         m = len(self.objects)
-        lists = _by_hub(self.labels, self.objects, [INFINITY] * m, [0] * m, self.k + 1)
+        lists, _ = _by_hub(self.labels, self.objects, [INFINITY] * m, [0] * m, self.k + 1)
         return KnnBackwardLabels(self.k, lists, self.labels)
 
     @cached_property
@@ -193,10 +204,17 @@ class OfflineIndex:
 
         Each hub's list is ordered by slack ``dist - worst[idx]``, ties by
         index. A query reaching the hub at distance d can use a pair iff its
-        slack is <= -d, so the online sweep stops at the first pair that fails.
+        slack is <= -d, so the online sweep stops at the first pair that fails,
+        and skips the hub unless d <= ``lim[h]``, minus its first pair's slack.
         """
         worst = self.worst
-        return RknnBackwardLabels(_by_hub(self.labels, self.objects, worst, [-w for w in worst]))
+        return RknnBackwardLabels(*_by_hub(self.labels, self.objects, worst, [-w for w in worst]))
+
+    @cached_property
+    def lim(self) -> list[int]:
+        """Per hub, the largest label distance at which its RkNN list yields a
+        member; -1 for a hub with no pair."""
+        return self.rknn_backward.lim
 
 
 def _by_hub(
@@ -205,13 +223,15 @@ def _by_hub(
     bound: list[int],
     offset: list[int],
     keep: int | None = None,
-) -> list[list[tuple[int, int]]]:
+) -> tuple[list[list[tuple[int, int]]], list[int]]:
     """The objects' label pairs regrouped by hub; substages 1 and 3.
 
     Object i's pair (h, d) goes to hub h iff d <= bound[i]. Each hub's list
     is ascending by (d + offset[i], i) and cut to its first ``keep`` pairs.
-    Only the hubs that receive a pair are sorted, cut and mapped, so the
-    Python work follows the object pairs, not the vertex count.
+    Also returns, per hub, minus the first pair's d + offset[i] (-1 for a hub
+    with no pair): substage 3's ``lim``. Only the hubs that receive a pair are
+    sorted, cut and mapped, so the Python work follows the object pairs, not
+    the vertex count.
     """
     m = len(objects)
     top = -min(offset)
@@ -229,9 +249,11 @@ def _by_hub(
             if d <= b:
                 lists[h].append(d * m + base)
     touched = list(compress(range(len(lists)), lists))  # hubs with a pair, at C level
+    lim = [-1] * len(lists)
     for h in touched:
         keys = lists[h]
         keys.sort()
+        lim[h] = top - keys[0] // m
         if keep is not None:
             del keys[keep:]
     pair = {
@@ -242,7 +264,7 @@ def _by_hub(
     # faster to query than the key lists refilled in place.
     for h in touched:
         lists[h] = list(map(pair.__getitem__, lists[h]))
-    return lists
+    return lists, lim
 
 
 def _knn_row(
@@ -386,12 +408,12 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
         objects = ObjectSet(vertices)
     except ConfigError as exc:
         raise FormatError(str(exc)) from None
+    kth = list(_PAIR.iter_unpack(kth_data))
     try:
-        index = OfflineIndex(objects, labels, k)  # the header checked k
+        index = OfflineIndex(objects, labels, k, kth)  # the header checked k
     except ConfigError as exc:
         raise FormatError(f"index {exc}") from None  # a vertex out of range
 
-    kth = list(_PAIR.iter_unpack(kth_data))
     for i, (idx, d) in enumerate(kth):
         if idx >= len(vertices) or idx == i:
             raise FormatError(f"kNN result row {i} references index {idx}")
@@ -400,5 +422,4 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
                 f"kNN result row {i} does not match labels: object {idx} "
                 f"is not at distance {d}"
             )
-    index.kth = kth
     return index

@@ -5,7 +5,11 @@ label over the RkNN backward labels. An object enters the answer only when
 the candidate distance is within that object's k-th-neighbor distance, with
 ties counting as members. Each hub's list is ordered by slack (pair distance
 minus the object's k-th-neighbor distance), so the sweep of a list stops at
-the first pair that does not qualify: every later pair fails too.
+the first pair that does not qualify: every later pair fails too. The first
+pair therefore decides whether a list can yield anything, and the sweep
+skips hub h, without entering its list, when q reaches it at a label
+distance d > ``index.lim[h]`` (minus the first pair's slack; -1 for a hub
+with no pair).
 
 A process that answers once (the CLI) walks the objects' own labels instead
 (``object_distances``): building the backward lists costs far more.
@@ -21,9 +25,11 @@ from .offline import KnnBackwardLabels, OfflineIndex, _knn_row
 class RknnAnswer:
     """Distances from the query vertex to every object; INFINITY = non-member.
 
-    ``pairs_scanned`` counts the pairs in the backward-label lists the sweep
-    touched, which is what the online cost model is stated in. It is not the
-    number of pairs examined: the sweep of a list stops early.
+    ``pairs_scanned`` counts the pairs in the RkNN lists of q's label hubs,
+    whether or not the sweep entered them, which is what the online cost
+    model is stated in. It is not the number of pairs examined: the sweep
+    skips a hub whose first pair fails and stops a list at its first pair
+    that fails.
     """
 
     __slots__ = ("distances", "pairs_scanned")
@@ -86,17 +92,18 @@ def rknn_query(index: OfflineIndex, labels: LabelSet, q: int) -> RknnAnswer:
     out = [INFINITY] * len(index.objects)
     worst = index.worst
     rknn_lists = index.rknn_backward.lists
-    scanned = 0
-    for h, d in zip(labels.hubs[q], labels.dists[q]):
-        lst = rknn_lists[h]
-        scanned += len(lst)
-        for idx, dp in lst:
+    lim = index.lim
+    hubs = labels.hubs[q]
+    for h, d in zip(hubs, labels.dists[q]):
+        if d > lim[h]:
+            continue  # the list's first pair fails, so every pair does
+        for idx, dp in rknn_lists[h]:
             d2 = d + dp
             if d2 > worst[idx]:
                 break  # slack order: no later pair of this list qualifies
             if d2 < out[idx]:
                 out[idx] = d2
-    return RknnAnswer(out, scanned)
+    return RknnAnswer(out, sum(map(len, map(rknn_lists.__getitem__, hubs))))
 
 
 def knn_query(

@@ -250,8 +250,9 @@ def test_rknn_backward_fixture_golden(tree14_labels, tree14_objects):
 
 
 def test_rknn_backward_vacuous_filter_keeps_everything(tree14_labels, tree14_objects):
-    index = OfflineIndex(tree14_objects, tree14_labels, 1)
-    index.worst = [10_000] * 3  # substage 3 filters by the worst it finds
+    kth = [(1, 10_000), (0, 10_000), (0, 10_000)]  # substage 3 filters by the kth it is given
+    index = OfflineIndex(tree14_objects, tree14_labels, 1, kth)
+    assert index.worst == [10_000] * 3
     rknn = index.rknn_backward
     assert rknn.total_pairs == to_many_pairs(tree14_labels, tree14_objects)
 
@@ -327,6 +328,23 @@ def test_offline_preprocess_idempotent(tree14_labels, tree14_objects):
     assert a.rows == b.rows
     assert a.rknn_backward == b.rknn_backward
     assert a.knn_backward == b.knn_backward
+
+
+@pytest.mark.parametrize("name", ["knn_backward", "rows", "kth", "worst", "rknn_backward", "lim"])
+def test_lazy_attributes_are_read_only(tree14_labels, tree14_objects, name):
+    """Assigning a substage attribute raises, before and after its first
+    read, so none can go stale behind the ones built from it."""
+    expected = [rknn_query(offline_preprocess(tree14_labels, tree14_objects, 1),
+                           tree14_labels, q) for q in range(14)]
+    for index in (OfflineIndex(tree14_objects, tree14_labels, 1),
+                  OfflineIndex(tree14_objects, tree14_labels, 1, [(1, 1), (0, 1), (0, 4)])):
+        with pytest.raises(AttributeError, match=f"^OfflineIndex.{name} is read-only$"):
+            setattr(index, name, [])
+        value = getattr(index, name)
+        with pytest.raises(AttributeError, match=f"^OfflineIndex.{name} is read-only$"):
+            setattr(index, name, [])
+        assert getattr(index, name) is value
+        assert [rknn_query(index, tree14_labels, q) for q in range(14)] == expected
 
 
 def test_offline_values_compare_by_content_and_stay_unhashable(tree14, tree14_objects):

@@ -6,6 +6,7 @@ import pytest
 from hubrknn import (
     INFINITY,
     ConfigError,
+    Graph,
     LabelSet,
     ObjectSet,
     OfflineIndex,
@@ -127,13 +128,54 @@ def test_rknn_monotone_in_k():
             assert members_small <= members_large
 
 
-def test_rknn_scan_count_matches_touched_lists(tree14_labels, tree14_objects):
+def test_rknn_scan_count_matches_label_hub_lists(tree14_labels, tree14_objects):
     index = offline_preprocess(tree14_labels, tree14_objects, 1)
     lists = index.rknn_backward.lists
     for q in range(14):
         answer = rknn_query(index, tree14_labels, q)
         expected = sum(len(lists[h]) for h in tree14_labels.hubs[q])
         assert answer.pairs_scanned == expected
+
+
+def _reference_rknn(index, q):
+    """Every pair of every list of q's label hubs, with no skip and no stop."""
+    labels, worst = index.labels, index.worst
+    out = [INFINITY] * len(index.objects)
+    for h, d in zip(labels.hubs[q], labels.dists[q]):
+        for idx, dp in index.rknn_backward.lists[h]:
+            if d + dp <= worst[idx]:
+                out[idx] = min(out[idx], d + dp)
+    return out
+
+
+def test_rknn_hub_test_at_its_edges():
+    """A graph with each kind of list the hub test ``d <= lim[h]`` meets.
+
+    No list's first pair can fail at d = 0: substage 3 keeps only pairs of
+    slack <= 0, so a hub with a pair has lim >= 0. Hub 3's list, the
+    triangle 3-5-6's apex over objects 5 and 6 (k=1), has lim 0: its first
+    pair fails at d = 1, where 5 and 6 reach it. Hub 0's list has lim 2: it
+    passes at d = 2, its bound and the largest distance in the labels of 5,
+    6, 7, 9 and 10, and fails at 8's d = 3. Hubs 2 and 10 have no pair.
+    """
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (3, 6), (5, 6), (4, 7), (7, 8),
+             (1, 9), (2, 10)]
+    labels = build_pll_labels(Graph.from_edges(edges))
+    index = offline_preprocess(labels, ObjectSet((5, 6, 8, 9)), 1)
+    assert index.lim == [2, 3, -1, 0, 3, 1, 1, 4, 5, 4, -1]
+    reach = [dict(zip(labels.hubs[q], labels.dists[q])) for q in range(11)]
+    assert [reach[q][3] for q in (3, 5, 6)] == [0, 1, 1]
+    for q in (5, 6, 7, 9, 10):
+        assert reach[q][0] == max(reach[q].values()) == index.lim[0]
+    assert reach[8][0] == 3
+    assert [q for q in range(11) if {2, 10} & reach[q].keys()] == [2, 10]
+    lists = index.rknn_backward.lists
+    for q in range(11):
+        answer = rknn_query(index, labels, q)
+        assert answer.distances == _reference_rknn(index, q)
+        assert answer.distances == object_distances(index, q, index.worst)
+        assert answer.pairs_scanned == sum(len(lists[h]) for h in labels.hubs[q])
+    assert rknn_query(index, labels, 10).members() == [(2, 5), (3, 4)]  # both at worst, via hub 0
 
 
 # --- kNN queries ---
