@@ -3,13 +3,16 @@
 Runs once per object set, in three substages:
 
 1. Regroup the objects' forward labels by hub, keeping only the k+1
-   nearest object pairs per hub (kNN backward labels). Capacity is k+1, not
-   k, because an object is by definition its own nearest neighbor and must
-   be skippable later without starving the result.
+   nearest object pairs per hub (kNN backward labels). Each pair is one int
+   key ``dist * m + idx`` (m objects), so a hub's ascending keys are its
+   pairs in (dist, idx) order. Capacity is k+1, not k, because an object is
+   by definition its own nearest neighbor.
 2. Compute each object's k nearest other objects with a one-to-many sweep
-   over those per-hub lists (batch kNN). The sweep visits the object's
-   label in ascending label distance and stops at the first hub farther
-   than the current k-th distance; kNN queries use the same sweep.
+   over those per-hub lists (batch kNN): the object's k+1 nearest, less the
+   first, itself at key ``idx``. The sweep visits the object's label in
+   ascending label distance and stops at the first hub, and in a list at
+   the first key, not below the current k-th key; kNN queries use the same
+   sweep.
 3. Regroup the objects' forward labels by hub again, dropping every pair
    whose distance exceeds that object's k-th-neighbor distance (RkNN
    backward labels). That filter is what keeps online queries cheap. Each
@@ -17,10 +20,9 @@ Runs once per object set, in three substages:
    distance, so the pairs a query can use form a prefix of the list.
 
 Substages 1 and 3 share one regrouping (``_by_hub``); they differ only in
-the per-object distance bound, the sort offset and the cut. Apart from
-making one empty list per hub and a few C-level passes over those lists,
-the offline work scales with the objects' label pairs, not with the vertex
-count.
+the per-object distance bound, the sort offset and the cut. Apart from a
+few C-level passes over the per-hub lists, the offline work scales with the
+objects' label pairs, not with the vertex count.
 
 ``OfflineIndex(objects, labels, k)`` checks its inputs once and holds each
 substage as a lazy, read-only attribute (``knn_backward``, ``rows``,
@@ -73,23 +75,26 @@ class ObjectSet:
 
 
 class KnnBackwardLabels:
-    """Per-hub lists of the k+1 nearest (objectIndex, dist) pairs.
+    """Per-hub lists of the k+1 nearest object pairs, each pair (idx, dist)
+    as the int key ``dist * m + idx`` for m objects.
 
     ``labels`` is the label set the lists were built from, the only one
-    ``knn_query`` accepts with them; equality compares ``k`` and the lists.
+    ``knn_query`` accepts with them; equality compares ``k``, ``m`` and the
+    lists.
     """
 
-    __slots__ = ("k", "lists", "labels")
+    __slots__ = ("k", "m", "lists", "labels")
 
-    def __init__(self, k: int, lists: list[list[tuple[int, int]]], labels: LabelSet):
+    def __init__(self, k: int, m: int, lists: list[list[int]], labels: LabelSet):
         self.k = k
-        self.lists = lists  # hub -> [(idx, dist)] ascending by (dist, idx)
+        self.m = m
+        self.lists = lists  # hub -> keys, ascending, so by (dist, idx)
         self.labels = labels
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not KnnBackwardLabels:
             return NotImplemented
-        return (self.k, self.lists) == (other.k, other.lists)
+        return (self.k, self.m, self.lists) == (other.k, other.m, other.lists)
 
     def total_pairs(self) -> int:
         return sum(len(lst) for lst in self.lists)
@@ -171,15 +176,16 @@ class OfflineIndex:
         """Substage 1: k+1 nearest object pairs per hub, ties by object index."""
         m = len(self.objects)
         lists, _ = _by_hub(self.labels, self.objects, [INFINITY] * m, [0] * m, self.k + 1)
-        return KnnBackwardLabels(self.k, lists, self.labels)
+        return KnnBackwardLabels(self.k, m, lists, self.labels)
 
     @cached_property
     def rows(self) -> list[list[tuple[int, int]]]:
-        """Substage 2 (batch kNN): one ``_knn_row`` per object, skipping itself."""
-        labels, k, lists = self.labels, self.k, self.knn_backward.lists
+        """Substage 2 (batch kNN): per object, the ``_knn_row`` of its k+1
+        nearest, less the first: itself, the one object at distance 0."""
+        labels, k, knn = self.labels, self.k, self.knn_backward
 
         def row(i: int, p: int) -> list[tuple[int, int]]:
-            result = _knn_row(labels, p, i, k, lists)
+            result = _knn_row(labels, p, k + 1, knn.lists, knn.m)[1:]
             if len(result) < k:
                 raise ConfigError(
                     f"object {i} reaches only {len(result)} of {k} required neighbors"
@@ -207,8 +213,24 @@ class OfflineIndex:
         slack is <= -d, so the online sweep stops at the first pair that fails,
         and skips the hub unless d <= ``lim[h]``, minus its first pair's slack.
         """
-        worst = self.worst
-        return RknnBackwardLabels(*_by_hub(self.labels, self.objects, worst, [-w for w in worst]))
+        worst, m = self.worst, len(self.objects)
+        top = max(worst)
+        lists, touched = _by_hub(self.labels, self.objects, worst, [top - w for w in worst])
+        # Every hub shares one (idx, dist) tuple per distinct key, and each
+        # hub gets a fresh list of them: an object has few distinct
+        # distances, so the lists point into a small set of tuples that stays
+        # in cache during the online sweep. One tuple per pair, and the key
+        # lists refilled in place, each measured slower to query.
+        pair = {
+            c: (c % m, c // m + worst[c % m] - top)
+            for c in set(chain.from_iterable(map(lists.__getitem__, touched)))
+        }
+        lim = [-1] * len(lists)
+        for h in touched:
+            keys = lists[h]
+            lim[h] = top - keys[0] // m
+            lists[h] = list(map(pair.__getitem__, keys))
+        return RknnBackwardLabels(lists, lim)
 
     @cached_property
     def lim(self) -> list[int]:
@@ -218,101 +240,77 @@ class OfflineIndex:
 
 
 def _by_hub(
-    labels: LabelSet,
-    objects: ObjectSet,
-    bound: list[int],
-    offset: list[int],
+    labels: LabelSet, objects: ObjectSet, bound: list[int], offset: list[int],
     keep: int | None = None,
-) -> tuple[list[list[tuple[int, int]]], list[int]]:
-    """The objects' label pairs regrouped by hub; substages 1 and 3.
+) -> tuple[list[list[int]], list[int]]:
+    """The objects' label pairs regrouped by hub, as int keys; substages 1
+    and 3.
 
-    Object i's pair (h, d) goes to hub h iff d <= bound[i]. Each hub's list
-    is ascending by (d + offset[i], i) and cut to its first ``keep`` pairs.
-    Also returns, per hub, minus the first pair's d + offset[i] (-1 for a hub
-    with no pair): substage 3's ``lim``. Only the hubs that receive a pair are
-    sorted, cut and mapped, so the Python work follows the object pairs, not
-    the vertex count.
+    Object i's pair (h, d) goes to hub h iff d <= bound[i], as the key
+    ``(d + offset[i]) * m + i`` (offsets >= 0), so a hub's keys sort by
+    (d + offset[i], i). Each hub's list is sorted and cut to its first
+    ``keep`` keys. Also returns the hubs with a key: only those are sorted
+    and cut, so the Python work follows the object pairs, not the vertex
+    count.
     """
     m = len(objects)
-    top = -min(offset)
-    # Each kept pair is first an int key (d + offset[i] + top) * m + i, so a
-    # hub's keys sort by plain int comparison. Every hub then shares one
-    # (idx, dist) tuple per distinct key: an object has few distinct
-    # distances, so the lists point into a small set of tuples that stays in
-    # cache during the online sweep. One tuple per pair, made object by
-    # object and scattered over memory, measured slower to query.
-    lists: list[list] = [[] for _ in range(labels.vertex_count)]
+    lists: list[list[int]] = [[] for _ in range(labels.vertex_count)]
     for i, p in enumerate(objects.vertices):
         b = bound[i]
-        base = (offset[i] + top) * m + i
+        base = offset[i] * m + i
         for h, d in zip(labels.hubs[p], labels.dists[p]):
             if d <= b:
                 lists[h].append(d * m + base)
-    touched = list(compress(range(len(lists)), lists))  # hubs with a pair, at C level
-    lim = [-1] * len(lists)
+    touched = list(compress(range(len(lists)), lists))  # hubs with a key, at C level
     for h in touched:
         keys = lists[h]
         keys.sort()
-        lim[h] = top - keys[0] // m
         if keep is not None:
             del keys[keep:]
-    pair = {
-        c: (c % m, c // m - offset[c % m] - top)
-        for c in set(chain.from_iterable(map(lists.__getitem__, touched)))
-    }
-    # Fresh lists, made hub after hub, in place of the key lists: measured
-    # faster to query than the key lists refilled in place.
-    for h in touched:
-        lists[h] = list(map(pair.__getitem__, lists[h]))
-    return lists, lim
+    return lists, touched
 
 
 def _knn_row(
-    labels: LabelSet,
-    source: int,
-    skip: int,
-    k: int,
-    knn_lists: list[list[tuple[int, int]]],
+    labels: LabelSet, source: int, k: int, knn_lists: list[list[int]], m: int
 ) -> list[tuple[int, int]]:
     """One bounded one-to-many sweep; shared by batch kNN and kNN queries.
 
     Returns at most k (idx, dist) pairs, ascending by (dist, idx), each
-    object index once at its smallest distance found. Object index ``skip``
-    is never reported (-1 skips nothing).
+    object index once at its smallest distance found. A candidate is a key
+    of the kNN backward lists plus ``d * m`` for the label distance d.
 
     The source label is swept as stored, in ascending label distance, and
-    the sweep stops at the first hub whose label distance exceeds the
-    current k-th distance: every pair of that hub and of all later ones is
-    at least that far, so none can enter or improve the row.
+    the sweep stops at the first hub whose ``d * m`` alone reaches the k-th
+    key: every key of that hub and of all later ones is at least that
+    large, so none can enter or improve the row. A list ascends too, so its
+    sweep stops at its first key >= the k-th key, which at equality is the
+    k-th entry itself.
     """
-    best: list[tuple[int, int]] = []  # (dist, idx), ascending, at most k
-    found: dict[int, int] = {}  # idx -> its dist in best
-    worst = INFINITY  # best[-1][0] once best holds k pairs
+    best: list[int] = []  # keys, ascending, at most k
+    found: dict[int, int] = {}  # idx -> its key in best
+    bound = INFINITY * m  # best[-1] once best holds k keys; above any key before
     for h, d in zip(labels.hubs[source], labels.dists[source]):
-        if d > worst:
+        base = d * m
+        if base >= bound:
             break  # label distances ascend; no later hub can reach the row
-        for idx, dp in knn_lists[h]:
-            if idx == skip:
-                continue
-            d2 = d + dp
-            if d2 > worst:
-                break  # hub list ascends by distance; nothing better follows
+        for c in knn_lists[h]:
+            key = base + c
+            if key >= bound:
+                break  # hub list ascends; nothing better follows
+            idx = c % m
             old = found.get(idx)
             if old is None:
-                item = (d2, idx)
                 if len(best) == k:
-                    if item > best[-1]:
-                        continue
-                    del found[best.pop()[1]]
-                insort(best, item)
-                found[idx] = d2
-            elif d2 < old:
-                best.remove((old, idx))
-                insort(best, (d2, idx))
-                found[idx] = d2
+                    del found[best.pop() % m]
+            elif key < old:
+                best.remove(old)
+            else:
+                continue
+            insort(best, key)
+            found[idx] = key
             if len(best) == k:
-                worst = best[-1][0]
-    return [(i, d) for d, i in best]
+                bound = best[-1]
+    return [(c % m, c // m) for c in best]
 
 
 def offline_preprocess(labels: LabelSet, objects: ObjectSet, k: int) -> OfflineIndex:

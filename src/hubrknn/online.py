@@ -114,13 +114,13 @@ def knn_query(
 ) -> list[tuple[int, int]]:
     """The k nearest objects to q as (objectIndex, dist), ascending.
 
-    Same sweep as the batch stage but without the skip-self rule, so a query
-    placed on an object vertex finds that object at distance 0. k may be
-    anything up to the k the backward labels were built for. ``labels`` must
+    The batch stage's sweep, which keeps a query placed on an object vertex:
+    that object comes first, at distance 0. k may be anything up to the k
+    the backward labels were built for. ``labels`` must
     be ``knn_backward.labels`` itself; any other is a ConfigError.
     """
     if labels is not knn_backward.labels:
         raise ConfigError("label set is not the one these kNN backward labels were built from")
     _check_vertex(labels, q)
     _check_k(k, knn_backward.k)
-    return _knn_row(labels, q, -1, k, knn_backward.lists)
+    return _knn_row(labels, q, k, knn_backward.lists, knn_backward.m)

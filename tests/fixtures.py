@@ -74,6 +74,13 @@ def as_hub_dict(lists):
     return {h: lst for h, lst in enumerate(lists) if lst}
 
 
+def knn_pairs(knn_backward):
+    """Per-hub kNN backward lists, each key ``dist * m + idx`` decoded to
+    its (idx, dist) pair."""
+    m = knn_backward.m
+    return [[(c % m, c // m) for c in lst] for lst in knn_backward.lists]
+
+
 def label_pairs(labels, v):
     """Vertex v's label as (hub, dist) pairs, ascending by hub.
 

@@ -39,6 +39,7 @@ from fixtures import (
     TREE14_RKNN_BACKWARD_K1,
     TREE14_TOTAL_PAIRS,
     as_hub_dict,
+    knn_pairs,
     label_pairs,
 )
 from graphgen import preferential_attachment_graph, random_connected_graph
@@ -115,7 +116,7 @@ def test_criterion_1_golden_labels(tree14):
 def test_criterion_2_golden_offline(tree14_labels, tree14_objects):
     with verdict(2, "golden fixture offline substages (exact tables)"):
         index = OfflineIndex(tree14_objects, tree14_labels, 1)
-        assert as_hub_dict(index.knn_backward.lists) == TREE14_KNN_BACKWARD_K1
+        assert as_hub_dict(knn_pairs(index.knn_backward)) == TREE14_KNN_BACKWARD_K1
         assert index.rows == TREE14_KNN_RESULTS_K1
         assert index.worst == [row[-1][1] for row in TREE14_KNN_RESULTS_K1]
         assert as_hub_dict(index.rknn_backward.lists) == TREE14_RKNN_BACKWARD_K1

@@ -45,6 +45,7 @@ from fixtures import (
     TREE14_RKNN_TOTAL_PAIRS,
     TREE14_TO_MANY_PAIRS,
     as_hub_dict,
+    knn_pairs,
 )
 from graphgen import preferential_attachment_graph, random_connected_graph
 
@@ -120,7 +121,7 @@ def make_pa_instance(seed, objects=40):
 
 def test_knn_backward_fixture_golden(tree14_labels, tree14_objects):
     knnlab = OfflineIndex(tree14_objects, tree14_labels, 1).knn_backward
-    assert as_hub_dict(knnlab.lists) == TREE14_KNN_BACKWARD_K1
+    assert as_hub_dict(knn_pairs(knnlab)) == TREE14_KNN_BACKWARD_K1
 
 
 def test_knn_backward_requires_enough_objects(tree14_labels):
@@ -162,14 +163,14 @@ def test_duplicate_objects_rejected():
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_knn_backward_matches_naive_scan(k):
     _, labels, obj = make_instance(seed=3)
-    knnlab = OfflineIndex(obj, labels, k).knn_backward
+    pairs = knn_pairs(OfflineIndex(obj, labels, k).knn_backward)
     by_hub = {}
     for i, p in enumerate(obj.vertices):
         for h, d in zip(labels.hubs[p], labels.dists[p]):
             by_hub.setdefault(h, []).append((d, i))
     for h in range(labels.vertex_count):
         expected = [(i, d) for d, i in sorted(by_hub.get(h, []))[: k + 1]]
-        assert knnlab.lists[h] == expected
+        assert pairs[h] == expected
 
 
 # --- substage 2: batch kNN ---
@@ -205,35 +206,90 @@ def test_batch_knn_matches_bfs_oracle(instance, k):
 
 
 class RecordingLists(list):
-    """Per-hub lists that record which hubs a sweep reads, in order."""
+    """Per-hub lists that record, in order, each hub a sweep reads and each
+    key it reads from that hub's list."""
 
     def __init__(self, lists):
         super().__init__(lists)
-        self.read = []
+        self.read = []  # (hub, None) when the hub's list is fetched, then (hub, key) per key
 
     def __getitem__(self, h):
-        self.read.append(h)
-        return super().__getitem__(h)
+        self.read.append((h, None))
+        read = self.read
+
+        class Recorded(list):
+            def __iter__(self):
+                for c in list.__iter__(self):
+                    read.append((h, c))
+                    yield c
+
+        return Recorded(super().__getitem__(h))
 
 
 @pytest.mark.parametrize("k", [1, 4, 8])
 def test_knn_row_sweeps_by_label_distance_and_stops_early(k):
+    """Replays each recorded sweep: hubs come in ascending label distance;
+    a hub is entered, and a list key read, only while the sweep's bound,
+    the k-th smallest key found so far (one per object), lies above it; the
+    sweep reads on until that bound stops it; and the row is the k smallest
+    keys found."""
     _, labels, obj = make_pa_instance(seed=5)
     knnlab = OfflineIndex(obj, labels, k).knn_backward
-    sources = [(p, i) for i, p in enumerate(obj.vertices)]
-    sources += [(v, -1) for v in range(0, labels.vertex_count, 7)]
+    m = knnlab.m
+    # objects ask for k + 1 as batch kNN does; other vertices for k
+    sources = [(p, k + 1) for p in obj.vertices]
+    sources += [(v, k) for v in range(0, labels.vertex_count, 7)]
     stopped = 0
-    for source, skip in sources:
+    for source, want in sources:
         lists = RecordingLists(knnlab.lists)
-        row = _knn_row(labels, source, skip, k, lists)
-        assert row == _knn_row(labels, source, skip, k, knnlab.lists)
-        label = dict(zip(labels.hubs[source], labels.dists[source]))
-        read = [label[h] for h in lists.read]
-        # ascending label distance, and no hub beyond the k-th distance
-        assert read == sorted(read)
-        assert all(d <= row[-1][1] for d in read)
-        stopped += len(read) < len(label)
+        row = _knn_row(labels, source, want, lists, m)
+        assert row == _knn_row(labels, source, want, knnlab.lists, m)
+        label = list(zip(labels.hubs[source], labels.dists[source]))
+        found = {}  # idx -> its smallest key read so far
+
+        def bound():
+            keys = sorted(found.values())
+            return keys[want - 1] if len(keys) >= want else INFINITY * m
+
+        reads = iter(lists.read + [(None, None)])
+        h, c = next(reads)
+        for hub, d in label:
+            if h != hub:  # the sweep stopped before this hub
+                assert d * m >= bound()
+                stopped += 1
+                break
+            assert d * m < bound()
+            h, c = next(reads)
+            keys = iter(knnlab.lists[hub])
+            for expected in keys:
+                assert (h, c) == (hub, expected)  # read in list order, none skipped
+                h, c = next(reads)
+                key = d * m + expected
+                if key >= bound():
+                    stopped += next(keys, None) is not None
+                    break  # and no key of this list is read after it
+                found[key % m] = min(found.get(key % m, key), key)
+        assert (h, c) == (None, None)  # nothing read out of the replayed order
+        assert row == [(c % m, c // m) for c in sorted(found.values())[:want]]
     assert stopped  # the stop rule was exercised
+
+
+@pytest.mark.parametrize(
+    "instance, k",
+    [("tree14", 1)] + [("pa", k) for k in (1, 8, 16)],
+)
+def test_batch_row_is_query_row_without_self(tree14_labels, tree14_objects, instance, k):
+    """Object i's batch row is the kNN query at its vertex for k + 1, less
+    a leading (i, 0); the query runs on an index built for k + 1. TREE14
+    holds 3 objects, so it runs at k=1 only."""
+    if instance == "tree14":
+        labels, obj = tree14_labels, tree14_objects
+    else:
+        _, labels, obj = make_pa_instance(seed=7)
+    rows = OfflineIndex(obj, labels, k).rows
+    wider = OfflineIndex(obj, labels, k + 1).knn_backward
+    for i, p in enumerate(obj.vertices):
+        assert [(i, 0)] + rows[i] == knn_query(wider, labels, p, k + 1)
 
 
 # --- substage 3: RkNN backward labels ---
@@ -283,7 +339,7 @@ def test_rknn_backward_matches_naive_filter():
 
 def test_offline_preprocess_assembles_all_tables(tree14_labels, tree14_objects):
     index = offline_preprocess(tree14_labels, tree14_objects, 1)
-    assert as_hub_dict(index.knn_backward.lists) == TREE14_KNN_BACKWARD_K1
+    assert as_hub_dict(knn_pairs(index.knn_backward)) == TREE14_KNN_BACKWARD_K1
     assert index.rows == TREE14_KNN_RESULTS_K1
     assert index.worst == [row[-1][1] for row in TREE14_KNN_RESULTS_K1]
     assert as_hub_dict(index.rknn_backward.lists) == TREE14_RKNN_BACKWARD_K1
@@ -357,7 +413,9 @@ def test_offline_values_compare_by_content_and_stay_unhashable(tree14, tree14_ob
     assert a.knn_backward.labels is not b.knn_backward.labels
     assert a.knn_backward == b.knn_backward
     unequal = build_pll_labels(Graph.from_edges([(0, 1)]))
-    assert KnnBackwardLabels(1, a.knn_backward.lists, unequal) == a.knn_backward
+    knn = a.knn_backward
+    assert KnnBackwardLabels(1, knn.m, knn.lists, unequal) == knn
+    assert KnnBackwardLabels(1, knn.m + 1, knn.lists, a_labels) != knn
     assert a.rows == b.rows
     assert a.rknn_backward == b.rknn_backward
     c = offline_preprocess(a_labels, tree14_objects, 2)
@@ -703,7 +761,7 @@ def test_sparse_regrouping_and_encoding_match_dense_references(pa1800, density, 
     m = len(objects)
     for k in (1, 8, 16):
         index = offline_preprocess(labels, objects, k)
-        assert index.knn_backward.lists == reference_by_hub(
+        assert knn_pairs(index.knn_backward) == reference_by_hub(
             labels, objects, [INFINITY] * m, [0] * m, k + 1
         )
         worst = index.worst
