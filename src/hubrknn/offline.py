@@ -20,9 +20,10 @@ Runs once per object set, in three substages:
    distance, so the pairs a query can use form a prefix of the list.
 
 Substages 1 and 3 share one regrouping (``_by_hub``); they differ only in
-the per-object distance bound, the sort offset and the cut. Apart from a
-few C-level passes over the per-hub lists, the offline work scales with the
-objects' label pairs, not with the vertex count.
+the per-object distance bound, the sort offset and the cut. Apart from
+making one empty list per hub and a few C-level passes over those lists,
+the offline work scales with the objects' label pairs, not with the vertex
+count.
 
 ``OfflineIndex(objects, labels, k)`` checks its inputs once and holds each
 substage as a lazy, read-only attribute (``knn_backward``, ``rows``,

@@ -116,8 +116,8 @@ def knn_query(
 
     The batch stage's sweep, which keeps a query placed on an object vertex:
     that object comes first, at distance 0. k may be anything up to the k
-    the backward labels were built for. ``labels`` must
-    be ``knn_backward.labels`` itself; any other is a ConfigError.
+    the backward labels were built for. ``labels`` must be
+    ``knn_backward.labels`` itself; any other is a ConfigError.
     """
     if labels is not knn_backward.labels:
         raise ConfigError("label set is not the one these kNN backward labels were built from")

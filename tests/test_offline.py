@@ -215,15 +215,12 @@ class RecordingLists(list):
 
     def __getitem__(self, h):
         self.read.append((h, None))
-        read = self.read
+        return self._recorded(h, super().__getitem__(h))
 
-        class Recorded(list):
-            def __iter__(self):
-                for c in list.__iter__(self):
-                    read.append((h, c))
-                    yield c
-
-        return Recorded(super().__getitem__(h))
+    def _recorded(self, h, keys):
+        for c in keys:
+            self.read.append((h, c))
+            yield c
 
 
 @pytest.mark.parametrize("k", [1, 4, 8])
