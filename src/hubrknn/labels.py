@@ -18,7 +18,8 @@ import io
 import struct
 import sys
 import zlib
-from itertools import accumulate
+from array import array
+from itertools import accumulate, chain
 from typing import IO, Iterable, Sequence
 
 from .errors import ConfigError, FormatError
@@ -268,14 +269,19 @@ def _label_walk(to_s: dict[int, int], hubs: list[int], dists: bytes, best: int) 
 def save_labels(labels: LabelSet, sink: IO[bytes]) -> None:
     """Serialize to the binary label format (see README), in one write, and
     record the file's CRC as the labels' checksum."""
-    pack = _PAIR.pack
-    n = labels.vertex_count
-    crc = labels.edge_list_crc
+    n, crc = labels.vertex_count, labels.edge_list_crc
+    hubs = array("I", chain.from_iterable(labels.hubs))
+    if sys.byteorder == "big":
+        hubs.byteswap()
+    hub_bytes = hubs.tobytes()
     body = bytearray(_HEAD.pack(n, _UNBOUND if crc is None else crc))
     body += struct.pack(f"<{n}Q", *labels.raw_ids)
     body += struct.pack(f"<{n}I", *map(len, labels.hubs))  # the counts column
-    for hv, dv in zip(labels.hubs, labels.dists):
-        body += b"".join(map(pack, hv, dv))  # one label's pairs live at a time
+    at = len(body)
+    body += bytes(_PAIR.size * len(hubs))
+    for j in range(4):  # a pair: its hub's four little-endian bytes, then its distance
+        body[at + j::5] = hub_bytes[j::4]
+    body[at + 4::5] = b"".join(labels.dists)
     data = _seal(_MAGIC, _VERSION, body)
     (labels._crc,) = _U32.unpack_from(data, len(data) - _U32.size)
     sink.write(data)

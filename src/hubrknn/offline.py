@@ -11,8 +11,9 @@ Runs once per object set, in three substages:
    over those per-hub lists (batch kNN): the object's k+1 nearest, less the
    first, itself at key ``idx``. The sweep visits the object's label in
    ascending label distance and stops at the first hub, and in a list at
-   the first key, not below the current k-th key; kNN queries use the same
-   sweep.
+   the first key, not below the current k-th key; it does not enter a
+   list whose first key (``first``) is already not below it. kNN queries
+   use the same sweep.
 3. Regroup the objects' forward labels by hub again, dropping every pair
    whose distance exceeds that object's k-th-neighbor distance (RkNN
    backward labels). That filter is what keeps online queries cheap. Each
@@ -20,29 +21,30 @@ Runs once per object set, in three substages:
    distance, so the pairs a query can use form a prefix of the list.
 
 Substages 1 and 3 share one regrouping (``_by_hub``); they differ only in
-the per-object distance bound, the sort offset and the cut. Apart from
-making one empty list per hub and a few C-level passes over those lists,
-the offline work scales with the objects' label pairs, not with the vertex
-count.
+the per-object distance bound, the sort offset and the cut. Labels are
+distance-major, so the pairs within an object's bound are a prefix of its
+label, cut by one bisect. Apart from making one empty list per hub and a
+few C-level passes over those lists, the offline work scales with the
+objects' label pairs, not with the vertex count.
 
 ``OfflineIndex(objects, labels, k)`` checks its inputs once and holds each
-substage as a lazy, read-only attribute (``knn_backward``, ``rows``,
-``rknn_backward`` with its per-hub ``lim``), built from the labels on first
-access. ``offline_preprocess`` reads the three in order and times them. The
-index file stores only the objects and each one's k-th nearest neighbor
-(``kth``), the one kNN-row entry queries read, sealed like a label file and
-naming its labels by their checksum; ``load_index`` hands the index the
-``kth`` it read, so a one-shot answer (``online.object_distances``) builds
-no kNN row and no per-hub list.
+substage as a lazy, read-only attribute (``knn_backward`` with its per-hub
+``first``, ``rows``, ``rknn_backward`` with its per-hub ``lim`` and
+``lens``), built from the labels on first access. ``offline_preprocess``
+reads the three in order and times them. The index file stores only the
+objects and each one's k-th nearest neighbor (``kth``), the one kNN-row
+entry queries read, sealed like a label file and naming its labels by their
+checksum; ``load_index`` hands the index the ``kth`` it read, so a one-shot
+answer (``online.object_distances``) builds no kNN row and no per-hub list.
 """
 
 from __future__ import annotations
 
 import struct
 import time
-from bisect import insort
+from bisect import bisect_right, insort
 from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
 from typing import IO
 
 from .errors import ConfigError, FormatError
@@ -77,19 +79,21 @@ class ObjectSet:
 
 class KnnBackwardLabels:
     """Per-hub lists of the k+1 nearest object pairs, each pair (idx, dist)
-    as the int key ``dist * m + idx`` for m objects.
+    as the int key ``dist * m + idx`` for m objects; ``first[h]`` is hub h's
+    first key, ``INFINITY * m`` for an empty list.
 
     ``labels`` is the label set the lists were built from, the only one
     ``knn_query`` accepts with them; equality compares ``k``, ``m`` and the
     lists.
     """
 
-    __slots__ = ("k", "m", "lists", "labels")
+    __slots__ = ("k", "m", "lists", "first", "labels")
 
-    def __init__(self, k: int, m: int, lists: list[list[int]], labels: LabelSet):
+    def __init__(self, k: int, m: int, lists: list[list[int]], first: list[int], labels: LabelSet):
         self.k = k
         self.m = m
         self.lists = lists  # hub -> keys, ascending, so by (dist, idx)
+        self.first = first
         self.labels = labels
 
     def __eq__(self, other: object) -> bool:
@@ -103,16 +107,17 @@ class KnnBackwardLabels:
 
 class RknnBackwardLabels:
     """Per-hub (objectIndex, dist) pairs surviving the k-th-neighbor filter,
-    and each hub's ``lim``; equality compares the lists."""
+    each hub's ``lim`` and list length ``lens``; equality compares the lists."""
 
-    __slots__ = ("lists", "lim", "total_pairs")
+    __slots__ = ("lists", "lim", "lens", "total_pairs")
 
     def __init__(self, lists: list[list[tuple[int, int]]], lim: list[int]):
         # hub -> [(idx, dist)] ascending by (dist - worst[idx], idx), where
         # worst[idx] is object idx's k-th-neighbor distance
         self.lists = lists
         self.lim = lim  # hub -> worst[i0] - d0 of its first pair (i0, d0); -1 if none
-        self.total_pairs = sum(map(len, lists))
+        self.lens = list(map(len, lists))  # hub -> its list's length
+        self.total_pairs = sum(self.lens)
 
     def __eq__(self, other: object) -> bool:
         return self.lists == other.lists if type(other) is RknnBackwardLabels else NotImplemented
@@ -176,8 +181,11 @@ class OfflineIndex:
     def knn_backward(self) -> KnnBackwardLabels:
         """Substage 1: k+1 nearest object pairs per hub, ties by object index."""
         m = len(self.objects)
-        lists, _ = _by_hub(self.labels, self.objects, [INFINITY] * m, [0] * m, self.k + 1)
-        return KnnBackwardLabels(self.k, m, lists, self.labels)
+        lists, touched = _by_hub(self.labels, self.objects, [INFINITY] * m, [0] * m, self.k + 1)
+        first = [INFINITY * m] * len(lists)
+        for h in touched:
+            first[h] = lists[h][0]
+        return KnnBackwardLabels(self.k, m, lists, first, self.labels)
 
     @cached_property
     def rows(self) -> list[list[tuple[int, int]]]:
@@ -186,7 +194,7 @@ class OfflineIndex:
         labels, k, knn = self.labels, self.k, self.knn_backward
 
         def row(i: int, p: int) -> list[tuple[int, int]]:
-            result = _knn_row(labels, p, k + 1, knn.lists, knn.m)[1:]
+            result = _knn_row(labels, p, k + 1, knn)[1:]
             if len(result) < k:
                 raise ConfigError(
                     f"object {i} reaches only {len(result)} of {k} required neighbors"
@@ -214,18 +222,18 @@ class OfflineIndex:
         slack is <= -d, so the online sweep stops at the first pair that fails,
         and skips the hub unless d <= ``lim[h]``, minus its first pair's slack.
         """
-        worst, m = self.worst, len(self.objects)
+        labels, worst, m = self.labels, self.worst, len(self.objects)
         top = max(worst)
-        lists, touched = _by_hub(self.labels, self.objects, worst, [top - w for w in worst])
-        # Every hub shares one (idx, dist) tuple per distinct key, and each
-        # hub gets a fresh list of them: an object has few distinct
+        lists, touched = _by_hub(labels, self.objects, worst, [top - w for w in worst])
+        # Every hub shares one (idx, dist) tuple per distinct key, ``pair[key]``,
+        # and each hub gets a fresh list of them: an object has few distinct
         # distances, so the lists point into a small set of tuples that stays
         # in cache during the online sweep. One tuple per pair, and the key
         # lists refilled in place, each measured slower to query.
-        pair = {
-            c: (c % m, c // m + worst[c % m] - top)
-            for c in set(chain.from_iterable(map(lists.__getitem__, touched)))
-        }
+        pair = [None] * ((top + 1) * m)
+        for i, (p, w) in enumerate(zip(self.objects.vertices, worst)):
+            for d in range(min(w, labels.dists[p][-1]) + 1):
+                pair[(d + top - w) * m + i] = (i, d)
         lim = [-1] * len(lists)
         for h in touched:
             keys = lists[h]
@@ -247,21 +255,20 @@ def _by_hub(
     """The objects' label pairs regrouped by hub, as int keys; substages 1
     and 3.
 
-    Object i's pair (h, d) goes to hub h iff d <= bound[i], as the key
-    ``(d + offset[i]) * m + i`` (offsets >= 0), so a hub's keys sort by
-    (d + offset[i], i). Each hub's list is sorted and cut to its first
-    ``keep`` keys. Also returns the hubs with a key: only those are sorted
-    and cut, so the Python work follows the object pairs, not the vertex
-    count.
+    Object i's pairs (h, d) with d <= bound[i], a prefix of its
+    distance-major label, go to their hubs as the keys ``(d + offset[i]) *
+    m + i`` (offsets >= 0), so a hub's keys sort by (d + offset[i], i).
+    Each hub's list is sorted and cut to its first ``keep`` keys. Also
+    returns the hubs with a key: only those are sorted and cut, so the
+    Python work follows the object pairs, not the vertex count.
     """
     m = len(objects)
     lists: list[list[int]] = [[] for _ in range(labels.vertex_count)]
     for i, p in enumerate(objects.vertices):
-        b = bound[i]
+        dists = labels.dists[p]
         base = offset[i] * m + i
-        for h, d in zip(labels.hubs[p], labels.dists[p]):
-            if d <= b:
-                lists[h].append(d * m + base)
+        for h, d in zip(labels.hubs[p], dists[:bisect_right(dists, bound[i])]):
+            lists[h].append(d * m + base)
     touched = list(compress(range(len(lists)), lists))  # hubs with a key, at C level
     for h in touched:
         keys = lists[h]
@@ -272,7 +279,7 @@ def _by_hub(
 
 
 def _knn_row(
-    labels: LabelSet, source: int, k: int, knn_lists: list[list[int]], m: int
+    labels: LabelSet, source: int, k: int, knn: KnnBackwardLabels
 ) -> list[tuple[int, int]]:
     """One bounded one-to-many sweep; shared by batch kNN and kNN queries.
 
@@ -285,8 +292,10 @@ def _knn_row(
     key: every key of that hub and of all later ones is at least that
     large, so none can enter or improve the row. A list ascends too, so its
     sweep stops at its first key >= the k-th key, which at equality is the
-    k-th entry itself.
+    k-th entry itself, and a hub whose ``d * m + knn.first[h]`` (its list's
+    head, ``INFINITY * m`` if empty) reaches the k-th key is not entered.
     """
+    knn_lists, first, m = knn.lists, knn.first, knn.m
     best: list[int] = []  # keys, ascending, at most k
     found: dict[int, int] = {}  # idx -> its key in best
     bound = INFINITY * m  # best[-1] once best holds k keys; above any key before
@@ -294,6 +303,8 @@ def _knn_row(
         base = d * m
         if base >= bound:
             break  # label distances ascend; no later hub can reach the row
+        if base + first[h] >= bound:
+            continue  # the list's first key already reaches the row's bound
         for c in knn_lists[h]:
             key = base + c
             if key >= bound:

@@ -8,8 +8,9 @@ minus the object's k-th-neighbor distance), so the sweep of a list stops at
 the first pair that does not qualify: every later pair fails too. The first
 pair therefore decides whether a list can yield anything, and the sweep
 skips hub h, without entering its list, when q reaches it at a label
-distance d > ``index.lim[h]`` (minus the first pair's slack; -1 for a hub
-with no pair).
+distance d > ``lim[h]`` (minus the first pair's slack; -1 for a hub with
+no pair). A kNN query passes a hub the same way when its list's first key
+(``knn_backward.first[h]``) cannot enter the row.
 
 A process that answers once (the CLI) walks the objects' own labels instead
 (``object_distances``): building the backward lists costs far more.
@@ -27,9 +28,9 @@ class RknnAnswer:
 
     ``pairs_scanned`` counts the pairs in the RkNN lists of q's label hubs,
     whether or not the sweep entered them, which is what the online cost
-    model is stated in. It is not the number of pairs examined: the sweep
-    skips a hub whose first pair fails and stops a list at its first pair
-    that fails.
+    model is stated in: the sum of their ``rknn_backward.lens``. It is not
+    the number of pairs examined: the sweep skips a hub whose first pair
+    fails and stops a list at its first pair that fails.
     """
 
     __slots__ = ("distances", "pairs_scanned")
@@ -83,6 +84,7 @@ def object_distances(index: OfflineIndex, q: int, bound: list[int] | None = None
 def rknn_query(index: OfflineIndex, labels: LabelSet, q: int) -> RknnAnswer:
     """All objects having q among their k nearest objects, with distances.
 
+    ``pairs_scanned`` is one C-level sum of ``rknn_backward.lens`` over q's hubs.
     ``labels`` must be ``index.labels`` itself; any other is a ConfigError.
     """
     if labels is not index.labels:
@@ -91,8 +93,8 @@ def rknn_query(index: OfflineIndex, labels: LabelSet, q: int) -> RknnAnswer:
 
     out = [INFINITY] * len(index.objects)
     worst = index.worst
-    rknn_lists = index.rknn_backward.lists
-    lim = index.lim
+    rknn = index.rknn_backward
+    rknn_lists, lim = rknn.lists, index.lim
     hubs = labels.hubs[q]
     for h, d in zip(hubs, labels.dists[q]):
         if d > lim[h]:
@@ -103,7 +105,7 @@ def rknn_query(index: OfflineIndex, labels: LabelSet, q: int) -> RknnAnswer:
                 break  # slack order: no later pair of this list qualifies
             if d2 < out[idx]:
                 out[idx] = d2
-    return RknnAnswer(out, sum(map(len, map(rknn_lists.__getitem__, hubs))))
+    return RknnAnswer(out, sum(map(rknn.lens.__getitem__, hubs)))
 
 
 def knn_query(
@@ -123,4 +125,4 @@ def knn_query(
         raise ConfigError("label set is not the one these kNN backward labels were built from")
     _check_vertex(labels, q)
     _check_k(k, knn_backward.k)
-    return _knn_row(labels, q, k, knn_backward.lists, knn_backward.m)
+    return _knn_row(labels, q, k, knn_backward)

@@ -26,6 +26,7 @@ from hubrknn import (
     parse_edge_list,
     save_labels,
 )
+from hubrknn.labels import _PAIR
 
 from fixtures import TREE14_LABELS, TREE14_TEXT, TREE14_TOTAL_PAIRS, label_pairs
 from graphgen import preferential_attachment_graph, random_connected_graph
@@ -617,6 +618,56 @@ def test_roundtrip_random_labelsets_byte_identical(seed):
     again = io.BytesIO()
     save_labels(load_labels(io.BytesIO(data)), again)
     assert again.getvalue() == data
+
+
+def reference_save_labels(labels):
+    """The v4 label file written field by field, each pair by
+    ``_PAIR.pack``, its checksum by zlib.crc32."""
+    crc = labels.edge_list_crc
+    fields = [b"RHUB\x04", struct.pack("<QQ", labels.vertex_count, 1 << 32 if crc is None else crc)]
+    fields += [struct.pack("<Q", r) for r in labels.raw_ids]
+    fields += [struct.pack("<I", len(hv)) for hv in labels.hubs]
+    fields += [
+        _PAIR.pack(h, d) for hv, dv in zip(labels.hubs, labels.dists) for h, d in zip(hv, dv)
+    ]
+    data = b"".join(fields)
+    return data + struct.pack("<I", zlib.crc32(data))
+
+
+# hub IDs that fill one byte, and ones that fill all four
+_HUB = st.one_of(st.integers(0, 255), st.integers(2**24, 2**32 - 1))
+_LABEL = st.lists(st.tuples(_HUB, st.integers(0, MAX_DIST)), min_size=1, max_size=6)
+
+
+@given(st.lists(_LABEL, min_size=1, max_size=6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_save_labels_writes_the_per_pair_encoders_bytes(pairs, data):
+    """Any hub ID that fits a u32, any distance byte, u64 raw IDs and
+    either edge-list CRC field are written as the per-pair encoder writes
+    them."""
+    n = len(pairs)
+    raw_ids = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
+    crc = data.draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    labels = LabelSet(
+        [[h for h, _ in label] for label in pairs],
+        [bytes(d for _, d in label) for label in pairs],
+        raw_ids,
+        crc,
+    )
+    assert _saved(labels) == reference_save_labels(labels)
+
+
+def test_save_labels_writes_the_per_pair_encoders_bytes_on_seeded_sets(tree14_labels):
+    """A built label set, and a seeded one whose every hub ID fills all
+    four bytes."""
+    rng = random.Random(28)
+    sizes = [rng.randint(1, 9) for _ in range(40)]
+    wide = LabelSet(
+        [[rng.randrange(2**24, 2**32) for _ in range(s)] for s in sizes],
+        [bytes(rng.randrange(MAX_DIST + 1) for _ in range(s)) for s in sizes],
+    )
+    for labels in (tree14_labels, wide):
+        assert _saved(labels) == reference_save_labels(labels)
 
 
 def test_disconnected_pair_reports_infinity():

@@ -226,21 +226,24 @@ class RecordingLists(list):
 @pytest.mark.parametrize("k", [1, 4, 8])
 def test_knn_row_sweeps_by_label_distance_and_stops_early(k):
     """Replays each recorded sweep: hubs come in ascending label distance;
-    a hub is entered, and a list key read, only while the sweep's bound,
-    the k-th smallest key found so far (one per object), lies above it; the
-    sweep reads on until that bound stops it; and the row is the k smallest
-    keys found."""
+    a hub's list is entered exactly when its label distance times m plus
+    the list's first key (INFINITY * m for an empty list) lies below the
+    sweep's bound, the k-th smallest key found so far (one per object), and
+    a list key is read only while that bound lies above it; the sweep reads
+    on until that bound stops it; and the row is the k smallest keys
+    found."""
     _, labels, obj = make_pa_instance(seed=5)
     knnlab = OfflineIndex(obj, labels, k).knn_backward
     m = knnlab.m
     # objects ask for k + 1 as batch kNN does; other vertices for k
     sources = [(p, k + 1) for p in obj.vertices]
     sources += [(v, k) for v in range(0, labels.vertex_count, 7)]
-    stopped = 0
+    stopped = skipped = 0
     for source, want in sources:
         lists = RecordingLists(knnlab.lists)
-        row = _knn_row(labels, source, want, lists, m)
-        assert row == _knn_row(labels, source, want, knnlab.lists, m)
+        recorded = KnnBackwardLabels(k, m, lists, knnlab.first, labels)
+        row = _knn_row(labels, source, want, recorded)
+        assert row == _knn_row(labels, source, want, knnlab)
         label = list(zip(labels.hubs[source], labels.dists[source]))
         found = {}  # idx -> its smallest key read so far
 
@@ -251,11 +254,14 @@ def test_knn_row_sweeps_by_label_distance_and_stops_early(k):
         reads = iter(lists.read + [(None, None)])
         h, c = next(reads)
         for hub, d in label:
-            if h != hub:  # the sweep stopped before this hub
-                assert d * m >= bound()
-                stopped += 1
-                break
-            assert d * m < bound()
+            head = knnlab.lists[hub][0] if knnlab.lists[hub] else INFINITY * m
+            assert (h == hub) == (d * m + head < bound())
+            if h != hub:
+                if d * m >= bound():  # the sweep stopped before this hub
+                    stopped += 1
+                    break
+                skipped += 1  # passed by its head, its list not entered
+                continue
             h, c = next(reads)
             keys = iter(knnlab.lists[hub])
             for expected in keys:
@@ -268,7 +274,7 @@ def test_knn_row_sweeps_by_label_distance_and_stops_early(k):
                 found[key % m] = min(found.get(key % m, key), key)
         assert (h, c) == (None, None)  # nothing read out of the replayed order
         assert row == [(c % m, c // m) for c in sorted(found.values())[:want]]
-    assert stopped  # the stop rule was exercised
+    assert stopped and skipped  # the stop rule and the head test were exercised
 
 
 @pytest.mark.parametrize(
@@ -329,6 +335,35 @@ def test_rknn_backward_matches_naive_filter():
     for lst in rknn.lists:
         keys = [(d - worst[i], i) for i, d in lst]
         assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize(
+    "instance, k",
+    [("tree14", 1)] + [("pa", k) for k in (1, 8, 16)],
+)
+def test_list_heads_match_their_lists(tree14_labels, tree14_objects, instance, k):
+    """On a built index and on one loaded over its objects' labels alone,
+    ``first[h]`` is hub h's first kNN key, or INFINITY * m for an empty
+    list; ``lens`` are the RkNN lists' lengths and ``total_pairs`` their
+    sum."""
+    if instance == "tree14":
+        labels, obj = tree14_labels, tree14_objects
+    else:
+        _, labels, obj = make_pa_instance(seed=28)
+    built = offline_preprocess(labels, obj, k)
+    label_file = io.BytesIO()
+    save_labels(labels, label_file)
+    part = load_labels(io.BytesIO(label_file.getvalue()), obj.vertices)
+    loaded = load_index(io.BytesIO(_index_bytes(built)), part)
+    for index in (built, loaded):
+        knn = index.knn_backward
+        assert knn.first == [lst[0] if lst else INFINITY * knn.m for lst in knn.lists]
+        assert any(knn.lists) and not all(knn.lists)  # both kinds of head occur
+        rknn = index.rknn_backward
+        assert rknn.lens == list(map(len, rknn.lists))
+        assert rknn.total_pairs == sum(rknn.lens)
+    assert loaded.knn_backward == built.knn_backward
+    assert loaded.rknn_backward == built.rknn_backward
 
 
 # --- composition ---
@@ -411,8 +446,8 @@ def test_offline_values_compare_by_content_and_stay_unhashable(tree14, tree14_ob
     assert a.knn_backward == b.knn_backward
     unequal = build_pll_labels(Graph.from_edges([(0, 1)]))
     knn = a.knn_backward
-    assert KnnBackwardLabels(1, knn.m, knn.lists, unequal) == knn
-    assert KnnBackwardLabels(1, knn.m + 1, knn.lists, a_labels) != knn
+    assert KnnBackwardLabels(1, knn.m, knn.lists, knn.first, unequal) == knn
+    assert KnnBackwardLabels(1, knn.m + 1, knn.lists, knn.first, a_labels) != knn
     assert a.rows == b.rows
     assert a.rknn_backward == b.rknn_backward
     c = offline_preprocess(a_labels, tree14_objects, 2)

@@ -217,8 +217,7 @@ def test_knn_rejects_mismatched_labels(tree14_labels, tree14_objects):
     # the sweep itself cannot tell: it answers wrongly for 9 of 14 vertices
     wrong = [
         q for q in range(14)
-        if _knn_row(shifted, q, 1, knnlab.lists, knnlab.m)
-        != _knn_row(tree14_labels, q, 1, knnlab.lists, knnlab.m)
+        if _knn_row(shifted, q, 1, knnlab) != _knn_row(tree14_labels, q, 1, knnlab)
     ]
     assert len(wrong) == 9
     # an equal copy is still not the LabelSet the lists were built from
