@@ -20,11 +20,11 @@ Runs once per object set, in three substages:
    hub's pairs are ordered by slack, distance minus that k-th-neighbor
    distance, so the pairs a query can use form a prefix of the list.
 
-Substages 1 and 3 share one regrouping (``_by_hub``); they differ only in
-the per-object distance bound, the sort offset and the cut. Labels are
-distance-major, so the pairs within an object's bound are a prefix of its
-label, cut by one bisect. Apart from making one empty list per hub and a
-few C-level passes over those lists, the offline work scales with the
+Substages 1 and 3 share one regrouping (``_by_hub``) of each object's
+(object, distance) blocks, one shared item per block appended to its hubs
+in bucket order, so no list is sorted; they differ in the distance bound,
+the bucket offset and the item. Apart from making one empty list per hub
+and a few C-level passes over those lists, the offline work scales with the
 objects' label pairs, not with the vertex count.
 
 ``OfflineIndex(objects, labels, k)`` checks its inputs once and holds each
@@ -43,9 +43,10 @@ from __future__ import annotations
 import struct
 import time
 from bisect import bisect_right, insort
+from collections import defaultdict
 from functools import cached_property
 from itertools import compress
-from typing import IO
+from typing import IO, Callable
 
 from .errors import ConfigError, FormatError
 from .labels import _PAIR, _U32, INFINITY, LabelSet, _seal, _unseal, hl_distance
@@ -179,11 +180,14 @@ class OfflineIndex:
 
     @cached_property
     def knn_backward(self) -> KnnBackwardLabels:
-        """Substage 1: k+1 nearest object pairs per hub, ties by object index."""
-        m = len(self.objects)
-        lists, touched = _by_hub(self.labels, self.objects, [INFINITY] * m, [0] * m, self.k + 1)
+        """Substage 1: k+1 nearest object pairs per hub, ties by object index;
+        the blocks' keys ``d * m + i`` arrive in order, so lists are only cut."""
+        m, keep = len(self.objects), self.k + 1
+        lists, touched = _by_hub(self.labels, self.objects, [INFINITY] * m, [0] * m,
+                                 lambda i, d: d * m + i)
         first = [INFINITY * m] * len(lists)
         for h in touched:
+            del lists[h][keep:]
             first[h] = lists[h][0]
         return KnnBackwardLabels(self.k, m, lists, first, self.labels)
 
@@ -217,28 +221,22 @@ class OfflineIndex:
         """Substage 3: the objects' label pairs regrouped by hub, filtered by
         ``worst``, each object's k-th-neighbor distance.
 
-        Each hub's list is ordered by slack ``dist - worst[idx]``, ties by
-        index. A query reaching the hub at distance d can use a pair iff its
-        slack is <= -d, so the online sweep stops at the first pair that fails,
+        Each hub's list is ordered by slack ``dist - worst[idx]`` (the bucket),
+        ties by index. A query reaching the hub at distance d can use a pair iff
+        its slack is <= -d, so the online sweep stops at the first pair that fails,
         and skips the hub unless d <= ``lim[h]``, minus its first pair's slack.
         """
-        labels, worst, m = self.labels, self.worst, len(self.objects)
-        top = max(worst)
-        lists, touched = _by_hub(labels, self.objects, worst, [top - w for w in worst])
-        # Every hub shares one (idx, dist) tuple per distinct key, ``pair[key]``,
-        # and each hub gets a fresh list of them: an object has few distinct
-        # distances, so the lists point into a small set of tuples that stays
-        # in cache during the online sweep. One tuple per pair, and the key
-        # lists refilled in place, each measured slower to query.
-        pair = [None] * ((top + 1) * m)
-        for i, (p, w) in enumerate(zip(self.objects.vertices, worst)):
-            for d in range(min(w, labels.dists[p][-1]) + 1):
-                pair[(d + top - w) * m + i] = (i, d)
+        worst = self.worst
+        # One (idx, dist) tuple per block, shared by the block's hubs: an
+        # object has few distinct distances, so the lists point into a small
+        # set of tuples that stays in cache during the online sweep. One
+        # tuple per pair measured slower to query.
+        lists, touched = _by_hub(self.labels, self.objects, worst, [-w for w in worst],
+                                 lambda i, d: (i, d))
         lim = [-1] * len(lists)
         for h in touched:
-            keys = lists[h]
-            lim[h] = top - keys[0] // m
-            lists[h] = list(map(pair.__getitem__, keys))
+            i0, d0 = lists[h][0]
+            lim[h] = worst[i0] - d0
         return RknnBackwardLabels(lists, lim)
 
     @cached_property
@@ -250,32 +248,33 @@ class OfflineIndex:
 
 def _by_hub(
     labels: LabelSet, objects: ObjectSet, bound: list[int], offset: list[int],
-    keep: int | None = None,
-) -> tuple[list[list[int]], list[int]]:
-    """The objects' label pairs regrouped by hub, as int keys; substages 1
-    and 3.
+    item: Callable[[int, int], object],
+) -> tuple[list[list[object]], list[int]]:
+    """The objects' label pairs regrouped by hub; substages 1 and 3.
 
-    Object i's pairs (h, d) with d <= bound[i], a prefix of its
-    distance-major label, go to their hubs as the keys ``(d + offset[i]) *
-    m + i`` (offsets >= 0), so a hub's keys sort by (d + offset[i], i).
-    Each hub's list is sorted and cut to its first ``keep`` keys. Also
-    returns the hubs with a key: only those are sorted and cut, so the
-    Python work follows the object pairs, not the vertex count.
+    Labels are distance-major, so object i's pairs at one distance d are a
+    block, found with one bisect, and those with d <= bound[i] a prefix of
+    blocks. Walking the objects in index order, each block's one ``item(i,
+    d)`` goes into the bucket ``d + offset[i]``; the buckets are then
+    appended to the blocks' hubs in ascending order, so each hub's list
+    comes out in (d + offset[i], i) order with no sort. Also returns the
+    hubs with an item: the Python work follows the object pairs.
     """
-    m = len(objects)
-    lists: list[list[int]] = [[] for _ in range(labels.vertex_count)]
+    buckets: defaultdict[int, list] = defaultdict(list)  # d + offset[i] -> [(item, hubs)]
     for i, p in enumerate(objects.vertices):
-        dists = labels.dists[p]
-        base = offset[i] * m + i
-        for h, d in zip(labels.hubs[p], dists[:bisect_right(dists, bound[i])]):
-            lists[h].append(d * m + base)
-    touched = list(compress(range(len(lists)), lists))  # hubs with a key, at C level
-    for h in touched:
-        keys = lists[h]
-        keys.sort()
-        if keep is not None:
-            del keys[keep:]
-    return lists, touched
+        label, ds = labels.hubs[p], labels.dists[p]
+        at, end, shift = 0, bisect_right(ds, bound[i]), offset[i]
+        while at < end:
+            d = ds[at]
+            stop = bisect_right(ds, d, at, end)
+            buckets[d + shift].append((item(i, d), label[at:stop]))
+            at = stop
+    lists: list[list[object]] = [[] for _ in range(labels.vertex_count)]
+    for s in sorted(buckets):
+        for it, block in buckets[s]:
+            for h in block:
+                lists[h].append(it)
+    return lists, list(compress(range(len(lists)), lists))  # hubs with an item, at C level
 
 
 def _knn_row(

@@ -780,6 +780,27 @@ def pa1800():
     return g, build_pll_labels(g)
 
 
+def _assert_regroupings_match_references(labels, objects):
+    """Substages 1 and 3, on the built index and on one loaded from its
+    file, and the index bytes equal the dense references at k 1, 8, 16;
+    returns the last built index."""
+    m = len(objects)
+    for k in (1, 8, 16):
+        index = offline_preprocess(labels, objects, k)
+        data = _index_bytes(index)
+        assert data == reference_save_index(index)
+        loaded = load_index(io.BytesIO(data), labels)
+        for built in (index, loaded):
+            assert knn_pairs(built.knn_backward) == reference_by_hub(
+                labels, objects, [INFINITY] * m, [0] * m, k + 1
+            )
+            worst = built.worst
+            assert built.rknn_backward.lists == reference_by_hub(
+                labels, objects, worst, [-w for w in worst]
+            )
+    return index
+
+
 @pytest.mark.parametrize("density", [0.2, 0.05, 0.01])
 @pytest.mark.parametrize("ball", [1.0, 0.3])
 def test_sparse_regrouping_and_encoding_match_dense_references(pa1800, density, ball):
@@ -790,23 +811,35 @@ def test_sparse_regrouping_and_encoding_match_dense_references(pa1800, density, 
         objects = generate_random_objects(g, density, seed)
     else:
         objects = generate_ball_objects(g, density, ball, seed)
-    m = len(objects)
-    for k in (1, 8, 16):
-        index = offline_preprocess(labels, objects, k)
-        assert knn_pairs(index.knn_backward) == reference_by_hub(
-            labels, objects, [INFINITY] * m, [0] * m, k + 1
-        )
-        worst = index.worst
-        assert index.rknn_backward.lists == reference_by_hub(
-            labels, objects, worst, [-w for w in worst]
-        )
-        data = _index_bytes(index)
-        assert data == reference_save_index(index)
-        loaded = load_index(io.BytesIO(data), labels)
-        assert loaded.rknn_backward == index.rknn_backward
+    index = _assert_regroupings_match_references(labels, objects)
     # few objects leave most hubs without a pair
     if density == 0.01:
         assert sum(not lst for lst in index.rknn_backward.lists) > g.vertex_count // 2
+
+
+def _grid(rows, cols):
+    return Graph.from_edges(
+        [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+        + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    )
+
+
+@pytest.mark.parametrize("shape", ["path256", "grid20x30"])
+def test_regrouping_matches_dense_references_off_pa_shapes(shape):
+    """The shapes PA labels never produce: on a 256-vertex path every label
+    distance holds one hub, so each (object, distance) block is one pair;
+    a 20x30 grid spreads its labels over tens of distances, so the
+    regroupings fill many buckets."""
+    if shape == "path256":
+        labels = build_pll_labels(Graph.from_edges([(v, v + 1) for v in range(255)]))
+        objects = ObjectSet(tuple(range(256)))
+        assert all(len(set(ds)) == len(ds) for ds in labels.dists)
+    else:
+        g = _grid(20, 30)
+        labels = build_pll_labels(g)
+        objects = generate_random_objects(g, 0.2, 30)
+        assert len(set().union(*map(labels.dists.__getitem__, objects.vertices))) > 30
+    _assert_regroupings_match_references(labels, objects)
 
 
 # --- object file parsing ---
