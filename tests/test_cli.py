@@ -1,9 +1,11 @@
 """End-to-end CLI runs over temp files: the full build/preprocess/query flow."""
 
+import hashlib
 import io
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import zlib
@@ -17,6 +19,7 @@ from hubrknn.graph import _CHUNK
 
 from fixtures import TREE14_EDGES, TREE14_TEXT
 from graphgen import preferential_attachment_graph
+from test_criterion import SHAPES
 
 
 @pytest.fixture()
@@ -872,3 +875,41 @@ def test_raw_ids_up_to_u64_max_answer_and_wider_ones_fail_at_build(workspace, ca
     code, out, err = _run(capsys, build)
     assert (code, out) == (2, "")
     assert err == f"hubrknn: raw vertex ID {2**64} does not fit the label file's u64\n"
+
+
+CLI_VERTICES = (0, 17, 1234, 2999)  # raw query vertices of the criterion graph
+CLI_STDOUT_SHA256 = "b1583efbdbef5e4ca614b6d6cb951ad3d4ce89437c77714f2a0ac4da841f0890"
+_TIMED_LINE = re.compile(r"^(build_seconds|\w+_ms)\t.*$", re.M)
+
+
+def test_cli_stdout_on_the_criterion_graph_is_pinned(tmp_path, capsys, pa3k):
+    """One sha256 over the stdout of ``build`` on PA 3000/12 (seed 1234),
+    ``preprocess`` of both object sets of ``test_criterion.SHAPES``, then
+    ``query``, ``query --all``, ``knn`` and ``knn --k 1`` on each index at
+    four vertices, and ``stats --index``. The timing lines are masked."""
+    edges = tmp_path / "pa3k.txt"
+    edges.write_text("".join(
+        f"{pa3k.raw_ids[v]} {pa3k.raw_ids[w]}\n"
+        for v in range(pa3k.vertex_count) for w in pa3k.adjacency[v] if v < w
+    ))
+    graph, labels = ["--graph", str(edges)], ["--labels", str(tmp_path / "pa3k.labels")]
+    runs = [["build", *graph, "--out", labels[1]]]
+    for name, (m, k, seed) in sorted(SHAPES.items()):
+        objects, index = tmp_path / f"{name}.txt", str(tmp_path / f"{name}.index")
+        sample = random.Random(seed).sample(range(pa3k.vertex_count), m)
+        objects.write_text("".join(f"{pa3k.raw_ids[v]}\n" for v in sample))
+        runs.append(["preprocess", *graph, *labels, "--objects", str(objects),
+                     "--k", str(k), "--out", index])
+        files = [*graph, *labels, "--index", index]
+        for vertex in CLI_VERTICES:
+            at = ["--vertex", str(vertex)]
+            runs += [["query", *files, *at], ["query", *files, *at, "--all"],
+                     ["knn", *files, *at], ["knn", *files, *at, "--k", "1"]]
+        runs.append(["stats", *files])
+    outs = []
+    for argv in runs:
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        outs.append(_TIMED_LINE.sub(r"\1\t-", out))
+    assert outs[0].startswith(f"vertices\t{pa3k.vertex_count}\n")
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == CLI_STDOUT_SHA256
