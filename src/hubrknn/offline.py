@@ -7,13 +7,13 @@ Runs once per object set, in three substages:
    key ``dist * m + idx`` (m objects), so a hub's ascending keys are its
    pairs in (dist, idx) order. Capacity is k+1, not k, because an object is
    by definition its own nearest neighbor.
-2. Compute each object's k nearest other objects with a one-to-many sweep
-   over those per-hub lists (batch kNN): the object's k+1 nearest, less the
-   first, itself at key ``idx``. The sweep visits the object's label in
-   ascending label distance and stops at the first hub, and in a list at
-   the first key, not below the current k-th key; it does not enter a
-   list whose first key (``first``) is already not below it. kNN queries
-   use the same sweep.
+2. Find each object's k-th nearest other object with a one-to-many sweep
+   over those per-hub lists (batch kNN): the last of the object's k+1
+   nearest keys, the first being itself at key ``idx``. The sweep visits
+   the object's label in ascending label distance and stops at the first
+   hub, and in a list at the first key, not below the current k-th key; it
+   does not enter a list whose first key (``first``) is already not below
+   it. kNN queries use the same sweep.
 3. Regroup the objects' forward labels by hub again, dropping every pair
    whose distance exceeds that object's k-th-neighbor distance (RkNN
    backward labels). That filter is what keeps online queries cheap. Each
@@ -29,13 +29,13 @@ objects' label pairs, not with the vertex count.
 
 ``OfflineIndex(objects, labels, k)`` checks its inputs once and holds each
 substage as a lazy, read-only attribute (``knn_backward`` with its per-hub
-``first``, ``rows``, ``rknn_backward`` with its per-hub ``lim`` and
+``first``, ``kth``, ``rknn_backward`` with its per-hub ``lim`` and
 ``lens``), built from the labels on first access. ``offline_preprocess``
-reads the three in order and times them. The index file stores only the
-objects and each one's k-th nearest neighbor (``kth``), the one kNN-row
-entry queries read, sealed like a label file and naming its labels by their
+reads the three in order and times them. The index file stores the objects
+and their ``kth``, sealed like a label file and naming its labels by their
 checksum; ``load_index`` hands the index the ``kth`` it read, so a one-shot
-answer (``online.object_distances``) builds no kNN row and no per-hub list.
+answer (``online.object_distances``) runs no kNN sweep and builds no
+per-hub list.
 """
 
 from __future__ import annotations
@@ -146,13 +146,12 @@ class OfflineIndex:
     ``labels`` on first access:
 
     - ``knn_backward`` (substage 1);
-    - ``rows`` (substage 2): ``rows[i]`` holds object i's k nearest other
-      objects as (objectIndex, dist), ascending by distance; ``kth[i]`` is
-      the last of them and ``worst[i]`` its distance;
-    - ``rknn_backward`` and ``lim`` (substage 3).
+    - ``kth`` (substage 2): ``kth[i]`` is object i's k-th nearest other
+      object as (objectIndex, dist), and ``worst[i]`` its distance;
+    - ``rknn_backward`` (substage 3).
 
     A ``kth`` given to the constructor (``load_index`` gives the one it read
-    and checked) stands in for the rows'. The lazy attributes are read-only:
+    and checked) stands in for substage 2. The lazy attributes are read-only:
     assigning one raises AttributeError, so none can go stale behind another.
     """
 
@@ -192,25 +191,21 @@ class OfflineIndex:
         return KnnBackwardLabels(self.k, m, lists, first, self.labels)
 
     @cached_property
-    def rows(self) -> list[list[tuple[int, int]]]:
-        """Substage 2 (batch kNN): per object, the ``_knn_row`` of its k+1
-        nearest, less the first: itself, the one object at distance 0."""
-        labels, k, knn = self.labels, self.k, self.knn_backward
-
-        def row(i: int, p: int) -> list[tuple[int, int]]:
-            result = _knn_row(labels, p, k + 1, knn)[1:]
-            if len(result) < k:
-                raise ConfigError(
-                    f"object {i} reaches only {len(result)} of {k} required neighbors"
-                )
-            return result
-
-        return [row(i, p) for i, p in enumerate(self.objects.vertices)]
-
-    @cached_property
     def kth(self) -> list[tuple[int, int]]:
-        """Each object's k-th nearest other object, as (objectIndex, dist)."""
-        return [row[-1] for row in self.rows]
+        """Substage 2 (batch kNN): each object's k-th nearest other object,
+        as (objectIndex, dist), the last of the ``_knn_row`` keys of its k+1
+        nearest; the first is itself, the one object at distance 0."""
+        labels, k, knn, m = self.labels, self.k, self.knn_backward, len(self.objects)
+        kth = []
+        for i, p in enumerate(self.objects.vertices):
+            keys = _knn_row(labels, p, k + 1, knn)
+            if len(keys) <= k:
+                raise ConfigError(
+                    f"object {i} reaches only {len(keys) - 1} of {k} required neighbors"
+                )
+            key = keys[-1]
+            kth.append((key % m, key // m))
+        return kth
 
     @cached_property
     def worst(self) -> list[int]:
@@ -238,12 +233,6 @@ class OfflineIndex:
             i0, d0 = lists[h][0]
             lim[h] = worst[i0] - d0
         return RknnBackwardLabels(lists, lim)
-
-    @cached_property
-    def lim(self) -> list[int]:
-        """Per hub, the largest label distance at which its RkNN list yields a
-        member; -1 for a hub with no pair."""
-        return self.rknn_backward.lim
 
 
 def _by_hub(
@@ -277,14 +266,12 @@ def _by_hub(
     return lists, list(compress(range(len(lists)), lists))  # hubs with an item, at C level
 
 
-def _knn_row(
-    labels: LabelSet, source: int, k: int, knn: KnnBackwardLabels
-) -> list[tuple[int, int]]:
+def _knn_row(labels: LabelSet, source: int, k: int, knn: KnnBackwardLabels) -> list[int]:
     """One bounded one-to-many sweep; shared by batch kNN and kNN queries.
 
-    Returns at most k (idx, dist) pairs, ascending by (dist, idx), each
-    object index once at its smallest distance found. A candidate is a key
-    of the kNN backward lists plus ``d * m`` for the label distance d.
+    Returns at most k keys ``dist * m + idx``, ascending, so by (dist, idx),
+    each object index once at its smallest distance found. A candidate is a
+    key of the kNN backward lists plus ``d * m`` for the label distance d.
 
     The source label is swept as stored, in ascending label distance, and
     the sweep stops at the first hub whose ``d * m`` alone reaches the k-th
@@ -321,7 +308,7 @@ def _knn_row(
             found[idx] = key
             if len(best) == k:
                 bound = best[-1]
-    return [(c % m, c // m) for c in best]
+    return best
 
 
 def offline_preprocess(labels: LabelSet, objects: ObjectSet, k: int) -> OfflineIndex:
@@ -331,7 +318,7 @@ def offline_preprocess(labels: LabelSet, objects: ObjectSet, k: int) -> OfflineI
     t0 = time.perf_counter()
     index.knn_backward
     t1 = time.perf_counter()
-    index.rows
+    index.kth
     t2 = time.perf_counter()
     index.rknn_backward
     t3 = time.perf_counter()
@@ -361,8 +348,9 @@ def index_stats(index: OfflineIndex) -> dict[str, float]:
         "rknn_pairs": rknn_pairs,
         "to_many_pairs": to_many,
         "epsilon": rknn_pairs / to_many,  # epsilon(index), from the counts above
-        # The 5-bytes-per-pair model (object index u32, distance u8) over the
-        # three structures an index holds in memory; not the index file's size.
+        # The paper's offline cost model, 5 bytes per pair (object index u32,
+        # distance u8) over substage 1's lists, the k*m batch kNN result and
+        # substage 3's lists; neither the index file's size nor memory.
         "model_bytes": _PAIR.size * (knn_backward_pairs + knn_result_pairs + rknn_pairs),
     }
 
@@ -401,11 +389,11 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
     checksum it names is ``labels.checksum()``; the objects' distinctness
     and range; and for each object its stored k-th neighbor: an index in
     range other than its own, at exactly the label distance between the
-    two objects. The index gets the checked ``kth`` and builds its kNN rows
-    and per-hub lists from the labels on first access, so ``labels`` needs
-    only the objects' labels decoded. Mismatched, corrupt or truncated
-    inputs fail with FormatError. The index is bound to this ``labels``
-    object, which ``rknn_query`` must be passed.
+    two objects. The index gets the checked ``kth`` and builds its per-hub
+    lists from the labels on first access, so ``labels`` needs only the
+    objects' labels decoded. Mismatched, corrupt or truncated inputs fail
+    with FormatError. The index is bound to this ``labels`` object, which
+    ``rknn_query`` must be passed.
     """
     named, k, vertices, kth_data = _read_index_header(source.read())
     if named != labels.checksum():

@@ -8,9 +8,13 @@ minus the object's k-th-neighbor distance), so the sweep of a list stops at
 the first pair that does not qualify: every later pair fails too. The first
 pair therefore decides whether a list can yield anything, and the sweep
 skips hub h, without entering its list, when q reaches it at a label
-distance d > ``lim[h]`` (minus the first pair's slack; -1 for a hub with
-no pair). A kNN query passes a hub the same way when its list's first key
-(``knn_backward.first[h]``) cannot enter the row.
+distance d > ``rknn_backward.lim[h]`` (minus the first pair's slack; -1 for
+a hub with no pair).
+
+A kNN query is batch kNN's sweep (``offline._knn_row``) over the kNN
+backward labels, its keys decoded to (objectIndex, dist) pairs. It passes a
+hub the same way when its list's first key (``knn_backward.first[h]``)
+cannot enter the row.
 
 A process that answers once (the CLI) walks the objects' own labels instead
 (``object_distances``): building the backward lists costs far more.
@@ -58,7 +62,7 @@ def _check_vertex(labels: LabelSet, q: int) -> None:
 def _check_k(k: int, supported: int) -> None:
     """k must be 1 to ``supported``, the k the index was built for."""
     if not 1 <= k <= supported:
-        raise ConfigError(f"k={k} outside [1, {supported}] supported by these backward labels")
+        raise ConfigError(f"k={k} outside [1, {supported}] supported by this index")
 
 
 def object_distances(index: OfflineIndex, q: int, bound: list[int] | None = None) -> list[int]:
@@ -94,7 +98,7 @@ def rknn_query(index: OfflineIndex, labels: LabelSet, q: int) -> RknnAnswer:
     out = [INFINITY] * len(index.objects)
     worst = index.worst
     rknn = index.rknn_backward
-    rknn_lists, lim = rknn.lists, index.lim
+    rknn_lists, lim = rknn.lists, rknn.lim
     hubs = labels.hubs[q]
     for h, d in zip(hubs, labels.dists[q]):
         if d > lim[h]:
@@ -125,4 +129,5 @@ def knn_query(
         raise ConfigError("label set is not the one these kNN backward labels were built from")
     _check_vertex(labels, q)
     _check_k(k, knn_backward.k)
-    return _knn_row(labels, q, k, knn_backward)
+    m = knn_backward.m
+    return [(c % m, c // m) for c in _knn_row(labels, q, k, knn_backward)]

@@ -4,6 +4,8 @@ Expected structures below were derived by hand (BFS on the tree) and frozen;
 they double as the reference for the binary-format tests.
 """
 
+from hubrknn.offline import _knn_row
+
 TREE14_EDGES = [
     (0, 1), (0, 2), (0, 3), (0, 4),
     (1, 5), (1, 6), (1, 7),
@@ -79,6 +81,19 @@ def knn_pairs(knn_backward):
     its (idx, dist) pair."""
     m = knn_backward.m
     return [[(c % m, c // m) for c in lst] for lst in knn_backward.lists]
+
+
+def batch_rows(index):
+    """Each object's k nearest other objects as (idx, dist) pairs, ascending:
+    the batch kNN sweep of its k+1 nearest, decoded, less the first entry,
+    which must be the object itself at distance 0."""
+    m, k, knn = len(index.objects), index.k, index.knn_backward
+    rows = []
+    for i, p in enumerate(index.objects.vertices):
+        row = [(c % m, c // m) for c in _knn_row(index.labels, p, k + 1, knn)]
+        assert row[0] == (i, 0)
+        rows.append(row[1:])
+    return rows
 
 
 def label_pairs(labels, v):

@@ -39,6 +39,7 @@ from fixtures import (
     TREE14_RKNN_BACKWARD_K1,
     TREE14_TOTAL_PAIRS,
     as_hub_dict,
+    batch_rows,
     knn_pairs,
     label_pairs,
 )
@@ -117,7 +118,9 @@ def test_criterion_2_golden_offline(tree14_labels, tree14_objects):
     with verdict(2, "golden fixture offline substages (exact tables)"):
         index = OfflineIndex(tree14_objects, tree14_labels, 1)
         assert as_hub_dict(knn_pairs(index.knn_backward)) == TREE14_KNN_BACKWARD_K1
-        assert index.rows == TREE14_KNN_RESULTS_K1
+        rows = batch_rows(index)
+        assert rows == TREE14_KNN_RESULTS_K1
+        assert index.kth == [row[-1] for row in rows]
         assert index.worst == [row[-1][1] for row in TREE14_KNN_RESULTS_K1]
         assert as_hub_dict(index.rknn_backward.lists) == TREE14_RKNN_BACKWARD_K1
 
@@ -176,7 +179,9 @@ def test_criterion_5_knn_consistency(desk_instances):
                 for k in (1, 2, 4, 8):
                     if len(objects) < k + 1:
                         continue
-                    knn_rows = OfflineIndex(objects, labels, k).rows
+                    index = OfflineIndex(objects, labels, k)
+                    knn_rows = batch_rows(index)
+                    assert index.kth == [got[-1] for got in knn_rows]
                     for i, row in enumerate(rows):
                         truth = sorted(
                             row[p]

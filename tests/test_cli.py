@@ -149,7 +149,7 @@ def test_knn_k_defaults_to_the_index_k(workspace, capsys):
         assert main(knn + ["--k", bad]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"hubrknn: k={bad} outside [1, 2]" in captured.err
+        assert captured.err == f"hubrknn: k={bad} outside [1, 2] supported by this index\n"
 
 
 def test_stats_reports_label_counts(workspace, capsys):

@@ -45,6 +45,7 @@ from fixtures import (
     TREE14_RKNN_TOTAL_PAIRS,
     TREE14_TO_MANY_PAIRS,
     as_hub_dict,
+    batch_rows,
     knn_pairs,
 )
 from graphgen import preferential_attachment_graph, random_connected_graph
@@ -85,13 +86,13 @@ def _index_bytes(index):
 def reference_save_index(index):
     """The v6 index file written field by field, its checksum by zlib.crc32;
     the labels are named by the last four bytes of their label file, and
-    each object's kNN row by its last entry."""
+    each object's batch kNN row by its last entry."""
     label_file = io.BytesIO()
     save_labels(index.labels, label_file)
     fields = [b"RHIX", struct.pack("<B", 6), label_file.getvalue()[-4:]]
     fields += [struct.pack("<I", index.k), struct.pack("<I", len(index.objects))]
     fields += [struct.pack("<I", v) for v in index.objects.vertices]
-    fields += [struct.pack("<IB", *row[-1]) for row in index.rows]
+    fields += [struct.pack("<IB", *row[-1]) for row in batch_rows(index)]
     data = b"".join(fields)
     return data + struct.pack("<I", zlib.crc32(data))
 
@@ -144,13 +145,13 @@ def test_offline_index_checks_its_inputs_when_made(vertices, k, message):
     assert str(err.value) == message
 
 
-def test_offline_index_rows_need_k_reachable_objects():
+def test_offline_index_kth_needs_k_reachable_objects():
     """Substage 2 fails, when first read, on an object that reaches fewer
     than k others: here 0 and 1 reach each other but not 2."""
     labels = build_pll_labels(Graph.from_edges([(0, 1), (2, 3)]))
     index = OfflineIndex(ObjectSet((0, 1, 2)), labels, 2)
     with pytest.raises(ConfigError, match="^object 0 reaches only 1 of 2 required neighbors$"):
-        index.rows
+        index.kth
     with pytest.raises(ConfigError, match="^object 0 reaches only 1 of 2 required neighbors$"):
         offline_preprocess(labels, ObjectSet((0, 1, 2)), 2)
 
@@ -177,7 +178,9 @@ def test_knn_backward_matches_naive_scan(k):
 
 
 def test_batch_knn_fixture_golden(tree14_labels, tree14_objects):
-    assert OfflineIndex(tree14_objects, tree14_labels, 1).rows == TREE14_KNN_RESULTS_K1
+    index = OfflineIndex(tree14_objects, tree14_labels, 1)
+    assert batch_rows(index) == TREE14_KNN_RESULTS_K1
+    assert index.kth == [row[-1] for row in TREE14_KNN_RESULTS_K1]
 
 
 def test_adjacent_pair_mutual_nn():
@@ -185,7 +188,8 @@ def test_adjacent_pair_mutual_nn():
     labels = build_pll_labels(g)
     obj = ObjectSet((0, 1))
     index = offline_preprocess(labels, obj, 1)
-    assert index.rows == [[(1, 1)], [(0, 1)]]
+    assert batch_rows(index) == [[(1, 1)], [(0, 1)]]
+    assert index.kth == [(1, 1), (0, 1)]
     assert index.worst == [1, 1]
 
 
@@ -196,13 +200,15 @@ def test_adjacent_pair_mutual_nn():
 )
 def test_batch_knn_matches_bfs_oracle(instance, k):
     g, labels, obj = instance(seed=k)
-    rows = OfflineIndex(obj, labels, k).rows
+    index = OfflineIndex(obj, labels, k)
+    rows = batch_rows(index)
     for i, p in enumerate(obj.vertices):
         row = bfs_distances(g, p).dist
         truth = sorted((row[q], j) for j, q in enumerate(obj.vertices) if j != i)
         # exact row: ascending by (distance, object index), so equal
         # distances keep the smaller index and no index repeats
         assert rows[i] == [(j, d) for d, j in truth[:k]]
+    assert index.kth == [row[-1] for row in rows]
 
 
 class RecordingLists(list):
@@ -230,8 +236,8 @@ def test_knn_row_sweeps_by_label_distance_and_stops_early(k):
     the list's first key (INFINITY * m for an empty list) lies below the
     sweep's bound, the k-th smallest key found so far (one per object), and
     a list key is read only while that bound lies above it; the sweep reads
-    on until that bound stops it; and the row is the k smallest keys
-    found."""
+    on until that bound stops it; and the row is the k smallest keys found,
+    ascending."""
     _, labels, obj = make_pa_instance(seed=5)
     knnlab = OfflineIndex(obj, labels, k).knn_backward
     m = knnlab.m
@@ -273,7 +279,7 @@ def test_knn_row_sweeps_by_label_distance_and_stops_early(k):
                     break  # and no key of this list is read after it
                 found[key % m] = min(found.get(key % m, key), key)
         assert (h, c) == (None, None)  # nothing read out of the replayed order
-        assert row == [(c % m, c // m) for c in sorted(found.values())[:want]]
+        assert row == sorted(found.values())[:want]
     assert stopped and skipped  # the stop rule and the head test were exercised
 
 
@@ -289,7 +295,7 @@ def test_batch_row_is_query_row_without_self(tree14_labels, tree14_objects, inst
         labels, obj = tree14_labels, tree14_objects
     else:
         _, labels, obj = make_pa_instance(seed=7)
-    rows = OfflineIndex(obj, labels, k).rows
+    rows = batch_rows(OfflineIndex(obj, labels, k))
     wider = OfflineIndex(obj, labels, k + 1).knn_backward
     for i, p in enumerate(obj.vertices):
         assert [(i, 0)] + rows[i] == knn_query(wider, labels, p, k + 1)
@@ -300,7 +306,7 @@ def test_batch_row_is_query_row_without_self(tree14_labels, tree14_objects, inst
 
 def test_rknn_backward_fixture_golden(tree14_labels, tree14_objects):
     index = OfflineIndex(tree14_objects, tree14_labels, 1)
-    assert index.worst == [row[-1][1] for row in index.rows]
+    assert index.worst == [row[-1][1] for row in batch_rows(index)]
     rknn = index.rknn_backward
     assert as_hub_dict(rknn.lists) == TREE14_RKNN_BACKWARD_K1
     assert rknn.total_pairs == TREE14_RKNN_TOTAL_PAIRS
@@ -320,7 +326,7 @@ def test_rknn_backward_matches_naive_filter():
     _, labels, obj = make_instance(seed=21)
     k = 2
     index = OfflineIndex(obj, labels, k)
-    worst = [row[-1][1] for row in index.rows]
+    worst = [row[-1][1] for row in batch_rows(index)]
     rknn = index.rknn_backward
     expected = set()
     for i, p in enumerate(obj.vertices):
@@ -372,7 +378,8 @@ def test_list_heads_match_their_lists(tree14_labels, tree14_objects, instance, k
 def test_offline_preprocess_assembles_all_tables(tree14_labels, tree14_objects):
     index = offline_preprocess(tree14_labels, tree14_objects, 1)
     assert as_hub_dict(knn_pairs(index.knn_backward)) == TREE14_KNN_BACKWARD_K1
-    assert index.rows == TREE14_KNN_RESULTS_K1
+    assert index.kth == [row[-1] for row in TREE14_KNN_RESULTS_K1]
+    assert batch_rows(index) == TREE14_KNN_RESULTS_K1
     assert index.worst == [row[-1][1] for row in TREE14_KNN_RESULTS_K1]
     assert as_hub_dict(index.rknn_backward.lists) == TREE14_RKNN_BACKWARD_K1
     assert index.timings.total_s >= 0
@@ -413,12 +420,12 @@ def test_offline_preprocess_builds_substage_3_once(tree14_labels, tree14_objects
 def test_offline_preprocess_idempotent(tree14_labels, tree14_objects):
     a = offline_preprocess(tree14_labels, tree14_objects, 1)
     b = offline_preprocess(tree14_labels, tree14_objects, 1)
-    assert a.rows == b.rows
+    assert a.kth == b.kth
     assert a.rknn_backward == b.rknn_backward
     assert a.knn_backward == b.knn_backward
 
 
-@pytest.mark.parametrize("name", ["knn_backward", "rows", "kth", "worst", "rknn_backward", "lim"])
+@pytest.mark.parametrize("name", ["knn_backward", "kth", "worst", "rknn_backward"])
 def test_lazy_attributes_are_read_only(tree14_labels, tree14_objects, name):
     """Assigning a substage attribute raises, before and after its first
     read, so none can go stale behind the ones built from it."""
@@ -448,13 +455,13 @@ def test_offline_values_compare_by_content_and_stay_unhashable(tree14, tree14_ob
     knn = a.knn_backward
     assert KnnBackwardLabels(1, knn.m, knn.lists, knn.first, unequal) == knn
     assert KnnBackwardLabels(1, knn.m + 1, knn.lists, knn.first, a_labels) != knn
-    assert a.rows == b.rows
+    assert a.kth == b.kth
     assert a.rknn_backward == b.rknn_backward
     c = offline_preprocess(a_labels, tree14_objects, 2)
     assert c.knn_backward != a.knn_backward
-    assert c.rows != a.rows
+    assert c.kth != a.kth
     assert c.rknn_backward != a.rknn_backward
-    for value in (a.knn_backward, a.rows, a.rknn_backward):
+    for value in (a.knn_backward, a.kth, a.rknn_backward):
         assert type(value).__hash__ is None
         with pytest.raises(TypeError):
             hash(value)
@@ -510,7 +517,7 @@ def test_index_roundtrip(tree14_labels, tree14_objects):
         assert loaded.k == k
         assert loaded.objects == objects
         assert loaded.kth == index.kth
-        assert loaded.rows == index.rows
+        assert batch_rows(loaded) == batch_rows(index)
         assert loaded.worst == index.worst
         assert loaded.rknn_backward == index.rknn_backward
         # a loaded index rebuilds substage 1 once, equal to the built lists
@@ -529,7 +536,7 @@ def test_index_roundtrip(tree14_labels, tree14_objects):
         part = load_labels(io.BytesIO(label_file.getvalue()), objects.vertices)
         from_part = load_index(io.BytesIO(data), part)
         assert from_part.kth == index.kth
-        assert from_part.rows == index.rows
+        assert batch_rows(from_part) == batch_rows(index)
         assert from_part.rknn_backward == index.rknn_backward
         assert from_part.knn_backward == index.knn_backward
         assert index_stats(from_part) == index_stats(index)
@@ -717,9 +724,9 @@ def test_index_load_rejects_a_tied_swap_of_the_last_row_entry():
     vertices = objects.vertices
     i, j = next(
         (i, j)
-        for i, row in enumerate(index.rows)
+        for i, (last, _) in enumerate(index.kth)
         for j, v in enumerate(vertices)
-        if j not in (i, row[-1][0])
+        if j not in (i, last)
         and hl_distance(labels, vertices[i], v) == index.worst[i]
     )
     data = bytearray(_index_bytes(index))
@@ -746,10 +753,9 @@ def test_index_load_rejects_labels_that_pass_the_row_check():
     objects = ObjectSet(tuple(random.Random(0).sample(range(120), 12)))
     index = offline_preprocess(build_pll_labels(g), objects, 2)
     vertices = objects.vertices
-    for i, row in enumerate(index.rows):
-        idx, d = row[-1]
+    for i, (idx, d) in enumerate(index.kth):
         assert hl_distance(changed, vertices[i], vertices[idx]) == d
-    assert offline_preprocess(changed, objects, 2).rows != index.rows
+    assert batch_rows(offline_preprocess(changed, objects, 2)) != batch_rows(index)
     with pytest.raises(FormatError, match="^index was built from other labels"):
         load_index(io.BytesIO(_index_bytes(index)), changed)
 

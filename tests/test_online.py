@@ -162,11 +162,11 @@ def test_rknn_hub_test_at_its_edges():
              (1, 9), (2, 10)]
     labels = build_pll_labels(Graph.from_edges(edges))
     index = offline_preprocess(labels, ObjectSet((5, 6, 8, 9)), 1)
-    assert index.lim == [2, 3, -1, 0, 3, 1, 1, 4, 5, 4, -1]
+    assert index.rknn_backward.lim == [2, 3, -1, 0, 3, 1, 1, 4, 5, 4, -1]
     reach = [dict(zip(labels.hubs[q], labels.dists[q])) for q in range(11)]
     assert [reach[q][3] for q in (3, 5, 6)] == [0, 1, 1]
     for q in (5, 6, 7, 9, 10):
-        assert reach[q][0] == max(reach[q].values()) == index.lim[0]
+        assert reach[q][0] == max(reach[q].values()) == index.rknn_backward.lim[0]
     assert reach[8][0] == 3
     assert [q for q in range(11) if {2, 10} & reach[q].keys()] == [2, 10]
     lists = index.rknn_backward.lists
@@ -195,10 +195,10 @@ def test_knn_query_at_object_vertex(tree14_labels, tree14_objects):
 
 def test_knn_query_caps_k(tree14_labels, tree14_objects):
     knnlab = OfflineIndex(tree14_objects, tree14_labels, 1).knn_backward
-    with pytest.raises(ConfigError):
-        knn_query(knnlab, tree14_labels, 0, 2)
-    with pytest.raises(ConfigError):
-        knn_query(knnlab, tree14_labels, 0, 0)
+    for k in (2, 0):
+        with pytest.raises(ConfigError) as err:
+            knn_query(knnlab, tree14_labels, 0, k)
+        assert str(err.value) == f"k={k} outside [1, 1] supported by this index"
 
 
 def test_knn_rejects_out_of_range_vertex(tree14_labels, tree14_objects):

@@ -147,3 +147,15 @@ def test_every_package_definition_is_used():
         and uses[name] == _names(node)[name]
     ]
     assert unused == []
+
+
+def test_sources_parse_with_the_oldest_declared_python():
+    """Every module parses with the grammar of the oldest Python that
+    ``requires-python`` in pyproject.toml admits. A grammar check only, and
+    a best-effort one (``ast.parse``'s ``feature_version``): syntax such as
+    ``except*`` fails it, a call to a newer library function does not."""
+    pyproject = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    oldest = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M).groups()
+    for path in SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=tuple(map(int, oldest)))
