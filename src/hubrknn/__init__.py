@@ -28,15 +28,18 @@ from .offline import (
     ObjectSet,
     OfflineIndex,
     OfflineTimings,
+    RknnAnswer,
     RknnBackwardLabels,
     epsilon,
     index_stats,
+    knn_query,
     load_index,
+    object_distances,
     offline_preprocess,
+    rknn_query,
     save_index,
     to_many_pairs,
 )
-from .online import RknnAnswer, knn_query, object_distances, rknn_query
 from .oracle import DistanceRow, bfs_distances, oracle_rknn
 
 __version__ = "0.1.0"

@@ -22,8 +22,7 @@ from typing import IO
 from .errors import ConfigError
 from .graph import Graph
 from .labels import INFINITY, LabelSet
-from .offline import ObjectSet, index_stats, offline_preprocess
-from .online import rknn_query
+from .offline import ObjectSet, index_stats, offline_preprocess, rknn_query
 from .oracle import bfs_distances
 
 log = logging.getLogger(__name__)

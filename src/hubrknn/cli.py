@@ -44,13 +44,14 @@ from .labels import (
 from .offline import (
     ObjectSet,
     OfflineIndex,
+    _check_k,
     _read_index_header,
     index_stats,
     load_index,
+    object_distances,
     offline_preprocess,
     save_index,
 )
-from .online import _check_k, object_distances
 from .oracle import oracle_rknn
 
 

@@ -245,7 +245,7 @@ def build_pll_labels(graph: Graph, ordering: tuple[int, ...] | None = None) -> L
 def hl_distance(labels: LabelSet, s: int, t: int) -> int:
     """Minimum of dist(s,h) + dist(h,t) over common hubs; INFINITY if none.
 
-    One ``_label_walk`` of t's label, as ``online.object_distances`` makes.
+    One ``_label_walk`` of t's label, as ``offline.object_distances`` makes.
     """
     n = labels.vertex_count
     if not (0 <= s < n and 0 <= t < n):

@@ -1,24 +1,23 @@
-"""Offline preprocessing for reverse-kNN queries over hub labels.
+"""Reverse-kNN and kNN queries over hub labels: the offline index and the
+online sweeps that read its per-hub lists.
 
-Runs once per object set, in three substages:
+The offline phase runs once per object set (m objects), in three substages:
 
-1. Regroup the objects' forward labels by hub, keeping only the k+1
-   nearest object pairs per hub (kNN backward labels). Each pair is one int
-   key ``dist * m + idx`` (m objects), so a hub's ascending keys are its
-   pairs in (dist, idx) order. Capacity is k+1, not k, because an object is
-   by definition its own nearest neighbor.
-2. Find each object's k-th nearest other object with a one-to-many sweep
-   over those per-hub lists (batch kNN): the last of the object's k+1
-   nearest keys, the first being itself at key ``idx``. The sweep visits
-   the object's label in ascending label distance and stops at the first
-   hub, and in a list at the first key, not below the current k-th key; it
-   does not enter a list whose first key (``first``) is already not below
-   it. kNN queries use the same sweep.
-3. Regroup the objects' forward labels by hub again, dropping every pair
-   whose distance exceeds that object's k-th-neighbor distance (RkNN
-   backward labels). That filter is what keeps online queries cheap. Each
-   hub's pairs are ordered by slack, distance minus that k-th-neighbor
-   distance, so the pairs a query can use form a prefix of the list.
+1. kNN backward labels: the objects' forward labels regrouped by hub,
+   keeping the k+1 nearest object pairs per hub. Each pair (idx, dist) is
+   one int key ``dist * m + idx``, so a hub's ascending keys are its pairs in
+   (dist, idx) order; ``first[h]`` is hub h's first key, ``INFINITY * m`` for
+   an empty list. Capacity is k+1, not k, because an object is by definition
+   its own nearest neighbor.
+2. Batch kNN: each object's k-th nearest other object, the last of the k+1
+   nearest keys that ``_knn_row`` finds for it, the first being itself at
+   key ``idx``.
+3. RkNN backward labels: the objects' forward labels regrouped by hub
+   again, dropping every pair whose distance exceeds that object's
+   k-th-neighbor distance ``worst[idx]``. That filter is what keeps online
+   queries cheap. Each hub's (idx, dist) pairs are ordered by slack
+   ``dist - worst[idx]``, ties by index, and ``lim[h]`` is minus the first
+   pair's slack, -1 for an empty list.
 
 Substages 1 and 3 share one regrouping (``_by_hub``) of each object's
 (object, distance) blocks, one shared item per block appended to its hubs
@@ -27,15 +26,26 @@ the bucket offset and the item. Apart from making one empty list per hub
 and a few C-level passes over those lists, the offline work scales with the
 objects' label pairs, not with the vertex count.
 
+Both sweeps walk a vertex's forward label as stored, in ascending label
+distance d, and use each list's order to stop early:
+
+- ``_knn_row`` (batch kNN and ``knn_query``) keeps the k smallest candidate
+  keys ``d * m + c`` over the kNN lists. It stops at the first hub whose
+  ``d * m`` alone reaches the k-th key, does not enter a hub whose
+  ``d * m + first[h]`` does, and stops a list at its first key that does.
+- ``rknn_query`` puts an object in the answer when ``d + dist`` is within
+  its k-th-neighbor distance, ties counting as members: a pair qualifies iff
+  its slack is <= -d. It skips hub h when ``d > lim[h]`` and stops a list at
+  its first pair that fails, since every later pair fails too.
+
 ``OfflineIndex(objects, labels, k)`` checks its inputs once and holds each
-substage as a lazy, read-only attribute (``knn_backward`` with its per-hub
-``first``, ``kth``, ``rknn_backward`` with its per-hub ``lim`` and
-``lens``), built from the labels on first access. ``offline_preprocess``
-reads the three in order and times them. The index file stores the objects
-and their ``kth``, sealed like a label file and naming its labels by their
-checksum; ``load_index`` hands the index the ``kth`` it read, so a one-shot
-answer (``online.object_distances``) runs no kNN sweep and builds no
-per-hub list.
+substage as a lazy, read-only attribute (``knn_backward``, ``kth``,
+``rknn_backward``), built from the labels on first access.
+``offline_preprocess`` reads the three in order and times them. The index
+file stores the objects and their ``kth``, sealed like a label file and
+naming its labels by their checksum; ``load_index`` hands the index the
+``kth`` it read, so a one-shot answer (``object_distances``, which walks the
+objects' own labels) runs no kNN sweep and builds no per-hub list.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ from itertools import compress
 from typing import IO, Callable
 
 from .errors import ConfigError, FormatError
-from .labels import _PAIR, _U32, INFINITY, LabelSet, _seal, _unseal, hl_distance
+from .labels import _PAIR, _U32, INFINITY, LabelSet, _label_walk, _seal, _unseal, hl_distance
 
 _MAGIC = b"RHIX"
 _VERSION = 6
@@ -68,24 +78,15 @@ class ObjectSet:
             raise ConfigError("object set contains negative vertex IDs")
         self.vertices = vertices
 
-    def __eq__(self, other: object) -> bool:
-        return self.vertices == other.vertices if type(other) is ObjectSet else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.vertices)
-
     def __len__(self) -> int:
         return len(self.vertices)
 
 
 class KnnBackwardLabels:
-    """Per-hub lists of the k+1 nearest object pairs, each pair (idx, dist)
-    as the int key ``dist * m + idx`` for m objects; ``first[h]`` is hub h's
-    first key, ``INFINITY * m`` for an empty list.
+    """Substage 1's per-hub key lists and their heads ``first``.
 
     ``labels`` is the label set the lists were built from, the only one
-    ``knn_query`` accepts with them; equality compares ``k``, ``m`` and the
-    lists.
+    ``knn_query`` accepts with them.
     """
 
     __slots__ = ("k", "m", "lists", "first", "labels")
@@ -97,31 +98,21 @@ class KnnBackwardLabels:
         self.first = first
         self.labels = labels
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not KnnBackwardLabels:
-            return NotImplemented
-        return (self.k, self.m, self.lists) == (other.k, other.m, other.lists)
-
     def total_pairs(self) -> int:
         return sum(len(lst) for lst in self.lists)
 
 
 class RknnBackwardLabels:
-    """Per-hub (objectIndex, dist) pairs surviving the k-th-neighbor filter,
-    each hub's ``lim`` and list length ``lens``; equality compares the lists."""
+    """Substage 3's per-hub (objectIndex, dist) lists, each hub's ``lim``
+    and list length ``lens``."""
 
     __slots__ = ("lists", "lim", "lens", "total_pairs")
 
     def __init__(self, lists: list[list[tuple[int, int]]], lim: list[int]):
-        # hub -> [(idx, dist)] ascending by (dist - worst[idx], idx), where
-        # worst[idx] is object idx's k-th-neighbor distance
-        self.lists = lists
+        self.lists = lists  # hub -> [(idx, dist)] ascending by (dist - worst[idx], idx)
         self.lim = lim  # hub -> worst[i0] - d0 of its first pair (i0, d0); -1 if none
         self.lens = list(map(len, lists))  # hub -> its list's length
         self.total_pairs = sum(self.lens)
-
-    def __eq__(self, other: object) -> bool:
-        return self.lists == other.lists if type(other) is RknnBackwardLabels else NotImplemented
 
 
 class OfflineTimings:
@@ -179,8 +170,8 @@ class OfflineIndex:
 
     @cached_property
     def knn_backward(self) -> KnnBackwardLabels:
-        """Substage 1: k+1 nearest object pairs per hub, ties by object index;
-        the blocks' keys ``d * m + i`` arrive in order, so lists are only cut."""
+        """Substage 1, ties by object index; the blocks' keys ``d * m + i``
+        arrive in order, so lists are only cut."""
         m, keep = len(self.objects), self.k + 1
         lists, touched = _by_hub(self.labels, self.objects, [INFINITY] * m, [0] * m,
                                  lambda i, d: d * m + i)
@@ -192,9 +183,9 @@ class OfflineIndex:
 
     @cached_property
     def kth(self) -> list[tuple[int, int]]:
-        """Substage 2 (batch kNN): each object's k-th nearest other object,
-        as (objectIndex, dist), the last of the ``_knn_row`` keys of its k+1
-        nearest; the first is itself, the one object at distance 0."""
+        """Substage 2 (batch kNN): the last of each object's k+1 nearest
+        ``_knn_row`` keys, as (objectIndex, dist); the first is itself, the
+        one object at distance 0."""
         labels, k, knn, m = self.labels, self.k, self.knn_backward, len(self.objects)
         kth = []
         for i, p in enumerate(self.objects.vertices):
@@ -213,14 +204,9 @@ class OfflineIndex:
 
     @cached_property
     def rknn_backward(self) -> RknnBackwardLabels:
-        """Substage 3: the objects' label pairs regrouped by hub, filtered by
-        ``worst``, each object's k-th-neighbor distance.
-
-        Each hub's list is ordered by slack ``dist - worst[idx]`` (the bucket),
-        ties by index. A query reaching the hub at distance d can use a pair iff
-        its slack is <= -d, so the online sweep stops at the first pair that fails,
-        and skips the hub unless d <= ``lim[h]``, minus its first pair's slack.
-        """
+        """Substage 3: the objects' label pairs regrouped by hub, filtered and
+        ordered by slack against ``worst``, each object's k-th-neighbor
+        distance."""
         worst = self.worst
         # One (idx, dist) tuple per block, shared by the block's hubs: an
         # object has few distinct distances, so the lists point into a small
@@ -270,16 +256,9 @@ def _knn_row(labels: LabelSet, source: int, k: int, knn: KnnBackwardLabels) -> l
     """One bounded one-to-many sweep; shared by batch kNN and kNN queries.
 
     Returns at most k keys ``dist * m + idx``, ascending, so by (dist, idx),
-    each object index once at its smallest distance found. A candidate is a
-    key of the kNN backward lists plus ``d * m`` for the label distance d.
-
-    The source label is swept as stored, in ascending label distance, and
-    the sweep stops at the first hub whose ``d * m`` alone reaches the k-th
-    key: every key of that hub and of all later ones is at least that
-    large, so none can enter or improve the row. A list ascends too, so its
-    sweep stops at its first key >= the k-th key, which at equality is the
-    k-th entry itself, and a hub whose ``d * m + knn.first[h]`` (its list's
-    head, ``INFINITY * m`` if empty) reaches the k-th key is not entered.
+    each object index once at its smallest distance found. Every key of a
+    hub is at least its ``d * m + first[h]``, and label distances and lists
+    ascend, so no key the sweep passes can enter or improve the row.
     """
     knn_lists, first, m = knn.lists, knn.first, knn.m
     best: list[int] = []  # keys, ascending, at most k
@@ -378,7 +357,7 @@ def _read_index_header(data: bytes) -> tuple[int, int, tuple[int, ...], bytes]:
     if len(body) < end:
         raise FormatError("truncated stream")
     if len(body) > end:
-        raise FormatError("trailing bytes after the last kNN row")
+        raise FormatError("trailing bytes after the last k-th-neighbor entry")
     return named, k, struct.unpack_from(f"<{obj_count}I", body), body[kth_at:]
 
 
@@ -413,10 +392,110 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
 
     for i, (idx, d) in enumerate(kth):
         if idx >= len(vertices) or idx == i:
-            raise FormatError(f"kNN result row {i} references index {idx}")
+            raise FormatError(f"k-th-neighbor entry {i} references index {idx}")
         if hl_distance(labels, vertices[i], vertices[idx]) != d:
             raise FormatError(
-                f"kNN result row {i} does not match labels: object {idx} "
+                f"k-th-neighbor entry {i} does not match labels: object {idx} "
                 f"is not at distance {d}"
             )
     return index
+
+
+class RknnAnswer:
+    """Distances from the query vertex to every object; INFINITY = non-member.
+
+    ``pairs_scanned`` counts the pairs in the RkNN lists of q's label hubs,
+    whether or not the sweep entered them, which is what the online cost
+    model is stated in: the sum of their ``rknn_backward.lens``. It is not
+    the number of pairs examined, which the sweep's skip rules cut short.
+    """
+
+    __slots__ = ("distances", "pairs_scanned")
+
+    def __init__(self, distances: list[int], pairs_scanned: int):
+        self.distances = distances
+        self.pairs_scanned = pairs_scanned
+
+    def members(self) -> list[tuple[int, int]]:
+        """(objectIndex, dist) for every finite entry, in index order."""
+        return [(i, d) for i, d in enumerate(self.distances) if d < INFINITY]
+
+
+def _check_vertex(labels: LabelSet, q: int) -> None:
+    n = labels.vertex_count
+    if not 0 <= q < n:
+        raise ConfigError(f"query vertex {q} out of range for {n} vertices")
+
+
+def _check_k(k: int, supported: int) -> None:
+    """k must be 1 to ``supported``, the k the index was built for."""
+    if not 1 <= k <= supported:
+        raise ConfigError(f"k={k} outside [1, {supported}] supported by this index")
+
+
+def object_distances(index: OfflineIndex, q: int, bound: list[int] | None = None) -> list[int]:
+    """q's distance to every object, or INFINITY past ``bound[i]``, from one
+    dict of q's label and the objects' labels; builds no backward list.
+
+    Each object's label gets ``hl_distance``'s walk from ``bound[i] + 1``.
+    Bounded by ``index.worst`` this is ``rknn_query(...).distances``;
+    unbounded, it is ``hl_distance`` to each object, and its k smallest
+    finite (dist, idx) are ``knn_query``'s row.
+    """
+    labels = index.labels
+    _check_vertex(labels, q)
+    to_q = dict(zip(labels.hubs[q], labels.dists[q]))
+    out = []
+    for i, p in enumerate(index.objects.vertices):
+        b = INFINITY if bound is None else bound[i]
+        best = _label_walk(to_q, labels.hubs[p], labels.dists[p], b + 1)
+        out.append(best if best <= b else INFINITY)
+    return out
+
+
+def rknn_query(index: OfflineIndex, labels: LabelSet, q: int) -> RknnAnswer:
+    """All objects having q among their k nearest objects, with distances.
+
+    ``pairs_scanned`` is one C-level sum of ``rknn_backward.lens`` over q's hubs.
+    ``labels`` must be ``index.labels`` itself; any other is a ConfigError.
+    """
+    if labels is not index.labels:
+        raise ConfigError("label set is not the one this index was built or loaded with")
+    _check_vertex(labels, q)
+
+    out = [INFINITY] * len(index.objects)
+    worst = index.worst
+    rknn = index.rknn_backward
+    rknn_lists, lim = rknn.lists, rknn.lim
+    hubs = labels.hubs[q]
+    for h, d in zip(hubs, labels.dists[q]):
+        if d > lim[h]:
+            continue  # the list's first pair fails, so every pair does
+        for idx, dp in rknn_lists[h]:
+            d2 = d + dp
+            if d2 > worst[idx]:
+                break  # slack order: no later pair of this list qualifies
+            if d2 < out[idx]:
+                out[idx] = d2
+    return RknnAnswer(out, sum(map(rknn.lens.__getitem__, hubs)))
+
+
+def knn_query(
+    knn_backward: KnnBackwardLabels,
+    labels: LabelSet,
+    q: int,
+    k: int,
+) -> list[tuple[int, int]]:
+    """The k nearest objects to q as (objectIndex, dist), ascending.
+
+    The batch stage's sweep, which keeps a query placed on an object vertex:
+    that object comes first, at distance 0. k may be anything up to the k
+    the backward labels were built for. ``labels`` must be
+    ``knn_backward.labels`` itself; any other is a ConfigError.
+    """
+    if labels is not knn_backward.labels:
+        raise ConfigError("label set is not the one these kNN backward labels were built from")
+    _check_vertex(labels, q)
+    _check_k(k, knn_backward.k)
+    m = knn_backward.m
+    return [(c % m, c // m) for c in _knn_row(labels, q, k, knn_backward)]

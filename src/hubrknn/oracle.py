@@ -30,12 +30,6 @@ class DistanceRow:
     def __init__(self, dist: tuple[int, ...]):
         self.dist = dist  # INFINITY for unreachable vertices
 
-    def __eq__(self, other: object) -> bool:
-        return self.dist == other.dist if type(other) is DistanceRow else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.dist)
-
 
 def _check_vertex(graph: Graph, v: int) -> None:
     if not 0 <= v < graph.vertex_count:

@@ -68,10 +68,10 @@ def test_random_objects_full_density(tree14):
 
 
 def test_random_objects_deterministic(tree14):
-    a = generate_random_objects(tree14, 0.3, seed=42)
-    b = generate_random_objects(tree14, 0.3, seed=42)
+    a = generate_random_objects(tree14, 0.3, seed=42).vertices
+    b = generate_random_objects(tree14, 0.3, seed=42).vertices
     assert a == b
-    c = generate_random_objects(tree14, 0.3, seed=43)
+    c = generate_random_objects(tree14, 0.3, seed=43).vertices
     assert a != c  # overwhelmingly likely for this seed pair
 
 
@@ -125,8 +125,8 @@ def test_ball_objects_match_the_level_by_level_bfs(graph):
     cut = 0  # cases whose ball ends inside a BFS level
     for seed in range(12):
         for density, ball in [(0.01, 0.05), (0.02, 0.13), (0.05, 0.3), (0.1, 0.5), (0.2, 1.0)]:
-            got = generate_ball_objects(graph, density, ball, seed)
-            assert got == reference_ball_objects(graph, density, ball, seed)
+            got = generate_ball_objects(graph, density, ball, seed).vertices
+            assert got == reference_ball_objects(graph, density, ball, seed).vertices
             root = random.Random(seed).randrange(n)
             dist = bfs_distances(graph, root).dist
             radius = sorted(dist)[_ceil_count(ball, n) - 1]

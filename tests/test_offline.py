@@ -9,14 +9,12 @@ import pytest
 import hubrknn.offline
 from hubrknn import (
     ConfigError,
-    DistanceRow,
     FormatError,
     Graph,
     KnnBackwardLabels,
     LabelSet,
     ObjectSet,
     OfflineIndex,
-    RknnAnswer,
     bfs_distances,
     build_pll_labels,
     epsilon,
@@ -75,6 +73,20 @@ def reference_by_hub(labels, objects, bound, offset, keep=None):
         if keep is not None:
             del keys[keep:]
     return [[(c % m, c // m - offset[c % m] - top) for c in keys] for keys in lists]
+
+
+def assert_same_lists(a, b):
+    """Indexes a and b hold the same kNN backward labels (``k``, ``m``,
+    ``lists``, ``first``) and RkNN backward labels (``lists``, ``lim``,
+    ``lens``)."""
+    ka, kb = a.knn_backward, b.knn_backward
+    assert (ka.k, ka.m, ka.lists, ka.first) == (kb.k, kb.m, kb.lists, kb.first)
+    ra, rb = a.rknn_backward, b.rknn_backward
+    assert (ra.lists, ra.lim, ra.lens) == (rb.lists, rb.lim, rb.lens)
+
+
+def answer_fields(answer):
+    return answer.distances, answer.pairs_scanned
 
 
 def _index_bytes(index):
@@ -368,8 +380,7 @@ def test_list_heads_match_their_lists(tree14_labels, tree14_objects, instance, k
         rknn = index.rknn_backward
         assert rknn.lens == list(map(len, rknn.lists))
         assert rknn.total_pairs == sum(rknn.lens)
-    assert loaded.knn_backward == built.knn_backward
-    assert loaded.rknn_backward == built.rknn_backward
+    assert_same_lists(loaded, built)
 
 
 # --- composition ---
@@ -389,7 +400,8 @@ def test_offline_preprocess_builds_substage_3_once(tree14_labels, tree14_objects
     """offline_preprocess regroups by hub twice (substages 1 and 3) and
     sweeps one kNN row per object, in its timed spans, and the built
     index's queries reuse them; load_index does neither, and a loaded index
-    builds its RkNN lists at its first query."""
+    builds its RkNN lists at its first query. A kNN query is one sweep of
+    the same ``_knn_row``."""
     calls = {"_by_hub": 0, "_knn_row": 0}
 
     def counted(name):
@@ -412,25 +424,28 @@ def test_offline_preprocess_builds_substage_3_once(tree14_labels, tree14_objects
     save_index(index, sink)
     loaded = load_index(io.BytesIO(sink.getvalue()), tree14_labels)
     assert calls == {"_by_hub": 2, "_knn_row": 3}
-    assert rknn_query(loaded, tree14_labels, 0) == answer
+    assert answer_fields(rknn_query(loaded, tree14_labels, 0)) == answer_fields(answer)
     rknn_query(loaded, tree14_labels, 5)
     assert calls == {"_by_hub": 3, "_knn_row": 3}
+    knn_query(index.knn_backward, tree14_labels, 0, 1)
+    assert calls == {"_by_hub": 3, "_knn_row": 4}
+    knn_query(loaded.knn_backward, tree14_labels, 0, 1)
+    assert calls == {"_by_hub": 4, "_knn_row": 5}
 
 
 def test_offline_preprocess_idempotent(tree14_labels, tree14_objects):
     a = offline_preprocess(tree14_labels, tree14_objects, 1)
     b = offline_preprocess(tree14_labels, tree14_objects, 1)
     assert a.kth == b.kth
-    assert a.rknn_backward == b.rknn_backward
-    assert a.knn_backward == b.knn_backward
+    assert_same_lists(a, b)
 
 
 @pytest.mark.parametrize("name", ["knn_backward", "kth", "worst", "rknn_backward"])
 def test_lazy_attributes_are_read_only(tree14_labels, tree14_objects, name):
     """Assigning a substage attribute raises, before and after its first
     read, so none can go stale behind the ones built from it."""
-    expected = [rknn_query(offline_preprocess(tree14_labels, tree14_objects, 1),
-                           tree14_labels, q) for q in range(14)]
+    built = offline_preprocess(tree14_labels, tree14_objects, 1)
+    expected = [answer_fields(rknn_query(built, tree14_labels, q)) for q in range(14)]
     for index in (OfflineIndex(tree14_objects, tree14_labels, 1),
                   OfflineIndex(tree14_objects, tree14_labels, 1, [(1, 1), (0, 1), (0, 4)])):
         with pytest.raises(AttributeError, match=f"^OfflineIndex.{name} is read-only$"):
@@ -439,49 +454,26 @@ def test_lazy_attributes_are_read_only(tree14_labels, tree14_objects, name):
         with pytest.raises(AttributeError, match=f"^OfflineIndex.{name} is read-only$"):
             setattr(index, name, [])
         assert getattr(index, name) is value
-        assert [rknn_query(index, tree14_labels, q) for q in range(14)] == expected
+        assert [answer_fields(rknn_query(index, tree14_labels, q)) for q in range(14)] == expected
 
 
-def test_offline_values_compare_by_content_and_stay_unhashable(tree14, tree14_objects):
-    # the kNN backward labels compare k and their lists, not the label set
-    # they were built from
+def test_equal_label_sets_give_the_same_index(tree14, tree14_objects):
+    """Two label sets that are equal but not the same object give indexes
+    with the same lists and ``kth``; another k gives others."""
     a_labels, b_labels = build_pll_labels(tree14), build_pll_labels(tree14)
     assert a_labels == b_labels and a_labels is not b_labels
     a = offline_preprocess(a_labels, tree14_objects, 1)
     b = offline_preprocess(b_labels, tree14_objects, 1)
     assert a.knn_backward.labels is not b.knn_backward.labels
-    assert a.knn_backward == b.knn_backward
-    unequal = build_pll_labels(Graph.from_edges([(0, 1)]))
-    knn = a.knn_backward
-    assert KnnBackwardLabels(1, knn.m, knn.lists, knn.first, unequal) == knn
-    assert KnnBackwardLabels(1, knn.m + 1, knn.lists, knn.first, a_labels) != knn
+    assert_same_lists(a, b)
     assert a.kth == b.kth
-    assert a.rknn_backward == b.rknn_backward
     c = offline_preprocess(a_labels, tree14_objects, 2)
-    assert c.knn_backward != a.knn_backward
+    assert c.knn_backward.lists != a.knn_backward.lists
     assert c.kth != a.kth
-    assert c.rknn_backward != a.rknn_backward
-    for value in (a.knn_backward, a.kth, a.rknn_backward):
-        assert type(value).__hash__ is None
-        with pytest.raises(TypeError):
-            hash(value)
+    assert c.rknn_backward.lists != a.rknn_backward.lists
 
 
-def test_value_types_compare_and_hash_by_their_fields():
-    """ObjectSet and DistanceRow compare and hash by their one field;
-    RknnAnswer compares by every field and is unhashable.
-    None of them equals another type holding the same values."""
-    a, b = ObjectSet((4, 10, 12)), ObjectSet((4, 10, 12))
-    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert a != ObjectSet((10, 4, 12)) and a != (4, 10, 12)
-    row = DistanceRow((0, 1, INFINITY))
-    assert row == DistanceRow((0, 1, INFINITY)) and hash(row) == hash(DistanceRow((0, 1, INFINITY)))
-    assert row != DistanceRow((0, 2, INFINITY)) and row != (0, 1, INFINITY)
-    assert RknnAnswer([1, INFINITY], 3) == RknnAnswer([1, INFINITY], 3)
-    assert RknnAnswer([1, INFINITY], 3) != RknnAnswer([1, INFINITY], 4)
-    assert RknnAnswer([1, INFINITY], 3) != RknnAnswer([2, INFINITY], 3)
-    with pytest.raises(TypeError):
-        hash(RknnAnswer([], 0))
+def test_object_set_rejects_duplicate_and_negative_vertices():
     for vertices, message in (((1, 1), "duplicate vertices"), ((1, -1), "negative vertex IDs")):
         with pytest.raises(ConfigError, match=f"^object set contains {message}$"):
             ObjectSet(vertices)
@@ -515,13 +507,12 @@ def test_index_roundtrip(tree14_labels, tree14_objects):
         assert len(data) == OBJECTS_AT + 9 * len(objects) + 4  # one k-th neighbor per object
         loaded = load_index(io.BytesIO(data), labels)
         assert loaded.k == k
-        assert loaded.objects == objects
+        assert loaded.objects.vertices == objects.vertices
         assert loaded.kth == index.kth
         assert batch_rows(loaded) == batch_rows(index)
         assert loaded.worst == index.worst
-        assert loaded.rknn_backward == index.rknn_backward
-        # a loaded index rebuilds substage 1 once, equal to the built lists
-        assert loaded.knn_backward == index.knn_backward
+        # a loaded index rebuilds substages 1 and 3 once, equal to the built lists
+        assert_same_lists(loaded, index)
         assert loaded.knn_backward is loaded.knn_backward
         assert index_stats(loaded) == index_stats(index)
         for q in range(labels.vertex_count):
@@ -537,8 +528,7 @@ def test_index_roundtrip(tree14_labels, tree14_objects):
         from_part = load_index(io.BytesIO(data), part)
         assert from_part.kth == index.kth
         assert batch_rows(from_part) == batch_rows(index)
-        assert from_part.rknn_backward == index.rknn_backward
-        assert from_part.knn_backward == index.knn_backward
+        assert_same_lists(from_part, index)
         assert index_stats(from_part) == index_stats(index)
 
 
@@ -600,7 +590,7 @@ def test_index_load_names_truncation_and_trailing_bytes(tree14_labels, tree14_ob
         _load_resealed(data[:-5] + data[-4:], tree14_labels)
     with pytest.raises(FormatError, match="^truncated stream$"):
         _load_resealed(data[:OBJECTS_AT - 1] + data[-4:], tree14_labels)
-    with pytest.raises(FormatError, match="^trailing bytes after the last kNN row$"):
+    with pytest.raises(FormatError, match="^trailing bytes after the last k-th-neighbor entry$"):
         _load_resealed(data[:-4] + b"\0" + data[-4:], tree14_labels)
 
 
@@ -615,7 +605,7 @@ def test_index_load_rejects_wrong_knn_row_distance(tree14_labels, tree14_objects
     with pytest.raises(FormatError) as err:
         _load_resealed(data, tree14_labels)
     assert str(err.value) == (
-        "kNN result row 2 does not match labels: object 0 is not at distance 5"
+        "k-th-neighbor entry 2 does not match labels: object 0 is not at distance 5"
     )
 
 
@@ -640,15 +630,15 @@ STRUCTURAL_CASES = {
         1, _set_u32(OBJECTS_AT + 4, 4), "object set contains duplicate vertices"
     ),
     "row-index-past-m": (
-        1, _set_u32(OBJECTS_AT + 12 + 5, 3), "kNN result row 1 references index 3"
+        1, _set_u32(OBJECTS_AT + 12 + 5, 3), "k-th-neighbor entry 1 references index 3"
     ),
     "row-names-itself": (
-        1, _set_u32(OBJECTS_AT + 12 + 5, 1), "kNN result row 1 references index 1"
+        1, _set_u32(OBJECTS_AT + 12 + 5, 1), "k-th-neighbor entry 1 references index 1"
     ),
     "last-entry-distance": (
         2,
         _set_byte(OBJECTS_AT + 12 + 5 + 4, 6),
-        "kNN result row 1 does not match labels: object 2 is not at distance 6",
+        "k-th-neighbor entry 1 does not match labels: object 2 is not at distance 6",
     ),
 }
 

@@ -71,13 +71,16 @@ def test_only_labels_and_graph_import_zlib():
 def test_cli_import_leaves_bench_unloaded():
     """Only the bench subcommand imports bench, with csv, hashlib, logging and
     statistics; no module on the CLI path imports dataclasses, which pulls in
-    inspect."""
+    inspect. The CLI path loads exactly the package modules listed here:
+    each is compiled at every launch, so a new one is reported with its
+    ``-X importtime`` cost before it joins the list."""
     src = str(pathlib.Path(hubrknn.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (
         "import sys, hubrknn.cli; "
         "print(sorted({'hubrknn.bench', 'csv', 'hashlib', 'logging', 'statistics',"
-        " 'dataclasses', 'inspect'} & set(sys.modules)))"
+        " 'dataclasses', 'inspect'} & set(sys.modules))); "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'hubrknn'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -87,7 +90,32 @@ def test_cli_import_leaves_bench_unloaded():
         check=True,
         timeout=60,
     )
-    assert out.stdout.strip() == "[]"
+    unwanted, package = out.stdout.splitlines()
+    assert unwanted == "[]"
+    assert package == str(sorted(
+        ["hubrknn"]
+        + [f"hubrknn.{m}" for m in ("cli", "errors", "graph", "labels", "offline", "oracle")]
+    ))
+
+
+def test_only_graph_and_label_sets_compare_by_value():
+    """``Graph`` and ``LabelSet`` are the only package classes that define
+    ``__eq__`` or ``__hash__`` in their body: whole parsed graphs and loaded
+    labels are checked against built ones, in the tests and the benchmark.
+    Every other class compares by identity, so no value semantics ship for
+    the tests alone; a test compares the fields it means. (``bench.py``'s
+    dataclasses get theirs generated, and are outside this check.)"""
+    defining = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                defined = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+                defined.update(target.id for item in node.body if isinstance(item, ast.Assign)
+                               for target in item.targets if isinstance(target, ast.Name))
+                if defined & {"__eq__", "__hash__"}:
+                    defining.add(node.name)
+    assert defining == {"Graph", "LabelSet"}
 
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
