@@ -59,7 +59,7 @@ from itertools import compress
 from typing import IO, Callable
 
 from .errors import ConfigError, FormatError
-from .labels import _PAIR, _U32, INFINITY, LabelSet, _label_walk, _seal, _unseal, hl_distance
+from .labels import _PAIR, _U32, INFINITY, LabelSet, _label_walk, _seal, _unseal
 
 _MAGIC = b"RHIX"
 _VERSION = 6
@@ -368,11 +368,15 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
     checksum it names is ``labels.checksum()``; the objects' distinctness
     and range; and for each object its stored k-th neighbor: an index in
     range other than its own, at exactly the label distance between the
-    two objects. The index gets the checked ``kth`` and builds its per-hub
-    lists from the labels on first access, so ``labels`` needs only the
-    objects' labels decoded. Mismatched, corrupt or truncated inputs fail
-    with FormatError. The index is bound to this ``labels`` object, which
-    ``rknn_query`` must be passed.
+    two objects. That distance check makes a dict of each distinct
+    neighbor's label once and walks the object's own label against it,
+    bounded at ``d + 1`` (the walk stops past the stored distance d); the
+    dicts are local, so nothing is kept after the load. The index gets the
+    checked ``kth`` and builds its per-hub lists from the labels on first
+    access, so ``labels`` needs only the objects' labels decoded.
+    Mismatched, corrupt or truncated inputs fail with FormatError. The
+    index is bound to this ``labels`` object, which ``rknn_query`` must be
+    passed.
     """
     named, k, vertices, kth_data = _read_index_header(source.read())
     if named != labels.checksum():
@@ -390,10 +394,17 @@ def load_index(source: IO[bytes], labels: LabelSet) -> OfflineIndex:
     except ConfigError as exc:
         raise FormatError(f"index {exc}") from None  # a vertex out of range
 
+    hubs, dists = labels.hubs, labels.dists
+    to_target: dict[int, dict[int, int]] = {}  # neighbor vertex -> its label as a dict
     for i, (idx, d) in enumerate(kth):
         if idx >= len(vertices) or idx == i:
             raise FormatError(f"k-th-neighbor entry {i} references index {idx}")
-        if hl_distance(labels, vertices[i], vertices[idx]) != d:
+        t, p = vertices[idx], vertices[i]
+        to_t = to_target.get(t)
+        if to_t is None:
+            to_t = to_target[t] = dict(zip(hubs[t], dists[t]))
+        # the walk gives min(distance, d + 1), which is d iff hl_distance is
+        if _label_walk(to_t, hubs[p], dists[p], d + 1) != d:
             raise FormatError(
                 f"k-th-neighbor entry {i} does not match labels: object {idx} "
                 f"is not at distance {d}"
@@ -421,10 +432,10 @@ class RknnAnswer:
         return [(i, d) for i, d in enumerate(self.distances) if d < INFINITY]
 
 
-def _check_vertex(labels: LabelSet, q: int) -> None:
-    n = labels.vertex_count
-    if not 0 <= q < n:
-        raise ConfigError(f"query vertex {q} out of range for {n} vertices")
+def _check_vertex(n: int, v: int) -> None:
+    """v must be a vertex of a graph with n vertices; shared with the oracle."""
+    if not 0 <= v < n:
+        raise ConfigError(f"vertex {v} out of range for {n} vertices")
 
 
 def _check_k(k: int, supported: int) -> None:
@@ -443,7 +454,7 @@ def object_distances(index: OfflineIndex, q: int, bound: list[int] | None = None
     finite (dist, idx) are ``knn_query``'s row.
     """
     labels = index.labels
-    _check_vertex(labels, q)
+    _check_vertex(labels.vertex_count, q)
     to_q = dict(zip(labels.hubs[q], labels.dists[q]))
     out = []
     for i, p in enumerate(index.objects.vertices):
@@ -461,7 +472,7 @@ def rknn_query(index: OfflineIndex, labels: LabelSet, q: int) -> RknnAnswer:
     """
     if labels is not index.labels:
         raise ConfigError("label set is not the one this index was built or loaded with")
-    _check_vertex(labels, q)
+    _check_vertex(labels.vertex_count, q)
 
     out = [INFINITY] * len(index.objects)
     worst = index.worst
@@ -495,7 +506,7 @@ def knn_query(
     """
     if labels is not knn_backward.labels:
         raise ConfigError("label set is not the one these kNN backward labels were built from")
-    _check_vertex(labels, q)
+    _check_vertex(labels.vertex_count, q)
     _check_k(k, knn_backward.k)
     m = knn_backward.m
     return [(c % m, c // m) for c in _knn_row(labels, q, k, knn_backward)]

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .errors import ConfigError
 from .graph import Graph
 from .labels import INFINITY
-from .offline import ObjectSet
+from .offline import ObjectSet, _check_vertex
 
 _PUSH_RATIO = 8  # 16 measured alike on PA graphs; 2 and 4 were slower
 
@@ -31,13 +30,8 @@ class DistanceRow:
         self.dist = dist  # INFINITY for unreachable vertices
 
 
-def _check_vertex(graph: Graph, v: int) -> None:
-    if not 0 <= v < graph.vertex_count:
-        raise ConfigError(f"vertex {v} out of range for {graph.vertex_count} vertices")
-
-
 def bfs_distances(graph: Graph, source: int) -> DistanceRow:
-    _check_vertex(graph, source)
+    _check_vertex(graph.vertex_count, source)
     adjacency = graph.adjacency
     dist = [INFINITY] * graph.vertex_count
     dist[source] = 0
@@ -65,7 +59,7 @@ def oracle_rknn(
     One BFS per object; the same row yields both the k-th-neighbor threshold
     and the object-to-query distance.
     """
-    _check_vertex(graph, q)
+    _check_vertex(graph.vertex_count, q)
     members = []
     vertices = objects.vertices
     for i, p in enumerate(vertices):

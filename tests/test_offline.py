@@ -820,22 +820,95 @@ def _grid(rows, cols):
     )
 
 
+def _shape_instance(shape):
+    """Labels and objects of PA 150/4 (40 objects), a 256-vertex path (all
+    of it) or a 20x30 grid (120 objects)."""
+    if shape == "pa":
+        _, labels, objects = make_pa_instance(seed=33)
+    elif shape == "path256":
+        labels = build_pll_labels(Graph.from_edges([(v, v + 1) for v in range(255)]))
+        objects = ObjectSet(tuple(range(256)))
+    else:
+        g = _grid(20, 30)
+        labels = build_pll_labels(g)
+        objects = generate_random_objects(g, 0.2, 30)
+    return labels, objects
+
+
 @pytest.mark.parametrize("shape", ["path256", "grid20x30"])
 def test_regrouping_matches_dense_references_off_pa_shapes(shape):
     """The shapes PA labels never produce: on a 256-vertex path every label
     distance holds one hub, so each (object, distance) block is one pair;
     a 20x30 grid spreads its labels over tens of distances, so the
     regroupings fill many buckets."""
+    labels, objects = _shape_instance(shape)
     if shape == "path256":
-        labels = build_pll_labels(Graph.from_edges([(v, v + 1) for v in range(255)]))
-        objects = ObjectSet(tuple(range(256)))
         assert all(len(set(ds)) == len(ds) for ds in labels.dists)
     else:
-        g = _grid(20, 30)
-        labels = build_pll_labels(g)
-        objects = generate_random_objects(g, 0.2, 30)
         assert len(set().union(*map(labels.dists.__getitem__, objects.vertices))) > 30
     _assert_regroupings_match_references(labels, objects)
+
+
+@pytest.mark.parametrize("shape, k", [("pa", 4), ("path256", 2), ("grid20x30", 8)])
+def test_index_load_accepts_an_entry_iff_hl_distance_matches(shape, k):
+    """A k-th-neighbor entry (idx, d) changed in a built index's file, the
+    CRC recomputed, loads exactly when ``hl_distance`` between the two
+    objects is d: entries moved to d +- 1 and d +- 2, to a random other
+    object and to a random d in 0..4, in 40 sampled rows."""
+    labels, objects = _shape_instance(shape)
+    index = offline_preprocess(labels, objects, k)
+    data = _index_bytes(index)
+    assert load_index(io.BytesIO(data), labels).kth == index.kth
+    vertices, m = objects.vertices, len(objects)
+    rng = random.Random(k)
+    verdicts = {True: 0, False: 0}
+    for i in rng.sample(range(m), min(m, 40)):
+        idx, d = index.kth[i]
+        other = rng.choice([j for j in range(m) if j not in (i, idx)])
+        for j, e in [(idx, d - 2), (idx, d - 1), (idx, d + 1), (idx, d + 2),
+                     (other, d), (idx, rng.randint(0, 4))]:
+            if e < 0:
+                continue
+            changed = bytearray(data)
+            struct.pack_into("<IB", changed, OBJECTS_AT + 4 * m + 5 * i, j, e)
+            accepted = hl_distance(labels, vertices[i], vertices[j]) == e
+            verdicts[accepted] += 1
+            if accepted:
+                assert _load_resealed(changed, labels).kth[i] == (j, e)
+                continue
+            with pytest.raises(FormatError) as err:
+                _load_resealed(changed, labels)
+            assert str(err.value) == (
+                f"k-th-neighbor entry {i} does not match labels: object {j} "
+                f"is not at distance {e}"
+            )
+    assert verdicts[True] and verdicts[False]
+
+
+def test_index_load_walks_each_entry_once_against_its_targets_dict(monkeypatch):
+    """The load's distance check costs one ``_label_walk`` per entry, bounded
+    at d + 1, against one dict per distinct k-th neighbor, that neighbor's
+    label: a fresh dict per entry gives the same verdicts, only slower."""
+    labels, objects = _shape_instance("pa")
+    index = offline_preprocess(labels, objects, 4)
+    data = _index_bytes(index)
+    calls = []
+    walk = hubrknn.offline._label_walk
+
+    def recorded(to_s, hubs, dists, best):
+        calls.append((to_s, best))
+        return walk(to_s, hubs, dists, best)
+
+    monkeypatch.setattr(hubrknn.offline, "_label_walk", recorded)
+    load_index(io.BytesIO(data), labels)
+    assert len(calls) == len(index.kth)
+    assert [best for _, best in calls] == [d + 1 for _, d in index.kth]
+    by_target = {}
+    for (idx, _), (to_s, _) in zip(index.kth, calls):
+        assert by_target.setdefault(objects.vertices[idx], to_s) is to_s
+    assert len({id(to_s) for to_s, _ in calls}) == len(by_target) < len(calls)
+    for t, to_t in by_target.items():
+        assert to_t == dict(zip(labels.hubs[t], labels.dists[t]))
 
 
 # --- object file parsing ---

@@ -43,7 +43,7 @@ def test_query_on_object_vertex_is_member_at_zero(tree14_labels, tree14_objects)
 
 def test_rknn_rejects_out_of_range_vertex(tree14_labels, tree14_objects):
     index = offline_preprocess(tree14_labels, tree14_objects, 1)
-    with pytest.raises(ConfigError, match="^query vertex 14 out of range for 14 vertices$"):
+    with pytest.raises(ConfigError, match="^vertex 14 out of range for 14 vertices$"):
         rknn_query(index, tree14_labels, 14)
 
 
@@ -203,7 +203,7 @@ def test_knn_query_caps_k(tree14_labels, tree14_objects):
 
 def test_knn_rejects_out_of_range_vertex(tree14_labels, tree14_objects):
     index = offline_preprocess(tree14_labels, tree14_objects, 1)
-    with pytest.raises(ConfigError, match="^query vertex -1 out of range for 14 vertices$"):
+    with pytest.raises(ConfigError, match="^vertex -1 out of range for 14 vertices$"):
         knn_query(index.knn_backward, tree14_labels, -1, 1)
 
 
@@ -293,5 +293,5 @@ def test_object_distances_match_the_sweeps_on_pa300(pa300_labels, density, k):
 
 def test_object_distances_reject_out_of_range_vertex(tree14_labels, tree14_objects):
     index = offline_preprocess(tree14_labels, tree14_objects, 1)
-    with pytest.raises(ConfigError, match="^query vertex 14 out of range for 14 vertices$"):
+    with pytest.raises(ConfigError, match="^vertex 14 out of range for 14 vertices$"):
         object_distances(index, 14)
