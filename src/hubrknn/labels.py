@@ -163,16 +163,27 @@ def build_pll_labels(graph: Graph, ordering: tuple[int, ...] | None = None) -> L
     0), which keeps the sets of late, small searches short. The labels
     equal those of the per-vertex prune test.
 
+    Each level is direction-optimizing (Beamer, Asanovic and Patterson, SC
+    2012): the cover of depth d + 1 is made before level d expands, so only
+    the *free* vertices, neither kept nor covered yet, can join level d + 1.
+    When fewer vertices are free than kept, the level pulls: a free vertex
+    joins if a neighbour is kept. Otherwise it pushes, ORing the kept
+    vertices' neighbour sets. A BFS ends when no free vertex joins.
+
     Labels grow in columns: ``by_d[d][w]`` lists w's hubs at distance d in
     root order, so a kept visit is one append. A root's prune certificates
-    are grouped the same way, ``certs[r]`` for its pairs at distance r, and
-    depth d reads only the groups with r <= d. At the end each column is
-    sorted as ints and the columns are concatenated: the (dist, hub) order.
-    The ``reach`` sets live only during the BFSs, at three to six times the
-    label file's size. The columns hold one list per vertex for each
-    distance that some label reaches, until the labels are assembled: on a
-    256-vertex path ordered from one end that is 65,536 lists, the build's
-    worst case for its memory peak.
+    are grouped the same way: ``certs[r]`` holds the ``reach`` lists of its
+    hubs at distance r >= 1, and depth d reads only the groups with r <= d.
+    Each finished ``reach`` list is padded with its last set to one entry
+    per column, and grows with ``by_d``, so ``sets[d - r]`` needs no bound
+    test: d <= len(by_d) and r >= 1. At the end each column is sorted as
+    ints and the columns are concatenated: the (dist, hub) order. The
+    ``reach`` sets live only during the BFSs, at 1.6 (PA 3000/12) and 3.0
+    (PA 8000/12) times the label file's size. The columns hold one list per
+    vertex for each distance that some label reaches, until the labels are
+    assembled: on a 256-vertex path ordered from one end that is 65,536
+    lists, the build's worst case for its memory peak (7.51 MiB under
+    tracemalloc).
     """
     order = degree_ordering(graph) if ordering is None else ordering
     n = graph.vertex_count
@@ -187,49 +198,65 @@ def build_pll_labels(graph: Graph, ordering: tuple[int, ...] | None = None) -> L
     neighbours = [sum(1 << bit_of[x] for x in graph.adjacency[v]) for v in vertex_of]
     by_d: list[list[list[int]]] = []  # by_d[d][w]: w's hubs at distance d, in root order
     reach: list[list[int]] = [[] for _ in range(n)]
+    done: list[list[int]] = []  # the finished roots' reach lists
+    everyone = (1 << n) - 1
 
     for root in order:
         # The root's label holds earlier landmarks only; their BFS is done.
-        certs = [[(reach[h], len(reach[h]) - 1) for h in column[root]] for column in by_d]
+        certs = [[reach[h] for h in column[root]] for column in by_d]
         root_reach = reach[root]
-        level = seen = 1 << bit_of[root]
-        cumulative = 0
+        keep = cumulative = 1 << bit_of[root]
+        free = everyone ^ keep  # neither kept nor covered yet
         d = 0
-        while level:
-            covered = 0
-            for dh in range(min(d + 1, len(certs))):
-                j = d - dh
-                for sets, last in certs[dh]:
-                    covered |= sets[j if j < last else last]
-            keep = level & ~covered
-            if keep and d > MAX_DIST:
-                raise FormatError(
-                    f"hop distance {d} exceeds the serializable maximum {MAX_DIST}"
-                )
+        while keep:
+            if d > MAX_DIST:
+                raise FormatError(f"hop distance {d} exceeds the serializable maximum {MAX_DIST}")
             cumulative |= keep
             root_reach.append(cumulative)
-            if not keep:
-                break
             if d == len(by_d):
                 by_d.append([[] for _ in range(n)])
+                for sets in done:  # one entry per column, as below
+                    sets.append(sets[-1])
             column = by_d[d]
+            d += 1
+            covered = 0
+            for dh in range(1, min(d + 1, len(certs))):
+                j = d - dh
+                for sets in certs[dh]:
+                    covered |= sets[j]
+            free &= ~covered
             nxt = 0
             bits = bin(keep)
             top = len(bits) - 1
             i = bits.find("1", 2)
-            while i > 0:
-                b = top - i
-                column[vertex_of[b]].append(root)
-                nxt |= neighbours[b]
-                i = bits.find("1", i + 1)
-            level = nxt & ~seen
-            seen |= level
-            d += 1
+            if free.bit_count() < keep.bit_count():
+                # Pull: the next level is the free vertices next to a kept one.
+                while i > 0:
+                    column[vertex_of[top - i]].append(root)
+                    i = bits.find("1", i + 1)
+                bits = bin(free)
+                top = len(bits) - 1
+                i = bits.find("1", 2)
+                while i > 0:
+                    b = top - i
+                    if neighbours[b] & keep:
+                        nxt |= 1 << b
+                    i = bits.find("1", i + 1)
+            else:  # push: OR the kept vertices' neighbour sets
+                while i > 0:
+                    b = top - i
+                    column[vertex_of[b]].append(root)
+                    nxt |= neighbours[b]
+                    i = bits.find("1", i + 1)
+            keep = nxt & free
+            free ^= keep
+        root_reach += [cumulative] * (len(by_d) - len(root_reach))
+        done.append(root_reach)
 
     # The sweeps read labels in (dist, hub) order: each column's hubs are
     # sorted as ints. The hubs stay the shared ``root`` int objects. The
     # bitsets go first, so assembling the labels never holds them as well.
-    del reach, neighbours
+    del reach, done, neighbours
     hubs: list[list[int]] = [[] for _ in range(n)]
     dists = [bytearray() for _ in range(n)]
     for d, column in enumerate(by_d):

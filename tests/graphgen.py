@@ -32,3 +32,11 @@ def preferential_attachment_graph(n: int, attach: int, seed: int) -> Graph:
             endpoints.append(w)
             endpoints.append(v)
     return Graph.from_edges(edges)
+
+
+def grid_graph(rows: int, cols: int) -> Graph:
+    """The rows x cols grid; vertex r * cols + c."""
+    return Graph.from_edges(
+        [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+        + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    )

@@ -29,7 +29,7 @@ from hubrknn import (
 from hubrknn.labels import _PAIR
 
 from fixtures import TREE14_LABELS, TREE14_TEXT, TREE14_TOTAL_PAIRS, label_pairs
-from graphgen import preferential_attachment_graph, random_connected_graph
+from graphgen import grid_graph, preferential_attachment_graph, random_connected_graph
 
 
 def reference_pll(graph, ordering):
@@ -104,6 +104,13 @@ def two_component_graph():
     return Graph.from_edges(left + right + [(100 + i, 101 + i) for i in range(24)])
 
 
+def star_and_path_graph():
+    """A 40-leaf star and a separate 60-vertex path: the degree order roots
+    the star first, whose BFS stops at depth 1, and the path's run deeper."""
+    star = [(0, leaf) for leaf in range(1, 41)]
+    return Graph.from_edges(star + [(41 + i, 42 + i) for i in range(59)])
+
+
 BUILD_GRAPHS = {
     **{
         f"pa-{n}-{attach}-s{seed}": preferential_attachment_graph(n, attach, seed)
@@ -117,6 +124,8 @@ BUILD_GRAPHS = {
     "tree-200": tree_graph(200, 7),
     "path-60": path_graph(60),
     "two-components": two_component_graph(),
+    "star-40-and-path-60": star_and_path_graph(),
+    "grid-20x30": grid_graph(20, 30),
 }
 
 

@@ -46,7 +46,7 @@ from fixtures import (
     batch_rows,
     knn_pairs,
 )
-from graphgen import preferential_attachment_graph, random_connected_graph
+from graphgen import grid_graph, preferential_attachment_graph, random_connected_graph
 
 
 def make_instance(n=128, extra=192, objects=16, seed=0):
@@ -813,13 +813,6 @@ def test_sparse_regrouping_and_encoding_match_dense_references(pa1800, density, 
         assert sum(not lst for lst in index.rknn_backward.lists) > g.vertex_count // 2
 
 
-def _grid(rows, cols):
-    return Graph.from_edges(
-        [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
-        + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
-    )
-
-
 def _shape_instance(shape):
     """Labels and objects of PA 150/4 (40 objects), a 256-vertex path (all
     of it) or a 20x30 grid (120 objects)."""
@@ -829,7 +822,7 @@ def _shape_instance(shape):
         labels = build_pll_labels(Graph.from_edges([(v, v + 1) for v in range(255)]))
         objects = ObjectSet(tuple(range(256)))
     else:
-        g = _grid(20, 30)
+        g = grid_graph(20, 30)
         labels = build_pll_labels(g)
         objects = generate_random_objects(g, 0.2, 30)
     return labels, objects
