@@ -9,6 +9,7 @@ file formats and the CLI.
 from .errors import ConfigError, FormatError, ParseError
 from .graph import (
     Graph,
+    ObjectSet,
     degree_ordering,
     largest_connected_component,
     parse_edge_list,
@@ -25,7 +26,6 @@ from .labels import (
 )
 from .offline import (
     KnnBackwardLabels,
-    ObjectSet,
     OfflineIndex,
     OfflineTimings,
     RknnAnswer,

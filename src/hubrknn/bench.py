@@ -20,9 +20,9 @@ from dataclasses import astuple, dataclass, fields
 from typing import IO
 
 from .errors import ConfigError
-from .graph import Graph
+from .graph import Graph, ObjectSet
 from .labels import INFINITY, LabelSet
-from .offline import ObjectSet, index_stats, offline_preprocess, rknn_query
+from .offline import index_stats, offline_preprocess, rknn_query
 from .oracle import bfs_distances
 
 log = logging.getLogger(__name__)

@@ -27,11 +27,11 @@ import time
 from .errors import ConfigError, FormatError, ParseError
 from .graph import (
     Graph,
-    _chunks,
+    ObjectSet,
+    edge_list_crc,
     largest_connected_component,
     parse_edge_list,
     parse_object_file,
-    text_crc,
 )
 from .labels import (
     _PAIR,
@@ -42,7 +42,6 @@ from .labels import (
     save_labels,
 )
 from .offline import (
-    ObjectSet,
     OfflineIndex,
     _check_k,
     _read_index_header,
@@ -175,44 +174,35 @@ def _load_graph(path: str) -> Graph:
 
 
 def _edge_list_crc(path: str) -> int:
-    """The ``text_crc`` of --graph, read as ``parse_edge_list`` reads it
-    (``_chunks``), so no more than one chunk is held at a time. A file of no
-    characters is the ParseError that ``parse_edge_list`` raises for it."""
-    crc = 0
-    empty = True
+    """The ``edge_list_crc`` of --graph, read one chunk at a time."""
     with _Input(path), open(path, "r", encoding="utf-8") as f:
-        for chunk in _chunks(f):
-            crc = text_crc(chunk, crc)
-            empty = False
-        if empty:
-            parse_edge_list("")  # the "empty graph" error that build prints
-    return crc
+        return edge_list_crc(f)
 
 
-def _load_labels_bound(args, edge_list_crc: int, vertices=None, raw_vertices=()) -> LabelSet:
+def _load_labels_bound(args, graph_crc: int, vertices=None, raw_vertices=()) -> LabelSet:
     """The labels of --labels (all of them, or those of ``vertices`` and of
     the raw IDs ``raw_vertices``), checked to be built from --graph, whose
-    CRC is ``edge_list_crc``."""
+    CRC is ``graph_crc``."""
     with _Input(args.labels):
         with open(args.labels, "rb") as f:
             labels = load_labels(f, vertices, raw_vertices)
-        if labels.edge_list_crc != edge_list_crc:
+        if labels.edge_list_crc != graph_crc:
             named = "none" if labels.edge_list_crc is None else f"{labels.edge_list_crc:08x}"
             raise FormatError(
                 f"label file was built from another edge list: it names edge-list CRC {named}, "
-                f"{args.graph} has {edge_list_crc:08x}; rebuild it with build"
+                f"{args.graph} has {graph_crc:08x}; rebuild it with build"
             )
     return labels
 
 
-def _load_indexed(args, edge_list_crc: int) -> tuple[OfflineIndex, int]:
+def _load_indexed(args, graph_crc: int) -> tuple[OfflineIndex, int]:
     """The index of --labels/--index, bound to the edge list whose CRC is
-    ``edge_list_crc``, and the dense --vertex; only the labels of the
+    ``graph_crc``, and the dense --vertex; only the labels of the
     objects and of --vertex are decoded, the ones a query reads."""
     with _Input(args.index), open(args.index, "rb") as f:
         data = f.read()
         objects = _read_index_header(data)[2]
-    labels = _load_labels_bound(args, edge_list_crc, objects, (args.vertex,))
+    labels = _load_labels_bound(args, graph_crc, objects, (args.vertex,))
     q = labels.dense_id(args.vertex)
     with _Input(args.index):
         return load_index(io.BytesIO(data), labels), q
@@ -233,10 +223,10 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    edge_list_crc = _edge_list_crc(args.graph)
+    graph_crc = _edge_list_crc(args.graph)
     with _Input(args.objects), open(args.objects, "r", encoding="utf-8") as f:
         raw_objects = parse_object_file(f)
-    labels = _load_labels_bound(args, edge_list_crc, (), raw_objects)
+    labels = _load_labels_bound(args, graph_crc, (), raw_objects)
     if args.k < 1:  # not the object file's fault
         raise ConfigError(f"k must be >= 1, got {args.k}")
     with _Input(args.objects, (ConfigError,)):  # a repeated ID, one not in the graph, too few

@@ -8,7 +8,9 @@ be arbitrary non-negative integers; they are remapped to dense 0-based IDs
 in order of first appearance, and the mapping is kept on the Graph so
 results can be reported in the caller's original IDs. A parsed Graph also
 keeps the CRC-32 of the text it was parsed from, which a label file stores
-to name the edge list it was built from.
+to name the edge list it was built from (``edge_list_crc`` reads it with no
+parse). The vertex rules live here as well: ``_check_vertex`` is the one
+range check of a dense vertex ID, and ``ObjectSet`` holds distinct objects.
 """
 
 from __future__ import annotations
@@ -111,6 +113,28 @@ class Graph(RawIdMap):
         return f"Graph(vertices={self.vertex_count}, edges={self.edge_count})"
 
 
+class ObjectSet:
+    """Distinct object vertices; list position is the canonical object index."""
+
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices: tuple[int, ...]):
+        if len(set(vertices)) != len(vertices):
+            raise ConfigError("object set contains duplicate vertices")
+        if any(v < 0 for v in vertices):
+            raise ConfigError("object set contains negative vertex IDs")
+        self.vertices = vertices
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+
+def _check_vertex(n: int, v: int) -> None:
+    """v must be a vertex of a graph with n vertices; the one range check."""
+    if not 0 <= v < n:
+        raise ConfigError(f"vertex {v} out of range for {n} vertices")
+
+
 class _DataLines:
     """(line number, stripped line) of each line of a text stream, or of a
     ``str`` read as one, that is not blank or a comment. Lines end at "\\n"
@@ -151,6 +175,17 @@ def text_crc(text: str, crc: int = 0) -> int:
     """The CRC-32 of ``text`` encoded as UTF-8, continuing ``crc``: what
     binds a label file to the edge list it was built from."""
     return zlib.crc32(text.encode("utf-8"), crc)
+
+
+def edge_list_crc(stream: IO[str]) -> int:
+    """The ``text_crc`` of an edge-list stream, read in chunks with no parse;
+    for no characters, the ParseError that ``parse_edge_list`` raises."""
+    crc, empty = 0, True
+    for chunk in _chunks(stream):
+        crc, empty = text_crc(chunk, crc), False
+    if empty:
+        Graph.from_edges(())  # raises "empty graph: input contains no vertices"
+    return crc
 
 
 def parse_edge_list(source: str | IO[str]) -> Graph:

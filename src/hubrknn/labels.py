@@ -23,7 +23,7 @@ from itertools import accumulate, chain
 from typing import IO, Iterable, Sequence
 
 from .errors import ConfigError, FormatError
-from .graph import Graph, RawIdMap, degree_ordering
+from .graph import Graph, RawIdMap, _check_vertex, degree_ordering
 
 # Sentinel strictly greater than any representable hop distance.
 INFINITY = 1 << 30
@@ -219,12 +219,13 @@ def build_pll_labels(graph: Graph, ordering: tuple[int, ...] | None = None) -> L
                     sets.append(sets[-1])
             column = by_d[d]
             d += 1
-            covered = 0
-            for dh in range(1, min(d + 1, len(certs))):
-                j = d - dh
-                for sets in certs[dh]:
-                    covered |= sets[j]
-            free &= ~covered
+            if free:  # with none free there is nothing to cover; level d is still kept
+                covered = 0
+                for dh in range(1, min(d + 1, len(certs))):
+                    j = d - dh
+                    for sets in certs[dh]:
+                        covered |= sets[j]
+                free &= ~covered
             nxt = 0
             bits = bin(keep)
             top = len(bits) - 1
@@ -275,9 +276,8 @@ def hl_distance(labels: LabelSet, s: int, t: int) -> int:
     One ``_label_walk`` of t's label, the walk ``offline.object_distances``
     and ``offline.load_index`` make with a bound.
     """
-    n = labels.vertex_count
-    if not (0 <= s < n and 0 <= t < n):
-        raise ConfigError(f"vertex pair ({s}, {t}) out of range for {n} vertices")
+    _check_vertex(labels.vertex_count, s)
+    _check_vertex(labels.vertex_count, t)
     to_s = dict(zip(labels.hubs[s], labels.dists[s]))
     return _label_walk(to_s, labels.hubs[t], labels.dists[t], INFINITY)
 

@@ -59,27 +59,12 @@ from itertools import compress
 from typing import IO, Callable
 
 from .errors import ConfigError, FormatError
+from .graph import ObjectSet, _check_vertex
 from .labels import _PAIR, _U32, INFINITY, LabelSet, _label_walk, _seal, _unseal
 
 _MAGIC = b"RHIX"
 _VERSION = 6
 _HEADER = struct.Struct("<III")  # the labels' checksum, k, object count
-
-
-class ObjectSet:
-    """Distinct object vertices; list position is the canonical object index."""
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, vertices: tuple[int, ...]):
-        if len(set(vertices)) != len(vertices):
-            raise ConfigError("object set contains duplicate vertices")
-        if any(v < 0 for v in vertices):
-            raise ConfigError("object set contains negative vertex IDs")
-        self.vertices = vertices
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
 
 class KnnBackwardLabels:
@@ -118,8 +103,7 @@ class RknnBackwardLabels:
 class OfflineTimings:
     __slots__ = ("knn_backward_s", "batch_knn_s", "rknn_labels_s")
 
-    def __init__(self, knn_backward_s: float = 0.0, batch_knn_s: float = 0.0,
-                 rknn_labels_s: float = 0.0):
+    def __init__(self, knn_backward_s: float, batch_knn_s: float, rknn_labels_s: float):
         self.knn_backward_s = knn_backward_s
         self.batch_knn_s = batch_knn_s
         self.rknn_labels_s = rknn_labels_s
@@ -152,14 +136,11 @@ class OfflineIndex:
             raise ConfigError(f"k must be >= 1, got {k}")
         if len(objects) < k + 1:
             raise ConfigError(f"need at least k+1 = {k + 1} objects, got {len(objects)}")
-        n = labels.vertex_count
         for v in objects.vertices:
-            if v >= n:
-                raise ConfigError(f"object vertex {v} out of range for {n} vertices")
+            _check_vertex(labels.vertex_count, v)
         self.objects = objects
         self.labels = labels
         self.k = k
-        self.timings = OfflineTimings()
         if kth is not None:
             vars(self)["kth"] = kth
 
@@ -430,12 +411,6 @@ class RknnAnswer:
     def members(self) -> list[tuple[int, int]]:
         """(objectIndex, dist) for every finite entry, in index order."""
         return [(i, d) for i, d in enumerate(self.distances) if d < INFINITY]
-
-
-def _check_vertex(n: int, v: int) -> None:
-    """v must be a vertex of a graph with n vertices; shared with the oracle."""
-    if not 0 <= v < n:
-        raise ConfigError(f"vertex {v} out of range for {n} vertices")
 
 
 def _check_k(k: int, supported: int) -> None:

@@ -1,6 +1,7 @@
 """Brute-force BFS ground truth for distances and reverse kNN.
 
-One full BFS per object (or per vertex), sharing no code with the labels it
+One full BFS per object (or per vertex). It imports only graph.py and
+``labels.INFINITY``, so it shares no code with the labels or the index it
 checks. Used by the test suite, by ``query --oracle`` for debugging index
 results, and for the bench's BFS balls. The BFS is direction-optimizing
 (Beamer, Asanovic and Patterson, SC 2012): level d is the set of unseen
@@ -16,9 +17,8 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .graph import Graph
+from .graph import Graph, ObjectSet, _check_vertex
 from .labels import INFINITY
-from .offline import ObjectSet, _check_vertex
 
 _PUSH_RATIO = 8  # 16 measured alike on PA graphs; 2 and 4 were slower
 

@@ -1,4 +1,5 @@
 import io
+import logging
 import math
 import random
 
@@ -150,6 +151,11 @@ def test_ball_objects_rejects_undersized_ball(tree14):
         generate_ball_objects(tree14, 0.5, 0.1, seed=0)
 
 
+def test_ball_objects_rejects_tiny_density(tree14):
+    with pytest.raises(ConfigError, match="^density 0.05 yields 1 objects; need at least 2$"):
+        generate_ball_objects(tree14, 0.05, 0.5, seed=0)
+
+
 def test_sweep_config_validation():
     with pytest.raises(ConfigError):
         SweepConfig(densities=(0.0,), ks=(1,))
@@ -157,6 +163,9 @@ def test_sweep_config_validation():
         SweepConfig(densities=(0.1,), ks=(0,))
     with pytest.raises(ConfigError):
         SweepConfig(densities=(0.1,), ks=(1,), balls=(1.5,))
+    for counts in ({"sets_per_point": 0}, {"queries_per_set": 0}):
+        with pytest.raises(ConfigError, match="^sets_per_point and queries_per_set must be"):
+            SweepConfig(densities=(0.1,), ks=(1,), **counts)
 
 
 def test_sweep_fixture_single_point(tree14, tree14_labels):
@@ -198,6 +207,21 @@ def test_sweep_skips_infeasible_points(tree14, tree14_labels):
     records = run_sweep(tree14, tree14_labels, config)
     # D=0.15 gives 3 objects; k=8 needs 9 -> one record survives
     assert [r.k for r in records] == [1]
+
+
+def test_sweep_skips_a_ball_smaller_than_its_objects(tree14, tree14_labels, caplog):
+    """D=0.5 gives 7 objects on tree14, and B=0.1 a ball of 2 vertices."""
+    config = SweepConfig(
+        densities=(0.5,), ks=(1,), balls=(0.1,), sets_per_point=1, queries_per_set=1, seed=0,
+    )
+    sink = io.StringIO()
+    with caplog.at_level(logging.WARNING, logger="hubrknn.bench"):
+        records = run_sweep(tree14, tree14_labels, config, sink=sink)
+    assert records == []
+    assert sink.getvalue().splitlines() == [",".join(CSV_COLUMNS)]
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "skipping D=0.5 k=1 B=0.1: ball too small")
+    ]
 
 
 def test_sweep_deterministic_modulo_time_columns():

@@ -212,7 +212,7 @@ def test_fixture_spot_distances(tree14_labels):
 
 
 def test_out_of_range_vertex_rejected(tree14_labels):
-    with pytest.raises(ConfigError, match=r"^vertex pair \(0, 14\) out of range for 14 vertices$"):
+    with pytest.raises(ConfigError, match=r"^vertex 14 out of range for 14 vertices$"):
         hl_distance(tree14_labels, 0, 14)
 
 

@@ -147,7 +147,7 @@ def test_knn_backward_requires_enough_objects(tree14_labels):
     [
         ((0, 1, 2), 0, "k must be >= 1, got 0"),
         ((0, 1, 2), 3, "need at least k+1 = 4 objects, got 3"),
-        ((0, 1, 4), 1, "object vertex 4 out of range for 4 vertices"),
+        ((0, 1, 4), 1, "vertex 4 out of range for 4 vertices"),
     ],
 )
 def test_offline_index_checks_its_inputs_when_made(vertices, k, message):
@@ -624,7 +624,7 @@ STRUCTURAL_CASES = {
     "k-too-large": (1, _set_u32(9, 3), "index header has k=3 but only 3 objects"),
     "few-objects": (2, _set_u32(13, 2), "index header has k=2 but only 2 objects"),
     "object-out-of-range": (
-        1, _set_u32(OBJECTS_AT + 4, 14), "index object vertex 14 out of range for 14 vertices"
+        1, _set_u32(OBJECTS_AT + 4, 14), "index vertex 14 out of range for 14 vertices"
     ),
     "duplicate-objects": (
         1, _set_u32(OBJECTS_AT + 4, 4), "object set contains duplicate vertices"

@@ -68,6 +68,34 @@ def test_only_labels_and_graph_import_zlib():
     assert importers == ["graph.py", "labels.py"]
 
 
+def test_oracle_imports_nothing_from_the_index():
+    """The BFS oracle is the ground truth the index is checked against, so
+    it shares none of the index's code: from the package it imports graph.py
+    and labels.INFINITY only."""
+    oracle = pathlib.Path(hubrknn.__file__).parent / "oracle.py"
+    tree = ast.parse(oracle.read_text(encoding="utf-8"), filename=str(oracle))
+    package = [
+        f"{node.module}.{alias.name}" for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level for alias in node.names
+    ]
+    assert package and all(n.startswith("graph.") or n == "labels.INFINITY" for n in package)
+    assert not [name for _, name in _absolute_imports(oracle) if name.startswith("hubrknn")]
+
+
+def test_only_graph_names_its_chunked_reader():
+    """graph.py is the one module that reads raw text: no other module
+    names ``_chunks``, in a name, an attribute or an import."""
+    naming = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names = _names(tree)
+        names.update(alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) for alias in node.names)
+        if names["_chunks"]:
+            naming.append(path.name)
+    assert naming == ["graph.py"]
+
+
 def test_cli_import_leaves_bench_unloaded():
     """Only the bench subcommand imports bench, with csv, hashlib, logging and
     statistics; no module on the CLI path imports dataclasses, which pulls in
